@@ -35,7 +35,7 @@ use crate::error::ClusterError;
 use crate::metrics::ClusterMetrics;
 use crate::node::{Applied, NodeAgent};
 use rega_serve::proto::{read_frame, write_frame, Framing};
-use rega_stream::event::{parse_event, Event};
+use rega_stream::event::{decode_event, Event};
 use rega_stream::snapshot::{outcome_from_json, outcome_to_json};
 use rega_stream::{CompiledSpec, EngineConfig, SessionOutcome};
 use serde_json::{json, Value as Json};
@@ -75,12 +75,12 @@ pub fn event_to_json(event: &Event) -> Json {
     }
 }
 
-/// Decodes [`event_to_json`] through the engine's own line parser, so
-/// the wire accepts exactly what `rega monitor` accepts.
+/// Decodes [`event_to_json`] straight from the parsed frame with the
+/// engine's own [`decode_event`], the contract behind `rega monitor`'s
+/// line parser: the wire accepts exactly what `rega monitor` accepts, and
+/// each event is parsed once.
 pub fn event_from_json(j: &Json) -> Result<Event, ClusterError> {
-    let line =
-        serde_json::to_string(j).map_err(|e| ClusterError::Wire(format!("bad event: {e}")))?;
-    parse_event(&line).map_err(|e| ClusterError::Wire(e.to_string()))
+    decode_event(j).map_err(|e| ClusterError::Wire(e.to_string()))
 }
 
 /// If this process was exec'd as a cluster worker, runs the worker loop

@@ -43,6 +43,9 @@ pub struct GlobalConstraint {
     /// Per DFA state: whether an accepting state is still reachable (dead
     /// monitor runs are pruned).
     alive: Vec<bool>,
+    /// Per automaton state id: its DFA letter index (`usize::MAX` when
+    /// the DFA alphabet lacks it), so monitors look letters up densely.
+    letters: Vec<usize>,
 }
 
 impl GlobalConstraint {
@@ -54,6 +57,15 @@ impl GlobalConstraint {
     /// Whether a monitor run in this DFA state can still reach acceptance.
     pub fn is_alive(&self, dfa_state: usize) -> bool {
         self.alive[dfa_state]
+    }
+
+    /// The DFA letter index of automaton state `state`, if the DFA's
+    /// alphabet has it (the dense form of [`Dfa::letter_index`]).
+    pub fn letter(&self, state: StateId) -> Option<usize> {
+        self.letters
+            .get(state.idx())
+            .copied()
+            .filter(|&l| l != usize::MAX)
     }
 }
 
@@ -153,6 +165,16 @@ impl ExtendedAutomaton {
         let alive = (0..dfa.num_states())
             .map(|s| dfa.can_accept_from(s))
             .collect();
+        let size = dfa
+            .alphabet()
+            .iter()
+            .map(|s| s.idx() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut letters = vec![usize::MAX; size];
+        for (l, s) in dfa.alphabet().iter().enumerate() {
+            letters[s.idx()] = l;
+        }
         self.constraints.push(GlobalConstraint {
             kind,
             i,
@@ -160,6 +182,7 @@ impl ExtendedAutomaton {
             regex,
             dfa,
             alive,
+            letters,
         });
         Ok(self.constraints.len() - 1)
     }

@@ -16,16 +16,20 @@
 //! The monitor owns its state and borrows the automaton only per
 //! [`step`](ConstraintMonitor::step) call, so external drivers (the
 //! `rega-stream` engine) can keep thousands of session monitors hot against
-//! one shared compiled spec. Value sets live in dense per-DFA-state slots
-//! and are *moved* to their successor slot when it is empty (the common,
-//! single-predecessor case); the slot buffers are double-buffered and
-//! reused across steps, so a step allocates only when two runs genuinely
-//! merge or a fresh run spawns into an empty slot.
+//! one shared compiled spec. A constraint's configuration is the sorted,
+//! duplicate-free list of its active runs as `(DFA state, stored value)`
+//! pairs; the runs sharing a DFA state are that state's value set. One
+//! successor kernel advances the runs, spawns the new one and fires the
+//! matches, reading one list and writing another, so
+//! [`step`](ConstraintMonitor::step) runs it against the monitor's own
+//! spare list and [`step_into`](ConstraintMonitor::step_into) against a
+//! caller's recycled monitor (the view observer's frontier successors).
+//! Lists keep their capacity, so a warmed-up step does not allocate, and
+//! a step costs time in the number of live runs, not in the DFA sizes.
 
 use crate::automaton::StateId;
-use crate::extended::{ConstraintKind, ExtendedAutomaton};
+use crate::extended::{ConstraintKind, ExtendedAutomaton, GlobalConstraint};
 use rega_data::Value;
-use std::collections::BTreeSet;
 
 /// A reported constraint violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,9 +42,69 @@ pub struct Violation {
     pub j: u16,
 }
 
-/// Dense per-constraint monitor configuration: slot `s` holds the stored
-/// source values of all active runs currently in DFA state `s`.
-type Slots = Vec<Option<BTreeSet<Value>>>;
+/// One constraint's configuration: the active runs as `(dfa_state,
+/// stored_value)` pairs, sorted and duplicate-free.
+type Runs = Vec<(u32, Value)>;
+
+/// The successor kernel for one constraint: advances the runs of `cur` on
+/// `letter` into `next` (overwriting it), spawns the run whose factor
+/// starts at this position and fires the matches. Returns whether the
+/// constraint is violated at this position.
+fn advance(
+    constraint: &GlobalConstraint,
+    letter: usize,
+    regs: &[Value],
+    cur: &[(u32, Value)],
+    next: &mut Runs,
+) -> bool {
+    let dfa = constraint.dfa();
+    next.clear();
+    // Advance existing runs; runs meeting in one DFA state merge their
+    // value sets by the sort below.
+    for &(s, v) in cur {
+        let t = dfa.step_idx(s as usize, letter);
+        if constraint.is_alive(t) {
+            next.push((t as u32, v));
+        }
+    }
+    // Spawn the run whose factor starts here.
+    let s0 = dfa.step_idx(dfa.init(), letter);
+    if constraint.is_alive(s0) {
+        next.push((s0 as u32, regs[constraint.i.idx()]));
+    }
+    next.sort_unstable();
+    next.dedup();
+    // Fire matches.
+    let target = regs[constraint.j.idx()];
+    next.iter().any(|&(s, v)| {
+        dfa.is_accepting(s as usize)
+            && match constraint.kind {
+                ConstraintKind::Equal => v != target,
+                ConstraintKind::NotEqual => v == target,
+            }
+    })
+}
+
+fn letter_of(constraint: &GlobalConstraint, state: StateId) -> usize {
+    constraint
+        .letter(state)
+        .expect("monitor stepped with a state outside the constraint alphabet")
+}
+
+fn violation(cid: usize, constraint: &GlobalConstraint) -> Violation {
+    Violation {
+        constraint: cid,
+        i: constraint.i.0,
+        j: constraint.j.0,
+    }
+}
+
+/// The runs of `runs` grouped by DFA state: `(dfa_state, values)` slots in
+/// ascending state order, values ascending.
+fn slots(runs: &[(u32, Value)]) -> impl Iterator<Item = (usize, &[(u32, Value)])> {
+    runs.chunk_by(|a, b| a.0 == b.0)
+        .map(|group| (group[0].0 as usize, group))
+}
 
 /// Plain-data form of a monitor's live configuration, as produced by
 /// [`ConstraintMonitor::export_slots`]: per constraint, the sparse list of
@@ -54,27 +118,27 @@ pub type ExportedSlots = Vec<Vec<(usize, Vec<Value>)>>;
 /// [`step`](Self::step). Stepping with a *different* automaton than the one
 /// given to [`new`](Self::new) is a logic error and may panic on
 /// out-of-range states.
-#[derive(Clone, Debug)]
+///
+/// Equality and hashing compare configurations: the same relation as
+/// equal [`fingerprint`](Self::fingerprint)s, since the spare list is
+/// empty between steps.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ConstraintMonitor {
-    /// Per constraint: DFA state → set of stored source values.
-    active: Vec<Slots>,
-    /// Per constraint: spare buffer swapped with `active` on each step
-    /// (kept all-`None` between steps).
-    spare: Vec<Slots>,
+    /// Per constraint: the active runs.
+    active: Vec<Runs>,
+    /// Scratch list a [`step`](Self::step) writes each constraint's
+    /// successor into before swapping it with `active` (kept empty
+    /// between steps).
+    spare: Runs,
 }
 
 impl ConstraintMonitor {
     /// A fresh monitor (no positions consumed yet) for the constraints of
     /// `ext`.
     pub fn new(ext: &ExtendedAutomaton) -> Self {
-        let sizes: Vec<usize> = ext
-            .constraints()
-            .iter()
-            .map(|c| c.dfa().num_states())
-            .collect();
         ConstraintMonitor {
-            active: sizes.iter().map(|&n| vec![None; n]).collect(),
-            spare: sizes.iter().map(|&n| vec![None; n]).collect(),
+            active: vec![Vec::new(); ext.constraints().len()],
+            spare: Vec::new(),
         }
     }
 
@@ -89,60 +153,47 @@ impl ConstraintMonitor {
         regs: &[Value],
     ) -> Option<Violation> {
         for (cid, constraint) in ext.constraints().iter().enumerate() {
-            let dfa = constraint.dfa();
-            let letter = dfa
-                .letter_index(&state)
-                .expect("monitor stepped with a state outside the constraint alphabet");
-            let cur = &mut self.active[cid];
-            let next = &mut self.spare[cid];
-            // Advance existing runs, moving each value set into its
-            // successor slot (merging only when two runs collide).
-            for (s, src) in cur.iter_mut().enumerate() {
-                if let Some(vals) = src.take() {
-                    let t = dfa.step_idx(s, letter);
-                    if constraint.is_alive(t) {
-                        match &mut next[t] {
-                            slot @ None => *slot = Some(vals),
-                            Some(dst) => dst.extend(vals),
-                        }
-                    }
-                }
+            let letter = letter_of(constraint, state);
+            let violated = advance(constraint, letter, regs, &self.active[cid], &mut self.spare);
+            std::mem::swap(&mut self.active[cid], &mut self.spare);
+            self.spare.clear();
+            if violated {
+                return Some(violation(cid, constraint));
             }
-            // Spawn the run whose factor starts here.
-            let s0 = dfa.step_idx(dfa.init(), letter);
-            if constraint.is_alive(s0) {
-                next[s0]
-                    .get_or_insert_with(BTreeSet::new)
-                    .insert(regs[constraint.i.idx()]);
-            }
-            // `cur` is now all-`None`; it becomes the next step's spare.
-            std::mem::swap(cur, next);
-            // Fire matches.
-            let target = regs[constraint.j.idx()];
-            for (s, slot) in self.active[cid].iter().enumerate() {
-                let Some(vals) = slot else { continue };
-                if !dfa.is_accepting(s) {
-                    continue;
-                }
-                let violated = match constraint.kind {
-                    ConstraintKind::Equal => vals.iter().any(|&v| v != target),
-                    ConstraintKind::NotEqual => vals.contains(&target),
-                };
-                if violated {
-                    return Some(Violation {
-                        constraint: cid,
-                        i: constraint.i.0,
-                        j: constraint.j.0,
-                    });
-                }
+        }
+        None
+    }
+
+    /// Writes the configuration [`step`](Self::step) would reach from
+    /// `self` into `out`, reusing `out`'s buffers, and leaves `self`
+    /// unchanged. `out` may hold any earlier configuration; it is
+    /// overwritten. On a violation `out` holds a partial configuration and
+    /// is only fit to be overwritten by the next `step_into`.
+    pub fn step_into(
+        &self,
+        ext: &ExtendedAutomaton,
+        state: StateId,
+        regs: &[Value],
+        out: &mut ConstraintMonitor,
+    ) -> Option<Violation> {
+        out.active.resize_with(self.active.len(), Vec::new);
+        for (cid, constraint) in ext.constraints().iter().enumerate() {
+            let letter = letter_of(constraint, state);
+            if advance(
+                constraint,
+                letter,
+                regs,
+                &self.active[cid],
+                &mut out.active[cid],
+            ) {
+                return Some(violation(cid, constraint));
             }
         }
         None
     }
 
     /// A canonical byte fingerprint of the configuration, used to detect
-    /// repetition when checking lasso runs and to deduplicate observer
-    /// frontiers.
+    /// repetition when checking lasso runs.
     pub fn fingerprint(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.fingerprint_into(&mut out);
@@ -152,14 +203,12 @@ impl ConstraintMonitor {
     /// Appends the canonical fingerprint to `out` (allocation-reusing
     /// variant for hot callers).
     pub fn fingerprint_into(&self, out: &mut Vec<u8>) {
-        for slots in &self.active {
-            let live = slots.iter().filter(|s| s.is_some()).count();
-            out.extend_from_slice(&(live as u64).to_le_bytes());
-            for (s, slot) in slots.iter().enumerate() {
-                let Some(vals) = slot else { continue };
+        for runs in &self.active {
+            out.extend_from_slice(&(slots(runs).count() as u64).to_le_bytes());
+            for (s, group) in slots(runs) {
                 out.extend_from_slice(&(s as u64).to_le_bytes());
-                out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-                for v in vals {
+                out.extend_from_slice(&(group.len() as u64).to_le_bytes());
+                for (_, v) in group {
                     out.extend_from_slice(&v.raw().to_le_bytes());
                 }
             }
@@ -175,14 +224,9 @@ impl ConstraintMonitor {
     pub fn export_slots(&self) -> ExportedSlots {
         self.active
             .iter()
-            .map(|slots| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(s, slot)| {
-                        slot.as_ref()
-                            .map(|vals| (s, vals.iter().copied().collect()))
-                    })
+            .map(|runs| {
+                slots(runs)
+                    .map(|(s, group)| (s, group.iter().map(|&(_, v)| v).collect()))
                     .collect()
             })
             .collect()
@@ -190,8 +234,9 @@ impl ConstraintMonitor {
 
     /// Rebuilds a monitor from [`export_slots`](Self::export_slots) data.
     /// Returns `None` when the data does not fit `ext` (wrong constraint
-    /// count or an out-of-range DFA state), so corrupted snapshots are
-    /// rejected instead of panicking later.
+    /// count, an out-of-range DFA state, or a slot without values, which
+    /// no export contains), so corrupted snapshots are rejected instead of
+    /// panicking later. A DFA state listed twice keeps its last slot.
     pub fn from_slots(
         ext: &ExtendedAutomaton,
         exported: &[Vec<(usize, Vec<Value>)>],
@@ -200,14 +245,21 @@ impl ConstraintMonitor {
         if exported.len() != monitor.active.len() {
             return None;
         }
-        for (cid, constraint_slots) in exported.iter().enumerate() {
-            let size = monitor.active[cid].len();
+        for ((constraint_slots, runs), constraint) in exported
+            .iter()
+            .zip(&mut monitor.active)
+            .zip(ext.constraints())
+        {
             for (s, vals) in constraint_slots {
-                if *s >= size {
+                if *s >= constraint.dfa().num_states() || vals.is_empty() {
                     return None;
                 }
-                monitor.active[cid][*s] = Some(vals.iter().copied().collect());
+                let s = *s as u32;
+                runs.retain(|&(t, _)| t != s);
+                runs.extend(vals.iter().map(|&v| (s, v)));
             }
+            runs.sort_unstable();
+            runs.dedup();
         }
         Some(monitor)
     }
@@ -215,11 +267,7 @@ impl ConstraintMonitor {
     /// Total number of active (state, value) pairs — used by the streaming
     /// ablation experiment E12 and the engine's memory accounting.
     pub fn active_size(&self) -> usize {
-        self.active
-            .iter()
-            .flatten()
-            .map(|slot| slot.as_ref().map_or(0, BTreeSet::len))
-            .sum()
+        self.active.iter().map(Vec::len).sum()
     }
 }
 
@@ -355,7 +403,7 @@ mod tests {
         let mut m = ConstraintMonitor::new(&ext);
         for v in 0..64 {
             assert!(m.step(&ext, q, &[Value(v % 2)]).is_none());
-            assert!(m.spare.iter().flatten().all(Option::is_none));
+            assert!(m.spare.is_empty());
             assert!(m.active_size() <= 4, "configuration must stay bounded");
         }
     }

@@ -39,6 +39,7 @@
 //! produces (connection thread, shard workers, kernel constructions)
 //! carries the same id as its `request` trace field.
 
+use rega_stream::{Event, EventError};
 use serde_json::Value as Json;
 use std::fmt;
 use std::io::{BufRead, Read, Write};
@@ -457,15 +458,34 @@ pub fn parse_request(doc: &Json) -> Result<Command, String> {
     }
 }
 
-/// The canonical event document an [`Command::Event`] carries, rendered
-/// back to the exact JSONL line the batch monitor would have read: object
-/// payloads are serialized (sorted keys, the vendored serializer's
-/// canonical form), string payloads pass through verbatim.
+/// The JSONL line an event document stands for: object payloads are
+/// serialized (sorted keys, the vendored serializer's canonical form),
+/// string payloads pass through verbatim. Ingest does not go through this
+/// line: [`decode_event_doc`] decodes object payloads straight from the
+/// parsed frame, so an event is parsed once; this rendering is for tools
+/// that want the batch monitor's input text.
 pub fn event_line(event: &Json) -> Result<String, String> {
     match event {
         Json::String(line) => Ok(line.clone()),
         Json::Object(_) => serde_json::to_string(event).map_err(|e| e.to_string()),
-        _ => Err("an event must be an object or a JSONL line string".to_string()),
+        _ => Err(NOT_AN_EVENT.to_string()),
+    }
+}
+
+const NOT_AN_EVENT: &str = "an event must be an object or a JSONL line string";
+
+/// Decodes the event document an [`Command::Event`] carries, checking the
+/// register arity against the spec's `registers`. Object payloads are
+/// decoded from the already-parsed frame with
+/// [`decode_event_checked`](rega_stream::decode_event_checked); string
+/// payloads are JSONL lines and go through the batch monitor's own
+/// [`parse_event_checked`](rega_stream::parse_event_checked). Both accept
+/// exactly what `rega monitor` accepts.
+pub fn decode_event_doc(event: &Json, registers: usize) -> Result<Event, EventError> {
+    match event {
+        Json::String(line) => rega_stream::parse_event_checked(line, registers),
+        Json::Object(_) => rega_stream::decode_event_checked(event, registers),
+        _ => Err(EventError::Json(NOT_AN_EVENT.to_string())),
     }
 }
 
@@ -627,5 +647,24 @@ mod tests {
             "{\"session\":\"s\",\"end\":true}"
         );
         assert!(event_line(&json!(42u64)).is_err());
+    }
+
+    #[test]
+    fn event_docs_decode_like_their_lines() {
+        let obj = json!({"session": "s", "state": "q", "regs": [1u64]});
+        let line = Json::String(event_line(&obj).unwrap());
+        assert_eq!(
+            decode_event_doc(&obj, 1),
+            rega_stream::parse_event_checked(&event_line(&obj).unwrap(), 1)
+        );
+        assert_eq!(decode_event_doc(&obj, 1), decode_event_doc(&line, 1));
+        assert_eq!(
+            decode_event_doc(&obj, 2),
+            Err(EventError::Arity { got: 1, want: 2 })
+        );
+        assert_eq!(
+            decode_event_doc(&json!(42u64), 1),
+            Err(EventError::Json(NOT_AN_EVENT.to_string()))
+        );
     }
 }

@@ -26,12 +26,12 @@
 //!   [`EngineConfig::quarantine_cap`], so transport-fault tolerance is a
 //!   per-tenant policy too.
 
-use crate::proto::event_line;
+use crate::proto::decode_event_doc;
 use rega_data::{Budget, BudgetSpec, GovernError};
 use rega_obs::{Counter, Gauge, Registry, ScopedRegistry};
 use rega_stream::{
-    parse_event_checked, CompiledSpec, Engine, EngineConfig, EngineHandle, EngineReport, Event,
-    EventError, SessionStatus, SubmitError,
+    CompiledSpec, Engine, EngineConfig, EngineHandle, EngineReport, Event, EventError,
+    SessionStatus, SubmitError,
 };
 use serde_json::{json, Value as Json};
 use std::collections::{BTreeMap, BTreeSet};
@@ -692,8 +692,10 @@ impl TenantRegistry {
 
     /// Ingests one batch of event documents for `(tenant, spec)`. Events
     /// are validated exactly as the batch monitor validates its JSONL
-    /// lines (same parser, same arity check), must name an *open* session,
-    /// and are submitted through the engine's concurrent-ingest handle.
+    /// lines (same decoder, same arity check; object payloads are decoded
+    /// from the parsed frame, not parsed a second time), must name an
+    /// *open* session, and are submitted through the engine's
+    /// concurrent-ingest handle.
     /// Processing stops at the first error; the return value counts the
     /// events accepted before it.
     pub fn ingest(
@@ -717,14 +719,7 @@ impl TenantRegistry {
         let mut accepted = 0u64;
         for (index, doc) in events.iter().enumerate() {
             let fail = move |e: IngestError| (accepted, e);
-            let line = event_line(doc).map_err(|message| {
-                t.metrics.events_rejected.inc();
-                fail(IngestError::Event {
-                    index,
-                    error: EventError::Json(message),
-                })
-            })?;
-            let event = parse_event_checked(&line, registers).map_err(|error| {
+            let event = decode_event_doc(doc, registers).map_err(|error| {
                 t.metrics.events_rejected.inc();
                 fail(IngestError::Event { index, error })
             })?;

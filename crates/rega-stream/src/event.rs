@@ -12,7 +12,9 @@
 //!
 //! Parsing is strict and *total*: every malformed line yields a typed
 //! [`EventError`], never a panic (the `stream_faults` suite fuzzes the
-//! parser with byte mutations of valid lines to enforce this). When the
+//! parser with byte mutations of valid lines to enforce this). Documents
+//! that arrive already parsed go through [`decode_event`], the same
+//! contract without a second pass over the text. When the
 //! monitored specification is known, [`parse_event_checked`] additionally
 //! validates the register arity at parse time, so an event with the wrong
 //! tuple width is rejected at the edge instead of deep inside a worker.
@@ -99,9 +101,20 @@ impl fmt::Display for EventError {
 
 impl std::error::Error for EventError {}
 
-/// Parses one JSONL line into an [`Event`].
+/// Parses one JSONL line into an [`Event`]: [`serde_json::from_str`]
+/// followed by [`decode_event`].
 pub fn parse_event(line: &str) -> Result<Event, EventError> {
     let value = serde_json::from_str(line).map_err(|e| EventError::Json(e.to_string()))?;
+    decode_event(&value)
+}
+
+/// Decodes an already-parsed JSON document into an [`Event`]. This is the
+/// whole wire contract below the JSON syntax: callers that receive events
+/// inside a larger document (the server's `event-batch` frames, the
+/// cluster's worker protocol) decode them here directly, so each event is
+/// parsed exactly once and every path accepts exactly what
+/// [`parse_event`] accepts.
+pub fn decode_event(value: &serde_json::Value) -> Result<Event, EventError> {
     let obj = value.as_object().ok_or(EventError::NotAnObject)?;
     let session = obj
         .get("session")
@@ -164,7 +177,18 @@ pub fn parse_event(line: &str) -> Result<Event, EventError> {
 /// against the specification's register count, so malformed tuples are
 /// rejected at the edge with [`EventError::Arity`].
 pub fn parse_event_checked(line: &str, registers: usize) -> Result<Event, EventError> {
-    let event = parse_event(line)?;
+    check_arity(parse_event(line)?, registers)
+}
+
+/// [`decode_event`] plus the arity check of [`parse_event_checked`].
+pub fn decode_event_checked(
+    value: &serde_json::Value,
+    registers: usize,
+) -> Result<Event, EventError> {
+    check_arity(decode_event(value)?, registers)
+}
+
+fn check_arity(event: Event, registers: usize) -> Result<Event, EventError> {
     if let Event::Step { regs, .. } = &event {
         if regs.len() != registers {
             return Err(EventError::Arity {

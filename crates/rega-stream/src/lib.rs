@@ -65,7 +65,8 @@ pub mod spec;
 pub use clock::{Clock, SimClock, SystemClock};
 pub use engine::{Engine, EngineConfig, EngineReport, SessionOutcome, SubmitError};
 pub use event::{
-    parse_event, parse_event_checked, parse_event_located, Event, EventError, LocatedEventError,
+    decode_event, decode_event_checked, parse_event, parse_event_checked, parse_event_located,
+    Event, EventError, LocatedEventError,
 };
 pub use fault::FaultPlan;
 pub use metrics::EngineMetrics;

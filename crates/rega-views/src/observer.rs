@@ -17,15 +17,24 @@
 //! frontier means some finite run does. Büchi acceptance of infinite
 //! continuations is *not* decided here — that is the lasso checker's job.
 //!
-//! Frontiers are deduplicated by (state, monitor fingerprint) and capped;
-//! past the cap the observer degrades soundly to three-valued answers
-//! (`Unknown` instead of `Violation` once configurations may have been
-//! dropped).
+//! Frontiers are deduplicated exactly by (state, monitor configuration)
+//! and capped; past the cap the observer degrades soundly to three-valued
+//! answers (`Unknown` instead of `Violation` once configurations may have
+//! been dropped).
+//!
+//! A step costs time in the successors' live monitor runs only and, once
+//! warmed up, allocates nothing: each successor is written by
+//! [`ConstraintMonitor::step_into`] into a monitor recycled from earlier
+//! steps, and duplicates are found through a hash table of indices into
+//! the successor list. The recycled buffers are bounded by the frontier
+//! and its successors, and freed when the frontier dies.
 
 use rega_core::monitor::{ConstraintMonitor, ExportedSlots};
 use rega_core::{ExtendedAutomaton, StateId};
 use rega_data::{Database, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Default bound on the number of simultaneously tracked view
 /// configurations.
@@ -60,6 +69,145 @@ pub struct ViewObserver {
     max_frontier: usize,
     overflowed: bool,
     dead: bool,
+    /// Successor-list and buffer reuse between steps (not observer state:
+    /// never exported, and cloned empty).
+    scratch: Scratch,
+}
+
+/// The buffers one [`ViewObserver::observe`] call builds the next
+/// frontier in, kept between calls so a step does not allocate.
+#[derive(Debug)]
+struct Scratch {
+    /// The successor frontier under construction, in discovery order.
+    next: Vec<(StateId, ConstraintMonitor)>,
+    /// Open-addressing table of indices into `next` (`EMPTY` = free);
+    /// its length is a power of two at least twice `next.len()`.
+    table: Vec<u32>,
+    /// Monitors whose buffers the next successors are written into.
+    pool: Vec<ConstraintMonitor>,
+    /// Random key of the table's hash, so register values a client
+    /// chooses cannot be aimed at one bucket. Even colliding keys cost at
+    /// most `max_frontier + 1` comparisons per successor, as the table
+    /// never holds more entries.
+    seed: u64,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            next: Vec::new(),
+            table: Vec::new(),
+            pool: Vec::new(),
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+/// The multiply-rotate hash of the Fx scheme, with a final avalanche so
+/// the table can index by the low bits. The keys are short integer
+/// sequences, on which SipHash would cost as much as the step itself.
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        z ^ (z >> 33)
+    }
+}
+
+impl Scratch {
+    /// Starts a successor list expected to grow to about `expect`
+    /// entries.
+    fn begin(&mut self, expect: usize) {
+        debug_assert!(self.next.is_empty());
+        self.table.clear();
+        self.table
+            .resize((2 * expect + 2).next_power_of_two().max(16), EMPTY);
+    }
+
+    fn slot_of(&self, state: StateId, monitor: &ConstraintMonitor) -> usize {
+        let mut hasher = FxHasher(self.seed);
+        state.hash(&mut hasher);
+        monitor.hash(&mut hasher);
+        hasher.finish() as usize & (self.table.len() - 1)
+    }
+
+    /// Steps `from` into a recycled monitor and appends the successor
+    /// `(to, ·)` unless the step violates a constraint or the
+    /// configuration is already listed.
+    fn push_successor(
+        &mut self,
+        view: &ExtendedAutomaton,
+        from: &ConstraintMonitor,
+        to: StateId,
+        regs: &[Value],
+    ) {
+        let mut monitor = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| ConstraintMonitor::new(view));
+        if from.step_into(view, to, regs, &mut monitor).is_some() {
+            self.pool.push(monitor);
+            return;
+        }
+        let mask = self.table.len() - 1;
+        let mut at = self.slot_of(to, &monitor);
+        // `EMPTY` indexes past the end of `next`.
+        while let Some((state, listed)) = self.next.get(self.table[at] as usize) {
+            if *state == to && *listed == monitor {
+                self.pool.push(monitor);
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+        self.table[at] = self.next.len() as u32;
+        self.next.push((to, monitor));
+        if 2 * self.next.len() > self.table.len() {
+            let size = 2 * self.table.len();
+            self.table.clear();
+            self.table.resize(size, EMPTY);
+            for i in 0..self.next.len() {
+                let (state, monitor) = &self.next[i];
+                let mut at = self.slot_of(*state, monitor);
+                while self.table[at] != EMPTY {
+                    at = (at + 1) & (size - 1);
+                }
+                self.table[at] = i as u32;
+            }
+        }
+    }
 }
 
 impl ViewObserver {
@@ -77,6 +225,7 @@ impl ViewObserver {
             max_frontier: max_frontier.max(1),
             overflowed: false,
             dead: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -109,47 +258,54 @@ impl ViewObserver {
             return self.empty_verdict();
         }
         let ra = view.ra();
-        let mut next: Vec<(StateId, ConstraintMonitor)> = Vec::new();
-        let mut seen: BTreeSet<(StateId, Vec<u8>)> = BTreeSet::new();
-        let mut push = |state: StateId, monitor: ConstraintMonitor| {
-            if seen.insert((state, monitor.fingerprint())) {
-                next.push((state, monitor));
-            }
-        };
+        // Once `max_frontier + 1` distinct successors are listed the kept
+        // prefix and the overflow flag are settled: later candidates could
+        // only be duplicates or get truncated away.
+        let limit = self.max_frontier.saturating_add(1);
+        let scratch = &mut self.scratch;
+        scratch.begin(self.frontier.len());
         match &self.last_regs {
             None => {
                 // First observation: any initial state, registers loaded
                 // with the observed tuple, monitor consuming position 0.
+                let fresh = ConstraintMonitor::new(view);
                 for state in ra.initial_states() {
-                    let mut monitor = ConstraintMonitor::new(view);
-                    if monitor.step(view, state, regs).is_none() {
-                        push(state, monitor);
+                    if scratch.next.len() == limit {
+                        break;
                     }
+                    scratch.push_successor(view, &fresh, state, regs);
                 }
             }
             Some(prev) => {
-                for (state, monitor) in &self.frontier {
+                'frontier: for (state, monitor) in &self.frontier {
                     for &t in ra.outgoing(*state) {
-                        let tr = ra.transition(t);
-                        if !tr.ty.satisfied_by(db, prev, regs) {
-                            continue;
+                        if scratch.next.len() == limit {
+                            break 'frontier;
                         }
-                        let mut m2 = monitor.clone();
-                        if m2.step(view, tr.to, regs).is_none() {
-                            push(tr.to, m2);
+                        let tr = ra.transition(t);
+                        if tr.ty.satisfied_by(db, prev, regs) {
+                            scratch.push_successor(view, monitor, tr.to, regs);
                         }
                     }
                 }
             }
         }
-        if next.len() > self.max_frontier {
-            next.truncate(self.max_frontier);
+        if scratch.next.len() > self.max_frontier {
+            let dropped = scratch.next.drain(self.max_frontier..);
+            scratch.pool.extend(dropped.map(|(_, m)| m));
             self.overflowed = true;
         }
-        self.frontier = next;
-        self.last_regs = Some(regs.to_vec());
+        std::mem::swap(&mut self.frontier, &mut scratch.next);
+        scratch.pool.extend(scratch.next.drain(..).map(|(_, m)| m));
+        // Keep as many spare monitors as the next step can fill.
+        scratch.pool.truncate(self.frontier.len() + 1);
+        match &mut self.last_regs {
+            Some(last) => last.copy_from_slice(regs),
+            None => self.last_regs = Some(regs.to_vec()),
+        }
         if self.frontier.is_empty() {
             self.dead = true;
+            self.scratch = Scratch::default();
             self.empty_verdict()
         } else {
             Verdict::Consistent
@@ -202,6 +358,7 @@ impl ViewObserver {
             max_frontier: snap.max_frontier.max(1),
             overflowed: snap.overflowed,
             dead: snap.dead,
+            scratch: Scratch::default(),
         })
     }
 }

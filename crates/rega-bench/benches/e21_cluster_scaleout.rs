@@ -7,10 +7,11 @@
 //! `main` is [`rega_cluster::maybe_worker_entry`]), speaking the
 //! length-prefixed binary framing over loopback TCP. The throughput
 //! stream is delivered through `submit_batch` (consecutive same-owner
-//! runs coalesce into one `event-batch` frame); the latency window uses
-//! per-event `submit`, whose ack histogram times the full delivery
-//! including any `rebalancing` sheds and epoch refreshes a migration
-//! inflicts on it.
+//! runs coalesce into one `event-batch` frame); the latency window times
+//! each per-event `submit` into a window-only histogram (the cluster's
+//! own ack histogram also holds the batched warm-up), covering the full
+//! delivery including any `rebalancing` sheds and epoch refreshes a
+//! migration inflicts on it.
 //!
 //! **Honest caveats** (also in EXPERIMENTS.md): this container pins all
 //! processes to a small CPU budget, so worker processes time-slice one
@@ -83,10 +84,13 @@ fn window_p99(procs: usize, seed: u64, events: &[Event], migrate: bool) -> (u64,
         // (drain + extract + install + resync), not a latency tail.
         pause_ms = started.elapsed().as_secs_f64() * 1e3;
     }
+    let acks = rega_obs::Histogram::new();
     for e in &events[warm..warm + window] {
+        let started = Instant::now();
         cluster.submit(e.clone()).expect("window delivers");
+        acks.record(started.elapsed());
     }
-    let p99 = cluster.metrics().ack_latency.approx_quantile_ns(0.99);
+    let p99 = acks.approx_quantile_ns(0.99);
     for chunk in events[warm + window..].chunks(BATCH) {
         cluster.submit_batch(chunk).expect("tail delivers");
     }

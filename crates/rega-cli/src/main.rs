@@ -758,7 +758,7 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
     let mut migrate_from: usize = 0;
     let mut migrate_to: Option<usize> = None;
     let mut sim_mode = false;
-    let mut crash_prob: f64 = 0.0;
+    let mut crash_prob: Option<f64> = None;
     let mut rebalance_at: Vec<u64> = Vec::new();
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
@@ -813,9 +813,11 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
             }
             "--sim" => sim_mode = true,
             "--crash-prob" => {
-                crash_prob = value("--crash-prob")?
-                    .parse()
-                    .map_err(|_| "--crash-prob must be a probability".to_string())?;
+                crash_prob = Some(
+                    value("--crash-prob")?
+                        .parse()
+                        .map_err(|_| "--crash-prob must be a probability".to_string())?,
+                );
             }
             "--rebalance-at" => {
                 for part in value("--rebalance-at")?.split(',') {
@@ -839,6 +841,15 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
     if migrate_from >= procs || migrate_to >= procs {
         return Err("--migrate-from/--migrate-to must name a worker below --procs".to_string());
     }
+    if !sim_mode && (crash_prob.is_some() || !rebalance_at.is_empty()) {
+        return Err("--crash-prob and --rebalance-at need --sim".to_string());
+    }
+    if sim_mode && snapshot_dir.is_some() {
+        return Err(
+            "--snapshot-dir is for worker processes; --sim keeps checkpoints in memory".to_string(),
+        );
+    }
+    let crash_prob = crash_prob.unwrap_or(0.0);
 
     let spec_text =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
@@ -875,10 +886,9 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         }
     }
 
+    let migrate = migrate_at.map(|at| (at, migrate_from, migrate_to));
     let cancel = budget.cancel_token();
-    let mut interrupted = false;
-    let mut submit_errors: u64 = 0;
-    let (outcomes, metrics) = if sim_mode {
+    let (report, interrupted, submit_errors) = if sim_mode {
         let db = rega_data::Database::new(ext.ra().schema().clone());
         let spec = match CompiledSpec::compile_governed(ext, db, view_m, budget) {
             Ok(s) => s,
@@ -887,37 +897,20 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         };
         let plan = ClusterFaultPlan {
             crash_prob,
-            rebalance_at: rebalance_at.clone(),
+            rebalance_at,
             checkpoint_every,
             ..ClusterFaultPlan::none(seed)
         };
-        let mut sim = SimCluster::new(
+        let cluster = SimCluster::new(
             std::sync::Arc::new(spec),
             EngineConfig::default(),
             procs,
             rega_cluster::ControlConfig::default(),
             plan,
         );
-        for (i, event) in events.into_iter().enumerate() {
-            if sigint::triggered() || cancel.is_cancelled() {
-                interrupted = true;
-                break;
-            }
-            if migrate_at == Some(i as u64) {
-                let owned = sim.owned_by(migrate_from);
-                if !owned.is_empty() {
-                    sim.force_migration(&owned, migrate_to);
-                }
-            }
-            if let Err(e) = sim.submit(event) {
-                submit_errors += 1;
-                eprintln!("event {i}: {e}");
-            }
-        }
-        let report = sim.finish();
-        (report.outcomes, report.metrics)
+        drive_cluster(cluster, events, migrate, &cancel)?
     } else {
-        let mut cluster = ProcCluster::new(
+        let cluster = ProcCluster::new(
             procs,
             &spec_text,
             view_m,
@@ -926,27 +919,9 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
             checkpoint_every,
         )
         .map_err(|e| e.to_string())?;
-        for (i, event) in events.into_iter().enumerate() {
-            if sigint::triggered() || cancel.is_cancelled() {
-                interrupted = true;
-                break;
-            }
-            if migrate_at == Some(i as u64) {
-                let owned = cluster.owned_by(migrate_from);
-                if !owned.is_empty() {
-                    cluster
-                        .migrate(&owned, migrate_to)
-                        .map_err(|e| format!("migration failed: {e}"))?;
-                }
-            }
-            if let Err(e) = cluster.submit(event) {
-                submit_errors += 1;
-                eprintln!("event {i}: {e}");
-            }
-        }
-        let report = cluster.finish().map_err(|e| e.to_string())?;
-        (report.outcomes, report.metrics)
+        drive_cluster(cluster, events, migrate, &cancel)?
     };
+    let (outcomes, metrics) = (report.outcomes, report.metrics);
 
     let mut violations = Vec::new();
     for outcome in &outcomes {
@@ -994,6 +969,40 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
     } else {
         Ok(ExitCode::SUCCESS)
     }
+}
+
+/// The `rega cluster` ingest loop, the same on both transports: submit
+/// every event, running the optional `(at, from, to)` migration on the
+/// way, then drain. Returns the report, whether a signal or cancellation
+/// cut the stream short, and the number of rejected events.
+fn drive_cluster<T: rega_cluster::Transport>(
+    mut cluster: rega_cluster::Supervisor<T>,
+    events: Vec<rega_stream::Event>,
+    migrate: Option<(u64, usize, usize)>,
+    cancel: &rega_core::CancelToken,
+) -> Result<(rega_cluster::ClusterReport, bool, u64), String> {
+    let mut interrupted = false;
+    let mut submit_errors: u64 = 0;
+    for (i, event) in events.into_iter().enumerate() {
+        if sigint::triggered() || cancel.is_cancelled() {
+            interrupted = true;
+            break;
+        }
+        if let Some((_, from, to)) = migrate.filter(|&(at, ..)| at == i as u64) {
+            let owned = cluster.owned_by(from);
+            if !owned.is_empty() {
+                cluster
+                    .migrate(&owned, to)
+                    .map_err(|e| format!("migration failed: {e}"))?;
+            }
+        }
+        if let Err(e) = cluster.submit(event) {
+            submit_errors += 1;
+            eprintln!("event {i}: {e}");
+        }
+    }
+    let report = cluster.finish().map_err(|e| e.to_string())?;
+    Ok((report, interrupted, submit_errors))
 }
 
 fn main() -> ExitCode {

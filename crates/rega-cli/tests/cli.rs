@@ -381,3 +381,41 @@ fn cluster_sim_mode_is_reproducible() {
     let _ = std::fs::remove_file(&spec);
     let _ = std::fs::remove_file(&events);
 }
+
+/// Flags one transport would silently ignore are usage errors: chaos
+/// knobs need `--sim`, and `--sim` keeps its checkpoints in memory.
+#[test]
+fn cluster_rejects_flags_the_transport_would_ignore() {
+    let spec = scratch("cluster_flags_spec.ra");
+    std::fs::write(
+        &spec,
+        "registers 1\nstate p init accept\ntrans p -> p : x1 = x1\n",
+    )
+    .unwrap();
+    let events = scratch("cluster_flags_events.jsonl");
+    std::fs::write(
+        &events,
+        "{\"session\": \"s\", \"state\": \"p\", \"regs\": [1]}\n",
+    )
+    .unwrap();
+    let (spec_arg, events_arg) = (spec.to_str().unwrap(), events.to_str().unwrap());
+    for extra in [
+        &["--crash-prob", "0.1"][..],
+        &["--rebalance-at", "3"][..],
+        &["--sim", "--snapshot-dir", "snaps"][..],
+    ] {
+        let out = rega()
+            .args(["cluster", spec_arg, "--events", events_arg, "--procs", "1"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{extra:?} must be a usage error"
+        );
+        assert!(out.stdout.is_empty(), "{extra:?} must not run the cluster");
+    }
+    let _ = std::fs::remove_file(&spec);
+    let _ = std::fs::remove_file(&events);
+}

@@ -14,8 +14,6 @@
 //! is stamped with it, and nodes reject any request from another epoch
 //! (see [`ClusterError::StaleEpoch`](crate::error::ClusterError)).
 
-use serde_json::{json, Value as Json};
-
 /// Number of virtual shards. Fixed for the life of a cluster: assignment
 /// ranges, journals, and checkpoint bundles are all keyed by vshard.
 pub const VSHARDS: usize = 64;
@@ -111,31 +109,6 @@ impl Assignment {
         }
         self.epoch += 1;
     }
-
-    /// Wire encoding: epoch plus the owner of every vshard in order.
-    pub fn to_json(&self) -> Json {
-        json!({
-            "epoch": self.epoch,
-            "owner": self.owner.iter().map(|&o| o as u64).collect::<Vec<u64>>(),
-        })
-    }
-
-    /// Decodes [`Assignment::to_json`]. Rejects maps that are not exactly
-    /// [`VSHARDS`] long.
-    pub fn from_json(j: &Json) -> Option<Assignment> {
-        let owner: Vec<usize> = j["owner"]
-            .as_array()?
-            .iter()
-            .map(|v| v.as_u64().map(|o| o as usize))
-            .collect::<Option<Vec<_>>>()?;
-        if owner.len() != VSHARDS {
-            return None;
-        }
-        Some(Assignment {
-            epoch: j["epoch"].as_u64()?,
-            owner,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -191,14 +164,5 @@ mod tests {
         committed.commit(&migs[0]);
         assert_eq!(committed.owner, b.owner);
         assert!(committed.diff(&b).is_empty());
-    }
-
-    #[test]
-    fn assignment_round_trips_the_wire() {
-        let mut a = Assignment::balanced(5, 3);
-        a.retarget(&[10, 11], 0);
-        let back = Assignment::from_json(&a.to_json()).unwrap();
-        assert_eq!(back, a);
-        assert!(Assignment::from_json(&json!({"epoch": 1u64, "owner": [0u64, 1u64]})).is_none());
     }
 }

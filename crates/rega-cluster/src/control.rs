@@ -1,36 +1,32 @@
 //! The control plane: worker supervision and assignment reconciliation.
 //!
-//! The control plane is deliberately transport-free — it is a state
-//! machine over heartbeat timestamps and two [`Assignment`]s (desired
-//! vs. actual), consulted by whichever harness owns the transport: the
-//! deterministic [`SimCluster`](crate::sim::SimCluster) feeds it
-//! simulated time, the multi-process
-//! [`ProcCluster`](crate::proc::ProcCluster) feeds it wall-clock time.
-//! That split is what makes the chaos suite's supervision coverage real:
-//! the exact deadline/backoff/fencing decisions tested under simulation
-//! are the ones production takes.
+//! The control plane is transport-free: a state machine over heartbeat
+//! timestamps and two [`Assignment`]s (desired vs. actual). Its one
+//! caller is the [`Supervisor`](crate::supervisor::Supervisor), which
+//! feeds it the time of its transport's clock: simulated milliseconds
+//! under [`SimTransport`](crate::sim::SimTransport), wall-clock
+//! milliseconds under [`ProcTransport`](crate::proc::ProcTransport). The
+//! deadline, backoff and fencing decisions the chaos suite tests are
+//! therefore the ones production takes.
 //!
 //! Failure detection is heartbeat-deadline based: a worker that has not
 //! heartbeated within [`ControlConfig::heartbeat_deadline_ms`] is marked
 //! [`WorkerState::Down`] and a respawn is planned under capped
 //! exponential backoff with deterministic jitter. A worker that exhausts
 //! [`ControlConfig::max_respawns`] becomes [`WorkerState::Failed`] —
-//! permanently down, surfaced to submitters as a typed
-//! [`ClusterError::WorkerDown`](crate::error::ClusterError::WorkerDown).
+//! permanently down; its shards fail over to a live worker.
 //!
 //! Reconciliation: [`ControlPlane::plan_migrations`] diffs desired vs.
-//! actual ownership; the harness executes each migration (drain →
-//! extract → install) and calls [`ControlPlane::commit_migration`],
-//! which bumps the actual epoch — the fencing token every node checks.
+//! actual ownership; the supervisor executes each migration (extract →
+//! install) and calls [`ControlPlane::commit_migration`], which bumps the
+//! actual epoch — the fencing token every node checks.
 
 use crate::assign::{Assignment, Migration};
 
 /// Supervision knobs. Defaults are sim-scale (milliseconds); the process
-/// supervisor widens them.
+/// cluster widens the backoff.
 #[derive(Clone, Debug)]
 pub struct ControlConfig {
-    /// How often a healthy worker is expected to heartbeat.
-    pub heartbeat_interval_ms: u64,
     /// Silence longer than this marks the worker down.
     pub heartbeat_deadline_ms: u64,
     /// First respawn delay; doubles per consecutive failure.
@@ -47,13 +43,22 @@ pub struct ControlConfig {
 impl Default for ControlConfig {
     fn default() -> Self {
         ControlConfig {
-            heartbeat_interval_ms: 10,
             heartbeat_deadline_ms: 50,
             backoff_base_ms: 20,
             backoff_cap_ms: 500,
             max_respawns: u64::MAX,
             seed: 0,
         }
+    }
+}
+
+impl ControlConfig {
+    /// How long one delivery may wait for its owner before the supervisor
+    /// gives up with [`ClusterError::Unavailable`](crate::ClusterError):
+    /// two back-to-back supervision cycles, each a missed heartbeat
+    /// deadline plus the longest jittered backoff.
+    pub fn delivery_budget_ms(&self) -> u64 {
+        2 * (self.heartbeat_deadline_ms + self.backoff_cap_ms + self.backoff_cap_ms / 2)
     }
 }
 
@@ -131,6 +136,9 @@ pub struct WorkerHealth {
     pub backoff: Backoff,
     /// Total respawns performed.
     pub respawns: u64,
+    /// When the last respawn came up, until the worker has stayed up
+    /// past one heartbeat deadline and its backoff streak is cleared.
+    pub respawned_at_ms: Option<u64>,
 }
 
 /// The assignment + supervision state machine. See the module docs.
@@ -162,6 +170,7 @@ impl ControlPlane {
                         config.seed ^ rega_stream::fnv1a(&(n as u64).to_le_bytes()),
                     ),
                     respawns: 0,
+                    respawned_at_ms: None,
                 })
                 .collect(),
             config,
@@ -179,16 +188,28 @@ impl ControlPlane {
     }
 
     /// Records a heartbeat. A `Down` worker heartbeating again (a healed
-    /// partition, or a respawn completing) goes back `Up` and its backoff
-    /// resets; `Failed` is terminal.
+    /// partition) goes back `Up` and its backoff resets. A respawned
+    /// worker's streak clears once it heartbeats more than one deadline
+    /// after the respawn, so a crash loop still climbs the backoff and
+    /// counts toward [`ControlConfig::max_respawns`]. `Failed` is terminal.
     pub fn note_heartbeat(&mut self, node: usize, now_ms: u64) {
+        let deadline = self.config.heartbeat_deadline_ms;
         let w = &mut self.workers[node];
         w.last_heartbeat_ms = now_ms;
-        if !matches!(w.state, WorkerState::Failed) {
-            if !matches!(w.state, WorkerState::Up) {
+        match w.state {
+            WorkerState::Failed => {}
+            WorkerState::Down { .. } => {
                 w.backoff.reset();
+                w.state = WorkerState::Up;
             }
-            w.state = WorkerState::Up;
+            WorkerState::Up => {
+                if w.respawned_at_ms
+                    .is_some_and(|at| now_ms.saturating_sub(at) > deadline)
+                {
+                    w.backoff.reset();
+                    w.respawned_at_ms = None;
+                }
+            }
         }
     }
 
@@ -230,19 +251,14 @@ impl ControlPlane {
             .collect()
     }
 
-    /// Records that the harness respawned worker `node` (it will mark
+    /// Records that the supervisor respawned worker `node` (it will mark
     /// itself `Up` with its first heartbeat).
     pub fn note_respawned(&mut self, node: usize, now_ms: u64) {
         let w = &mut self.workers[node];
         w.respawns += 1;
         w.last_heartbeat_ms = now_ms;
+        w.respawned_at_ms = Some(now_ms);
         w.state = WorkerState::Up;
-    }
-
-    /// Declares worker `node` permanently failed (e.g. its process can
-    /// no longer be spawned at all).
-    pub fn note_failed(&mut self, node: usize) {
-        self.workers[node].state = WorkerState::Failed;
     }
 
     /// The transfers still needed to make actual match desired.
@@ -341,6 +357,21 @@ mod tests {
         cp.note_heartbeat(0, 150);
         assert_eq!(cp.worker(0).state, WorkerState::Up);
         assert_eq!(cp.worker(0).backoff.attempts, 0);
+    }
+
+    #[test]
+    fn respawned_worker_clears_its_streak_after_staying_up() {
+        let mut cp = ControlPlane::new(1, ControlConfig::default(), 0);
+        assert_eq!(cp.check_deadlines(100), vec![0]);
+        cp.note_respawned(0, 150);
+        // Heartbeats within one deadline of the respawn keep the streak:
+        // a worker that crashes again at once backs off longer.
+        cp.note_heartbeat(0, 190);
+        assert_eq!(cp.worker(0).backoff.attempts, 1);
+        // Up for longer than a deadline: the respawn held, streak clear.
+        cp.note_heartbeat(0, 201);
+        assert_eq!(cp.worker(0).backoff.attempts, 0);
+        assert_eq!(cp.worker(0).state, WorkerState::Up);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum ClusterError {
         /// Epoch the node currently holds.
         held: u64,
     },
-    /// A worker is down (crash detected by heartbeat deadline) and its
-    /// respawn budget is exhausted, or it failed before converging.
+    /// A worker is down. From a transport: the worker did not answer and
+    /// is being recovered. From the supervisor: every worker has exhausted
+    /// its respawn budget.
     WorkerDown {
         /// Node index of the dead worker.
         node: usize,

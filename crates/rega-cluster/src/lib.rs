@@ -11,15 +11,20 @@
 //! * [`assign`] — virtual-shard routing, [`assign::Assignment`] epochs,
 //!   and the desired-vs-actual diff that yields migrations;
 //! * [`control`] — heartbeat-deadline failure detection, capped
-//!   exponential backoff with deterministic jitter, respawn budgets;
+//!   exponential backoff with deterministic jitter, respawn budgets — one
+//!   policy for both transports;
 //! * [`node`] — the per-worker agent: epoch fence, rebalancing window,
-//!   per-vshard sequence dedup, extract/install/checkpoint/restore;
-//! * [`sim`] — the deterministic in-process cluster with seeded chaos
-//!   (crashes, partitions, lost acks, forced rebalances), used by the
-//!   differential tests that pin cluster verdicts to a single-process
+//!   per-vshard sequence dedup, extract/install/checkpoint;
+//! * [`supervisor`] — the one [`Supervisor`]: ingress journal, per-vshard
+//!   sequencing, the delivery retry loop, rebuild from checkpoint plus
+//!   journal replay, reconcile and two-phase migration, shutdown — generic
+//!   over a [`Transport`];
+//! * [`sim`] — the deterministic in-memory transport with seeded chaos
+//!   (crashes, partitions, lost acks, forced rebalances), which the
+//!   differential tests use to pin cluster verdicts to a single-process
 //!   baseline;
-//! * [`proc`] — the same protocol over real worker processes and the
-//!   length-prefixed `rega-serve` wire framing;
+//! * [`proc`] — real worker processes over the length-prefixed
+//!   `rega-serve` wire framing, and the worker side of that protocol;
 //! * [`error`] — the typed failure taxonomy ([`ClusterError`]), including
 //!   the graceful-degradation `rebalancing` rejection and the
 //!   `stale-epoch` fence;
@@ -50,11 +55,13 @@ pub mod metrics;
 pub mod node;
 pub mod proc;
 pub mod sim;
+pub mod supervisor;
 
 pub use assign::{vshard, Assignment, Migration, VSHARDS};
 pub use control::{Backoff, ControlConfig, ControlPlane, WorkerState};
 pub use error::ClusterError;
 pub use metrics::ClusterMetrics;
 pub use node::{Applied, NodeAgent};
-pub use proc::{maybe_worker_entry, ProcCluster, ProcReport};
-pub use sim::{ClusterFaultPlan, ClusterReport, SimCluster};
+pub use proc::{maybe_worker_entry, ProcCluster, ProcTransport};
+pub use sim::{ClusterFaultPlan, SimCluster, SimTransport};
+pub use supervisor::{ClusterReport, Supervisor, Transport};

@@ -29,7 +29,7 @@ pub struct ClusterMetrics {
     pub migrations: Counter,
     /// Sessions moved across nodes by those migrations.
     pub sessions_migrated: Counter,
-    /// Worker crashes detected (missed heartbeat deadline or dead pipe).
+    /// Workers found stopped without the supervisor stopping them.
     pub crashes: Counter,
     /// Worker respawns performed.
     pub respawns: Counter,
@@ -39,7 +39,8 @@ pub struct ClusterMetrics {
     pub checkpoints: Counter,
     /// Workers currently up.
     pub nodes_up: Gauge,
-    /// Current assignment epoch (desired side).
+    /// Current fencing epoch (actual side: the epoch requests are
+    /// stamped with).
     pub epoch: Gauge,
     /// End-to-end ack latency per successfully delivered event.
     pub ack_latency: Histogram,

@@ -70,11 +70,6 @@ impl NodeAgent {
         }
     }
 
-    /// This agent's node index.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// The assignment epoch the agent currently holds.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -88,11 +83,6 @@ impl NodeAgent {
     /// Applied sequence watermark for `v` (0 when nothing applied).
     pub fn applied_seq(&self, v: usize) -> u64 {
         self.seqs.get(&v).copied().unwrap_or(0)
-    }
-
-    /// The engine's live metrics.
-    pub fn metrics(&self) -> &Arc<rega_stream::EngineMetrics> {
-        self.engine.metrics()
     }
 
     /// Accepts an assignment from the controller: the epoch and the full
@@ -239,7 +229,8 @@ impl NodeAgent {
 
     /// Serializes the agent's complete durable state — engine checkpoint
     /// plus membership and sequence watermarks — as one bundle suitable
-    /// for [`rega_stream::persist::save`] and [`NodeAgent::restore`].
+    /// for [`rega_stream::persist::save`]; [`filter_bundle`] turns it into
+    /// what [`NodeAgent::install`] restores.
     pub fn checkpoint(&mut self) -> Json {
         let engine = self
             .engine
@@ -255,38 +246,6 @@ impl NodeAgent {
         })
     }
 
-    /// Rebuilds an agent from a [`NodeAgent::checkpoint`] bundle,
-    /// typically [`filter_bundle`]ed down to the vshards the current
-    /// assignment says the node owns.
-    pub fn restore(
-        spec: Arc<CompiledSpec>,
-        config: EngineConfig,
-        seed: u64,
-        node: usize,
-        bundle: &Json,
-    ) -> Result<NodeAgent, ClusterError> {
-        let epoch = bundle["epoch"]
-            .as_u64()
-            .ok_or_else(|| ClusterError::Wire("bundle lacks epoch".into()))?;
-        let owned: BTreeSet<usize> = bundle["owned"]
-            .as_array()
-            .ok_or_else(|| ClusterError::Wire("bundle lacks owned".into()))?
-            .iter()
-            .filter_map(|v| v.as_u64().map(|v| v as usize))
-            .collect();
-        let seqs = seqs_from_json(&bundle["seqs"])
-            .ok_or_else(|| ClusterError::Wire("bundle lacks seqs".into()))?;
-        let engine = Engine::restore_sim(spec, config, seed, &bundle["engine"])?;
-        Ok(NodeAgent {
-            engine,
-            node,
-            epoch,
-            owned,
-            incoming: BTreeSet::new(),
-            seqs,
-        })
-    }
-
     /// Drains the engine and reports every session this node ended up
     /// owning.
     pub fn finish(self) -> EngineReport {
@@ -296,9 +255,11 @@ impl NodeAgent {
 
 /// Restricts a checkpoint bundle to the vshards in `keep`: sessions,
 /// closed outcomes, sequence watermarks, and the owned set are all
-/// filtered. Used on respawn, when the durable checkpoint may predate
-/// migrations that moved vshards away — restoring the stale extra state
-/// would resurrect sessions another node now owns.
+/// filtered, and the owned set becomes the `vshards` an
+/// [`NodeAgent::install`] of the result claims. Used on respawn, when the
+/// durable checkpoint may predate migrations that moved vshards away —
+/// restoring the stale extra state would resurrect sessions another node
+/// now owns.
 pub fn filter_bundle(bundle: &Json, keep: &BTreeSet<usize>) -> Json {
     let keep_session = |entry: &Json| -> bool {
         entry["session"]
@@ -323,13 +284,12 @@ pub fn filter_bundle(bundle: &Json, keep: &BTreeSet<usize>) -> Json {
         }
         top.insert("engine".to_string(), Json::Object(engine));
     }
-    if let Some(owned) = top.get("owned").and_then(|o| o.as_array()) {
+    if let Some(Json::Array(owned)) = top.remove("owned") {
         let kept: Vec<Json> = owned
-            .iter()
+            .into_iter()
             .filter(|v| v.as_u64().is_some_and(|v| keep.contains(&(v as usize))))
-            .cloned()
             .collect();
-        top.insert("owned".to_string(), Json::Array(kept));
+        top.insert("vshards".to_string(), Json::Array(kept));
     }
     if let Some(seqs) = seqs_from_json(&bundle["seqs"]) {
         let kept: BTreeMap<usize, u64> =
@@ -347,7 +307,7 @@ fn seqs_to_json(seqs: &BTreeMap<usize, u64>) -> Json {
     )
 }
 
-fn seqs_from_json(j: &Json) -> Option<BTreeMap<usize, u64>> {
+pub(crate) fn seqs_from_json(j: &Json) -> Option<BTreeMap<usize, u64>> {
     let obj = j.as_object()?;
     let mut seqs = BTreeMap::new();
     for (k, v) in obj {
@@ -493,8 +453,8 @@ trans p -> p : x1 = x1
 
         let keep: BTreeSet<usize> = [va].into_iter().collect();
         let filtered = filter_bundle(&bundle, &keep);
-        let restored =
-            NodeAgent::restore(spec(), EngineConfig::default(), 9, 0, &filtered).unwrap();
+        let mut restored = NodeAgent::new(spec(), EngineConfig::default(), 9, 0);
+        restored.install(1, &filtered).unwrap();
         assert_eq!(restored.applied_seq(va), 1);
         assert_eq!(restored.applied_seq(vb), 0, "bob's watermark pruned");
         assert!(restored.owned().contains(&va));

@@ -12,15 +12,13 @@
 //! `event`, `event-batch`, `extract`, `install`, `checkpoint`, `ping`,
 //! `finish`, `shutdown`.
 //!
-//! [`ProcCluster`] is the supervisor half: it spawns workers, routes
-//! events by virtual shard, keeps the authoritative per-vshard journal,
-//! and recovers crashed workers under the same capped-backoff policy the
-//! simulator tests — respawn, optionally restore a durable checkpoint
-//! (written through [`rega_stream::persist`], so a truncated or
-//! bit-flipped file surfaces as a typed
+//! [`ProcTransport`] is the supervisor's side of that conversation: it
+//! spawns workers, carries each [`Transport`] request as one frame, and
+//! keeps durable checkpoints on disk through [`rega_stream::persist`]
+//! (a truncated or bit-flipped file surfaces as a typed
 //! [`SnapshotError::Corrupt`](rega_stream::SnapshotError) and is
-//! discarded rather than trusted), then replay the journal past each
-//! vshard's applied watermark.
+//! discarded rather than trusted). [`ProcCluster`] is the shipping
+//! [`Supervisor`] over it, the same supervisor the chaos suite drives.
 //!
 //! Each worker runs the deterministic single-threaded scheduler inside;
 //! parallelism comes from running many worker *processes*. That is an
@@ -29,15 +27,14 @@
 //! mid-stream, and per-session verdicts stay byte-identical to a
 //! single-process run.
 
-use crate::assign::{vshard, Assignment, VSHARDS};
-use crate::control::{Backoff, ControlConfig, ControlPlane};
+use crate::control::ControlConfig;
 use crate::error::ClusterError;
-use crate::metrics::ClusterMetrics;
 use crate::node::{Applied, NodeAgent};
+use crate::supervisor::{Supervisor, Transport};
 use rega_serve::proto::{read_frame, write_frame, Framing};
 use rega_stream::event::{decode_event, Event};
 use rega_stream::snapshot::{outcome_from_json, outcome_to_json};
-use rega_stream::{CompiledSpec, EngineConfig, SessionOutcome};
+use rega_stream::{Clock, CompiledSpec, EngineConfig, SessionOutcome, SystemClock};
 use serde_json::{json, Value as Json};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -45,7 +42,6 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Environment variable that turns an exec of the host binary into a
 /// cluster worker. Its value is the worker's node index.
@@ -53,11 +49,6 @@ pub const WORKER_ENV: &str = "REGA_CLUSTER_WORKER";
 
 /// Handshake prefix the worker prints on stdout before serving.
 pub const PORT_BANNER: &str = "REGA-CLUSTER-WORKER-PORT";
-
-/// Delivery attempts the supervisor makes before declaring a vshard
-/// unavailable. Each attempt may ride through a respawn, so this bounds
-/// wall-clock, not just round trips.
-const MAX_DELIVERY_ATTEMPTS: u64 = 64;
 
 /// The stable JSON wire encoding of an [`Event`].
 pub fn event_to_json(event: &Event) -> Json {
@@ -142,7 +133,7 @@ fn vshard_list(j: &Json, field: &str) -> Result<Vec<usize>, ClusterError> {
 /// One step of the worker dispatch: `(reply, keep_serving)`. Pure with
 /// respect to the transport, so the whole protocol is unit-testable
 /// in-process; [`run_worker`] is a thin framing loop around it.
-fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -> (Json, bool) {
+pub(crate) fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -> (Json, bool) {
     let cmd = doc["cmd"].as_str().unwrap_or("");
     let result: Result<(Json, bool), ClusterError> = (|| match cmd {
         "cfg" => {
@@ -246,6 +237,16 @@ fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -> (Json, bo
     }
 }
 
+/// A worker reply as a result: `ok: true` replies pass through, anything
+/// else is the typed error it carries.
+pub(crate) fn reply_result(reply: Json) -> Result<Json, ClusterError> {
+    if reply["ok"].as_bool() == Some(true) {
+        Ok(reply)
+    } else {
+        Err(ClusterError::from_json(&reply["error"]))
+    }
+}
+
 /// The worker main loop: handshake, then serve one supervisor connection
 /// until `finish`/`shutdown` or EOF (a vanished supervisor is a clean
 /// exit — its journal owns the truth, not us).
@@ -293,45 +294,64 @@ struct ProcWorker {
 }
 
 impl ProcWorker {
-    fn call(&mut self, doc: &Json) -> Result<Json, ClusterError> {
-        write_frame(&mut self.writer, Framing::Binary, doc).map_err(wire_err)?;
-        match read_frame(&mut self.reader).map_err(wire_err)? {
-            Some((_, reply)) => Ok(reply),
-            None => Err(ClusterError::Wire("worker closed the connection".into())),
+    /// Execs worker `n`, reads its port handshake and connects.
+    fn launch(n: usize) -> Result<ProcWorker, ClusterError> {
+        let exe = std::env::current_exe()
+            .map_err(|e| ClusterError::Spawn(format!("current_exe: {e}")))?;
+        let mut child = Command::new(exe)
+            .env(WORKER_ENV, n.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| ClusterError::Spawn(e.to_string()))?;
+        let mut banner = String::new();
+        if let Some(stdout) = child.stdout.take() {
+            BufReader::new(stdout).read_line(&mut banner).ok();
         }
+        let port: Option<u16> = banner
+            .trim()
+            .strip_prefix(PORT_BANNER)
+            .and_then(|rest| rest.trim().parse().ok());
+        let stream = port.and_then(|port| TcpStream::connect(("127.0.0.1", port)).ok());
+        let Some(stream) = stream else {
+            child.kill().ok();
+            child.wait().ok();
+            return Err(ClusterError::Spawn(format!(
+                "bad worker handshake: {banner:?}"
+            )));
+        };
+        stream.set_nodelay(true).ok();
+        Ok(ProcWorker {
+            child,
+            reader: BufReader::new(
+                stream
+                    .try_clone()
+                    .map_err(|e| ClusterError::Spawn(e.to_string()))?,
+            ),
+            writer: stream,
+        })
     }
 }
 
-/// Supervisor for a fleet of worker processes. See the module docs.
-pub struct ProcCluster {
+/// Worker processes on the wall clock. See the module docs.
+pub struct ProcTransport {
     spec_text: String,
     view_m: Option<u16>,
-    seed: u64,
     workers: Vec<Option<ProcWorker>>,
-    backoffs: Vec<Backoff>,
-    control: ControlPlane,
-    /// Authoritative per-vshard journal; `journal[v][i]` is sequence
-    /// `i + 1`. The supervisor's copy of the truth: any worker can be
-    /// killed and rebuilt from it.
-    journal: Vec<Vec<Event>>,
-    /// Routing table the ingress actually uses; refreshed from the
-    /// control plane on typed rejection, like the simulated ingress.
-    cached: Assignment,
     snapshot_dir: Option<PathBuf>,
-    checkpoint_every: u64,
-    applied_since_ckpt: Vec<u64>,
-    metrics: ClusterMetrics,
+    /// Workers that saved a checkpoint during this run. Only those are
+    /// restored: a file left by an earlier run describes a journal this
+    /// supervisor never had.
+    saved: Vec<bool>,
+    clock: SystemClock,
 }
 
-/// Everything a [`ProcCluster`] reports after a clean drain.
-pub struct ProcReport {
-    /// Merged per-session outcomes, sorted by session id.
-    pub outcomes: Vec<SessionOutcome>,
-    /// Final cluster metrics.
-    pub metrics: ClusterMetrics,
-}
+/// The multi-process cluster: the shipping supervisor over
+/// [`ProcTransport`].
+pub type ProcCluster = Supervisor<ProcTransport>;
 
-impl ProcCluster {
+impl Supervisor<ProcTransport> {
     /// Spawns `nodes` worker processes (re-execs of the current binary),
     /// configures each with `spec_text`, and hands each its balanced
     /// shard range. `snapshot_dir`, when set, enables durable worker
@@ -353,485 +373,122 @@ impl ProcCluster {
             seed,
             ..ControlConfig::default()
         };
-        let control = ControlPlane::new(nodes, config.clone(), 0);
-        let mut cluster = ProcCluster {
+        let transport = ProcTransport {
             spec_text: spec_text.to_string(),
             view_m,
-            seed,
             workers: (0..nodes).map(|_| None).collect(),
-            backoffs: (0..nodes)
-                .map(|n| {
-                    Backoff::new(
-                        config.backoff_base_ms,
-                        config.backoff_cap_ms,
-                        seed ^ rega_stream::fnv1a(&(n as u64).to_le_bytes()),
-                    )
-                })
-                .collect(),
-            cached: control.actual.clone(),
-            control,
-            journal: vec![Vec::new(); VSHARDS],
             snapshot_dir,
-            checkpoint_every,
-            applied_since_ckpt: vec![0; nodes],
-            metrics: ClusterMetrics::private(),
+            saved: vec![false; nodes],
+            clock: SystemClock::new(),
         };
-        for n in 0..nodes {
-            cluster.spawn_worker(n)?;
-        }
-        cluster.metrics.nodes_up.set(nodes as u64);
-        cluster.metrics.epoch.set(cluster.control.actual.epoch);
-        Ok(cluster)
+        Supervisor::start(transport, nodes, config, seed, checkpoint_every)
     }
+}
 
-    /// The cluster metric set (live).
-    pub fn metrics(&self) -> &ClusterMetrics {
-        &self.metrics
-    }
-
-    /// The current fencing epoch.
-    pub fn epoch(&self) -> u64 {
-        self.control.actual.epoch
-    }
-
+impl ProcTransport {
     fn snapshot_path(&self, n: usize) -> Option<PathBuf> {
         self.snapshot_dir
             .as_ref()
             .map(|d| d.join(format!("worker-{n}.snap")))
     }
+}
 
-    /// Spawns (or respawns) worker `n`: exec, port handshake, connect,
-    /// `cfg`, `assign`, then state recovery — durable checkpoint if one
-    /// loads cleanly (a corrupt file is reported and discarded; recovery
-    /// proceeds from the journal alone), then journal replay past each
-    /// restored watermark.
-    fn spawn_worker(&mut self, n: usize) -> Result<(), ClusterError> {
-        let exe = std::env::current_exe()
-            .map_err(|e| ClusterError::Spawn(format!("current_exe: {e}")))?;
-        let mut child = Command::new(exe)
-            .env(WORKER_ENV, n.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| ClusterError::Spawn(e.to_string()))?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or_else(|| ClusterError::Spawn("worker stdout not captured".into()))?;
-        let mut banner = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut banner)
-            .map_err(|e| ClusterError::Spawn(format!("handshake read: {e}")))?;
-        let port: u16 = match banner
-            .trim()
-            .strip_prefix(PORT_BANNER)
-            .and_then(|rest| rest.trim().parse().ok())
-        {
-            Some(port) => port,
-            None => {
-                child.kill().ok();
-                child.wait().ok();
-                return Err(ClusterError::Spawn(format!(
-                    "bad worker handshake: {banner:?}"
-                )));
-            }
-        };
-        let stream = TcpStream::connect(("127.0.0.1", port))
-            .map_err(|e| ClusterError::Spawn(format!("connect: {e}")))?;
-        stream.set_nodelay(true).ok();
-        let mut worker = ProcWorker {
-            child,
-            reader: BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| ClusterError::Spawn(e.to_string()))?,
-            ),
-            writer: stream,
-        };
-        let epoch = self.control.actual.epoch;
-        let owned = self.control.actual.owned_by(n);
-        // Per-node seed, stable across respawns: recovery must rebuild
-        // the same engine the crash interrupted.
-        let seed = self.seed ^ rega_stream::fnv1a(&(n as u64).to_le_bytes());
-        let mut view_m_json = Json::Null;
-        if let Some(m) = self.view_m {
-            view_m_json = json!(m as u64);
-        }
-        Self::expect_ok(worker.call(&json!({
+impl Transport for ProcTransport {
+    fn clock(&self) -> &dyn Clock {
+        &self.clock
+    }
+
+    fn running(&self, n: usize) -> bool {
+        self.workers[n].is_some()
+    }
+
+    /// Exec, port handshake, connect, `cfg`.
+    fn spawn(&mut self, n: usize, seed: u64) -> Result<(), ClusterError> {
+        self.kill(n);
+        self.workers[n] = Some(ProcWorker::launch(n)?);
+        let view_m = self.view_m.map_or(Json::Null, |m| json!(m as u64));
+        let cfg = json!({
             "cmd": "cfg",
             "spec": self.spec_text.clone(),
-            "view_m": view_m_json,
+            "view_m": view_m,
             "seed": seed,
-        }))?)?;
-        Self::expect_ok(worker.call(&json!({
-            "cmd": "assign",
-            "epoch": epoch,
-            "owned": owned.iter().map(|&v| v as u64).collect::<Vec<u64>>(),
-        }))?)?;
-        // Durable restore: a checkpoint that fails its checksum footer is
-        // a typed error — log and discard; the journal replays everything.
-        if let Some(path) = self.snapshot_path(n) {
-            if path.exists() {
-                match rega_stream::persist::load(&path) {
-                    Ok(bundle) => {
-                        let keep: BTreeSet<usize> = owned.iter().copied().collect();
-                        let filtered = crate::node::filter_bundle(&bundle, &keep);
-                        // A checkpoint bundle installs like a migration
-                        // bundle once its `owned` set is renamed to the
-                        // `vshards` the install should claim (the engine
-                        // snapshot shapes are identical).
-                        Self::expect_ok(worker.call(&json!({
-                            "cmd": "install",
-                            "epoch": epoch,
-                            "bundle": json!({
-                                "format_version": filtered["format_version"].clone(),
-                                "vshards": filtered["owned"].clone(),
-                                "seqs": filtered["seqs"].clone(),
-                                "engine": filtered["engine"].clone(),
-                            }),
-                        }))?)?;
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "rega-cluster: discarding checkpoint {}: {e}",
-                            path.display()
-                        );
-                    }
-                }
-            }
-        }
-        // Journal replay past whatever the checkpoint restored. Replays
-        // below the watermark come back `duplicate` — counted, harmless.
-        for &v in &owned {
-            for (i, event) in self.journal[v].iter().enumerate() {
-                let reply = worker.call(&json!({
-                    "cmd": "event",
-                    "epoch": epoch,
-                    "vshard": v as u64,
-                    "seq": (i + 1) as u64,
-                    "event": event_to_json(event),
-                }))?;
-                if reply["ok"].as_bool() != Some(true) {
-                    return Err(ClusterError::from_json(&reply["error"]));
-                }
-                if reply["applied"].as_str() == Some("fresh") {
-                    self.metrics.events_replayed.inc();
-                }
-            }
-        }
-        self.workers[n] = Some(worker);
-        Ok(())
+        });
+        self.call(n, &cfg).map(drop)
     }
 
-    fn expect_ok(reply: Json) -> Result<Json, ClusterError> {
-        if reply["ok"].as_bool() == Some(true) {
-            Ok(reply)
-        } else {
-            Err(ClusterError::from_json(&reply["error"]))
-        }
-    }
-
-    /// Kills worker `n` (if still running) and respawns it under its
-    /// capped backoff.
-    fn respawn_worker(&mut self, n: usize) -> Result<(), ClusterError> {
+    fn kill(&mut self, n: usize) {
         if let Some(mut w) = self.workers[n].take() {
             w.child.kill().ok();
             w.child.wait().ok();
         }
-        self.metrics.crashes.inc();
-        let delay = self.backoffs[n].next_delay_ms();
-        std::thread::sleep(Duration::from_millis(delay));
-        self.spawn_worker(n)?;
-        self.backoffs[n].reset();
-        self.metrics.respawns.inc();
-        Ok(())
     }
 
-    /// The vshards currently owned by worker `n` (actual assignment).
-    pub fn owned_by(&self, n: usize) -> Vec<usize> {
-        self.control.actual.owned_by(n)
-    }
-
-    /// Kills worker `n` without warning. Test hook for crash-recovery
-    /// coverage; the next delivery or [`ProcCluster::supervise`] sweep
-    /// finds the dead pipe and respawns.
-    pub fn kill_worker(&mut self, n: usize) {
-        if let Some(w) = self.workers[n].as_mut() {
-            w.child.kill().ok();
-            w.child.wait().ok();
+    /// One binary frame each way. A broken pipe means the worker is gone:
+    /// it is reaped and forgotten.
+    fn call(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
+        let w = self.workers[n]
+            .as_mut()
+            .ok_or(ClusterError::WorkerDown { node: n })?;
+        let reply = match write_frame(&mut w.writer, Framing::Binary, request) {
+            Ok(()) => read_frame(&mut w.reader).ok().flatten(),
+            Err(_) => None,
+        };
+        match reply {
+            Some((_, reply)) => reply_result(reply),
+            None => {
+                self.kill(n);
+                Err(ClusterError::WorkerDown { node: n })
+            }
         }
     }
 
-    /// Delivers one event, retrying through typed rejections and worker
-    /// crashes exactly like the simulated ingress.
-    pub fn submit(&mut self, event: Event) -> Result<(), ClusterError> {
-        let v = vshard(event.session());
-        self.journal[v].push(event.clone());
-        let seq = self.journal[v].len() as u64;
-        let started = std::time::Instant::now();
-        match self.deliver(v, seq, &event) {
-            Ok(owner) => {
-                // Ack latency covers the full delivery including any
-                // rebalancing waits and respawn retries — the number an
-                // ingress client actually experiences.
-                self.metrics
-                    .ack_latency
-                    .record_ns(started.elapsed().as_nanos() as u64);
-                self.metrics.events_routed.inc();
-                self.after_apply(owner, 1)?;
-                Ok(())
+    fn checkpoint(&mut self, n: usize) -> bool {
+        let Some(path) = self.snapshot_path(n) else {
+            return false;
+        };
+        let Ok(reply) = self.call(n, &json!({"cmd": "checkpoint"})) else {
+            return false;
+        };
+        match rega_stream::persist::save(&path, &reply["bundle"]) {
+            Ok(()) => {
+                self.saved[n] = true;
+                true
             }
             Err(e) => {
-                // Terminal failure: the event was never applied anywhere,
-                // so it must not survive in the journal for replays.
-                self.journal[v].pop();
-                Err(e)
+                eprintln!("rega-cluster: checkpoint {} not saved: {e}", path.display());
+                false
             }
         }
     }
 
-    fn deliver(&mut self, v: usize, seq: u64, event: &Event) -> Result<usize, ClusterError> {
-        let mut attempts = 0u64;
-        loop {
-            attempts += 1;
-            if attempts > MAX_DELIVERY_ATTEMPTS {
-                return Err(ClusterError::Unavailable {
-                    vshard: v,
-                    attempts,
-                });
-            }
-            if attempts > 1 {
-                self.metrics.retries.inc();
-            }
-            let owner = self.cached.owner_of(v);
-            if self.workers[owner].is_none() {
-                self.respawn_worker(owner)?;
-            }
-            let doc = json!({
-                "cmd": "event",
-                "epoch": self.cached.epoch,
-                "vshard": v as u64,
-                "seq": seq,
-                "event": event_to_json(event),
-            });
-            let reply = match self.workers[owner].as_mut().unwrap().call(&doc) {
-                Ok(reply) => reply,
-                Err(_) => {
-                    // Dead pipe: crash-respawn and retry. The sequence
-                    // watermark makes the retry safe even if the event
-                    // landed just before the crash.
-                    self.respawn_worker(owner)?;
-                    continue;
-                }
-            };
-            if reply["ok"].as_bool() == Some(true) {
-                if reply["applied"].as_str() == Some("duplicate") {
-                    self.metrics.events_deduped.inc();
-                }
-                return Ok(owner);
-            }
-            match ClusterError::from_json(&reply["error"]) {
-                ClusterError::Rebalancing { retry_after_ms, .. } => {
-                    self.metrics.sheds_rebalancing.inc();
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.max(1)));
-                }
-                ClusterError::StaleEpoch { .. } => {
-                    self.metrics.stale_epoch_rejections.inc();
-                    self.cached = self.control.actual.clone();
-                }
-                ClusterError::NotOwner { .. } => {
-                    self.cached = self.control.actual.clone();
-                }
-                e => return Err(e),
+    fn durable(&mut self, n: usize) -> Option<Json> {
+        let path = self.snapshot_path(n).filter(|_| self.saved[n])?;
+        match rega_stream::persist::load(&path) {
+            Ok(bundle) => Some(bundle),
+            Err(e) => {
+                eprintln!(
+                    "rega-cluster: discarding checkpoint {}: {e}",
+                    path.display()
+                );
+                None
             }
         }
     }
 
-    /// Post-apply bookkeeping: periodic durable checkpoints.
-    fn after_apply(&mut self, owner: usize, applied: u64) -> Result<(), ClusterError> {
-        if self.checkpoint_every == 0 {
-            return Ok(());
+    fn finish(&mut self, n: usize) -> Result<Vec<SessionOutcome>, ClusterError> {
+        let reply = self.call(n, &json!({"cmd": "finish"}))?;
+        if let Some(mut w) = self.workers[n].take() {
+            w.child.wait().ok();
         }
-        self.applied_since_ckpt[owner] += applied;
-        if self.applied_since_ckpt[owner] < self.checkpoint_every {
-            return Ok(());
-        }
-        self.applied_since_ckpt[owner] = 0;
-        let Some(path) = self.snapshot_path(owner) else {
-            return Ok(());
-        };
-        let reply = Self::expect_ok(
-            self.workers[owner]
-                .as_mut()
-                .unwrap()
-                .call(&json!({"cmd": "checkpoint"}))?,
-        )?;
-        rega_stream::persist::save(&path, &reply["bundle"])
-            .map_err(|e| ClusterError::Wire(format!("checkpoint save: {e}")))?;
-        self.metrics.checkpoints.inc();
-        Ok(())
-    }
-
-    /// Delivers a batch: consecutive same-owner runs go out as one
-    /// `event-batch` frame; any batch failure falls back to per-event
-    /// delivery, where the watermark dedups whatever prefix applied.
-    pub fn submit_batch(&mut self, events: &[Event]) -> Result<(), ClusterError> {
-        let mut i = 0;
-        while i < events.len() {
-            let owner = self.cached.owner_of(vshard(events[i].session()));
-            let mut j = i;
-            let mut items = Vec::new();
-            while j < events.len() {
-                let v = vshard(events[j].session());
-                if self.cached.owner_of(v) != owner {
-                    break;
-                }
-                self.journal[v].push(events[j].clone());
-                items.push(json!({
-                    "vshard": v as u64,
-                    "seq": self.journal[v].len() as u64,
-                    "event": event_to_json(&events[j]),
-                }));
-                j += 1;
-            }
-            let batch_ok = self.workers[owner]
-                .as_mut()
-                .and_then(|w| {
-                    w.call(&json!({
-                        "cmd": "event-batch",
-                        "epoch": self.cached.epoch,
-                        "items": Json::Array(items.clone()),
-                    }))
-                    .ok()
-                })
-                .map(|reply| reply["ok"].as_bool() == Some(true))
-                .unwrap_or(false);
-            if batch_ok {
-                self.metrics.events_routed.add((j - i) as u64);
-                self.after_apply(owner, (j - i) as u64)?;
-            } else {
-                // Pop the speculative journal entries and re-deliver each
-                // event through the fully supervised path (which pushes
-                // its own entry and can ride through respawns).
-                for e in events[i..j].iter().rev() {
-                    self.journal[vshard(e.session())].pop();
-                }
-                for e in &events[i..j] {
-                    self.submit(e.clone())?;
-                }
-            }
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// Migrates `vshards` to worker `to` through the epoch-fenced
-    /// two-phase protocol: mark incoming on the recipient, extract from
-    /// each donor, commit the epoch bump, install, resync the rest.
-    pub fn migrate(&mut self, vshards: &[usize], to: usize) -> Result<(), ClusterError> {
-        self.control.retarget(vshards, to);
-        for m in self.control.plan_migrations() {
-            for n in [m.from, m.to] {
-                if self.workers[n].is_none() {
-                    self.respawn_worker(n)?;
-                }
-            }
-            let new_epoch = self.control.actual.epoch + 1;
-            let shard_json: Vec<u64> = m.vshards.iter().map(|&v| v as u64).collect();
-            Self::expect_ok(self.workers[m.to].as_mut().unwrap().call(&json!({
-                "cmd": "incoming",
-                "epoch": new_epoch,
-                "vshards": shard_json.clone(),
-            }))?)?;
-            let reply = Self::expect_ok(self.workers[m.from].as_mut().unwrap().call(&json!({
-                "cmd": "extract",
-                "epoch": new_epoch,
-                "vshards": shard_json,
-            }))?)?;
-            self.control.commit_migration(&m);
-            let epoch = self.control.actual.epoch;
-            debug_assert_eq!(epoch, new_epoch, "commit bumps exactly one epoch");
-            let install = Self::expect_ok(self.workers[m.to].as_mut().unwrap().call(&json!({
-                "cmd": "install",
-                "epoch": epoch,
-                "bundle": reply["bundle"].clone(),
-            }))?)?;
-            self.metrics.migrations.inc();
-            self.metrics
-                .sessions_migrated
-                .add(install["sessions"].as_u64().unwrap_or(0));
-            // Resync every other live worker to the new epoch so their
-            // fences track the committed assignment.
-            for n in 0..self.workers.len() {
-                if n == m.from || n == m.to {
-                    continue;
-                }
-                if let Some(w) = self.workers[n].as_mut() {
-                    let owned = self.control.actual.owned_by(n);
-                    Self::expect_ok(w.call(&json!({
-                        "cmd": "assign",
-                        "epoch": epoch,
-                        "owned": owned.iter().map(|&v| v as u64).collect::<Vec<u64>>(),
-                    }))?)?;
-                }
-            }
-            self.metrics.epoch.set(epoch);
-        }
-        self.cached = self.control.actual.clone();
-        Ok(())
-    }
-
-    /// Heartbeat sweep: pings every worker, respawning any with a dead
-    /// pipe or a failed reply.
-    pub fn supervise(&mut self) -> Result<(), ClusterError> {
-        for n in 0..self.workers.len() {
-            let alive = self.workers[n]
-                .as_mut()
-                .and_then(|w| w.call(&json!({"cmd": "ping"})).ok())
-                .map(|r| r["ok"].as_bool() == Some(true))
-                .unwrap_or(false);
-            if !alive {
-                self.metrics.heartbeats_missed.inc();
-                self.respawn_worker(n)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains every worker, merges their outcome reports (sorted by
-    /// session id), and reaps the processes.
-    pub fn finish(mut self) -> Result<ProcReport, ClusterError> {
-        let mut outcomes: Vec<SessionOutcome> = Vec::new();
-        for n in 0..self.workers.len() {
-            if self.workers[n].is_none() {
-                // A worker lost right at the end still owes its shards:
-                // bring it back (journal replay) so nothing is dropped.
-                self.respawn_worker(n)?;
-            }
-            let mut worker = self.workers[n].take().unwrap();
-            let reply = worker.call(&json!({"cmd": "finish"}))?;
-            if reply["ok"].as_bool() != Some(true) {
-                return Err(ClusterError::from_json(&reply["error"]));
-            }
-            for j in reply["outcomes"].as_array().into_iter().flatten() {
-                outcomes.push(outcome_from_json(j)?);
-            }
-            worker.child.wait().ok();
-        }
-        outcomes.sort_by(|a, b| a.session.cmp(&b.session));
-        Ok(ProcReport {
-            outcomes,
-            metrics: self.metrics.clone(),
-        })
+        let outcomes = reply["outcomes"].as_array().into_iter().flatten();
+        outcomes.map(|j| Ok(outcome_from_json(j)?)).collect()
     }
 }
 
-impl Drop for ProcCluster {
+impl Drop for ProcTransport {
     fn drop(&mut self) {
-        for w in self.workers.iter_mut().flatten() {
-            w.child.kill().ok();
-            w.child.wait().ok();
+        for n in 0..self.workers.len() {
+            self.kill(n);
         }
     }
 }
@@ -839,6 +496,7 @@ impl Drop for ProcCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::{vshard, VSHARDS};
     use rega_data::Value;
 
     const SPEC: &str = "\

@@ -1,58 +1,36 @@
-//! The deterministic cluster simulator: every robustness claim in this
-//! crate is tested here, under seeded chaos, against a single-process
-//! baseline.
+//! The deterministic in-memory transport: every robustness claim in this
+//! crate is tested through it, under seeded chaos, against a
+//! single-process baseline.
 //!
-//! [`SimCluster`] runs N [`NodeAgent`]s in one process with simulated
-//! time (1 ms per submitted event) and a seeded RNG driving a
-//! [`ClusterFaultPlan`]: worker crashes, network partitions, lost acks
-//! (forced redelivery), and operator-triggered rebalances. The harness
-//! plays ingress *and* supervisor, exactly as the process-backed cluster
-//! does, through the same [`ControlPlane`] state machine — heartbeat
-//! deadlines, capped-backoff respawns, epoch-fenced extract/install
-//! migration. Everything derives from `plan.seed`: two runs with the
-//! same plan produce bit-for-bit identical reports.
-//!
-//! # Why verdicts survive chaos
-//!
-//! The ingress keeps a complete per-vshard **journal** of accepted
-//! events, each stamped with a per-vshard sequence number. Nodes apply
-//! events in sequence order and drop anything at or below their applied
-//! watermark. A crashed node is rebuilt from its last durable checkpoint
-//! (filtered to what it currently owns) plus a journal replay of
-//! everything newer; a migrated vshard carries its watermark inside the
-//! extract bundle. Since the monitor is deterministic per session and a
-//! session maps to exactly one vshard, every session's event sequence is
-//! applied exactly once and in order *somewhere* — so the merged
-//! per-session outcomes are byte-identical to a single-process run, no
-//! matter how the fault plan interleaves crashes and migrations.
-//!
-//! # Deliberate staleness
-//!
-//! The ingress routing cache is refreshed **only** on a typed rejection
-//! ([`ClusterError::StaleEpoch`], [`ClusterError::NotOwner`]) or a
-//! delivery timeout — never proactively. Every migration therefore
-//! exercises the fencing path for real: the first post-migration
-//! delivery is stamped with the old epoch and must be rejected, not
-//! absorbed.
+//! [`SimTransport`] holds N [`NodeAgent`]s in one process on a
+//! [`SimClock`] (1 ms per submitted event), serves the worker protocol
+//! through the same dispatch table worker processes run, and injects a
+//! [`ClusterFaultPlan`] at the transport boundary: worker crashes right
+//! after an apply, lost acks (a redelivery the sequence watermark must
+//! drop), network partitions, and operator-triggered rebalances. The
+//! supervisor on top is the shipping [`Supervisor`], so the heartbeat
+//! deadlines, capped-backoff respawns, journal replays and epoch-fenced
+//! migrations exercised here are production's. Everything derives from
+//! `plan.seed`: two runs with the same plan produce bit-for-bit identical
+//! reports.
 
-use crate::assign::{vshard, Assignment, VSHARDS};
-use crate::control::{ControlConfig, ControlPlane, WorkerState};
+use crate::assign::VSHARDS;
+use crate::control::ControlConfig;
 use crate::error::ClusterError;
-use crate::metrics::ClusterMetrics;
-use crate::node::{filter_bundle, Applied, NodeAgent};
+use crate::node::NodeAgent;
+use crate::proc::{dispatch, reply_result};
+use crate::supervisor::{Supervisor, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rega_stream::event::Event;
-use rega_stream::{CompiledSpec, EngineConfig, FaultPlan, SessionOutcome};
-use serde_json::Value as Json;
-use std::collections::BTreeSet;
+use rega_stream::{Clock, CompiledSpec, EngineConfig, FaultPlan, SessionOutcome, SimClock};
+use serde_json::{json, Value as Json};
 use std::sync::Arc;
 
 /// Seeded chaos schedule for one [`SimCluster`] run. All probabilities
 /// are per submitted event; everything is drawn from `seed`.
 #[derive(Clone, Debug)]
 pub struct ClusterFaultPlan {
-    /// Seed for every fault draw and the simulated clock jitter.
+    /// Seed for every fault draw and the per-node engine seeds.
     pub seed: u64,
     /// Probability that the node that just applied an event crashes
     /// immediately after (in-memory state lost; durable checkpoint and
@@ -89,53 +67,32 @@ impl ClusterFaultPlan {
     }
 }
 
-/// What the cluster knows after a clean shutdown: the merged per-session
-/// outcomes (sorted by session id, same order as a single-process
-/// [`rega_stream::EngineReport`]) plus cluster metrics.
-pub struct ClusterReport {
-    /// Every session ever seen, each exactly once, sorted by session id.
-    pub outcomes: Vec<SessionOutcome>,
-    /// The cluster metric set (final values).
-    pub metrics: ClusterMetrics,
-}
-
 struct SimNode {
+    /// The running agent; `None` once crashed or killed.
     agent: Option<NodeAgent>,
     /// Latest durable checkpoint (models shared durable storage the
     /// supervisor can read back after a crash).
     durable: Option<Json>,
-    /// Whether the simulated process is running.
-    up: bool,
     /// Unreachable until this submit index (0 = reachable).
     partitioned_until: u64,
-    applied_since_ckpt: u64,
-    seed: u64,
 }
 
-/// The in-process simulated cluster. See the module docs.
-pub struct SimCluster {
+/// In-memory workers under seeded chaos. See the module docs.
+pub struct SimTransport {
     spec: Arc<CompiledSpec>,
     config: EngineConfig,
     plan: ClusterFaultPlan,
-    nodes: Vec<SimNode>,
-    control: ControlPlane,
     rng: StdRng,
-    /// Per-vshard event journal; `journal[v][i]` carries sequence `i+1`.
-    journal: Vec<Vec<Event>>,
-    /// Ingress routing cache — refreshed only on typed rejection.
-    cached: Assignment,
-    /// Extracted-but-not-installed migration bundles.
-    in_flight: Vec<(crate::assign::Migration, Json)>,
+    clock: SimClock,
+    nodes: Vec<SimNode>,
     submits: u64,
-    now_ms: u64,
-    metrics: ClusterMetrics,
 }
 
-/// Delivery attempts before a submit gives up as
-/// [`ClusterError::Unavailable`].
-const MAX_ATTEMPTS: u64 = 100_000;
+/// The in-process simulated cluster: the shipping supervisor over
+/// [`SimTransport`].
+pub type SimCluster = Supervisor<SimTransport>;
 
-impl SimCluster {
+impl Supervisor<SimTransport> {
     /// A cluster of `nodes` workers over `spec`, with fault injection
     /// *inside* each engine forced off — the cluster plan is the only
     /// chaos source, so per-session verdicts stay comparable to a
@@ -149,474 +106,127 @@ impl SimCluster {
     ) -> SimCluster {
         config.fault = FaultPlan::none();
         let nodes = nodes.max(1);
-        let control = ControlPlane::new(nodes, control, 0);
-        let mut sim = SimCluster {
-            nodes: (0..nodes)
-                .map(|n| SimNode {
-                    agent: None,
-                    durable: None,
-                    up: true,
-                    partitioned_until: 0,
-                    applied_since_ckpt: 0,
-                    seed: plan.seed ^ rega_stream::fnv1a(&(n as u64).to_le_bytes()),
-                })
-                .collect(),
-            cached: control.actual.clone(),
-            control,
-            rng: StdRng::seed_from_u64(plan.seed),
-            journal: vec![Vec::new(); VSHARDS],
-            in_flight: Vec::new(),
-            submits: 0,
-            now_ms: 0,
-            metrics: ClusterMetrics::private(),
+        let (seed, checkpoint_every) = (plan.seed, plan.checkpoint_every);
+        let transport = SimTransport {
             spec,
             config,
+            rng: StdRng::seed_from_u64(plan.seed),
             plan,
+            clock: SimClock::new(),
+            nodes: (0..nodes)
+                .map(|_| SimNode {
+                    agent: None,
+                    durable: None,
+                    partitioned_until: 0,
+                })
+                .collect(),
+            submits: 0,
         };
-        for n in 0..nodes {
-            let owned: BTreeSet<usize> = sim.control.actual.owned_by(n).into_iter().collect();
-            let mut agent = NodeAgent::new(
-                Arc::clone(&sim.spec),
-                sim.config.clone(),
-                sim.nodes[n].seed,
-                n,
-            );
-            agent
-                .reassign(sim.control.actual.epoch, owned)
-                .expect("fresh agent accepts the initial epoch");
-            sim.nodes[n].agent = Some(agent);
-        }
-        sim
-    }
-
-    /// The cluster metric set (live).
-    pub fn metrics(&self) -> &ClusterMetrics {
-        &self.metrics
-    }
-
-    /// The current actual-assignment epoch.
-    /// The vshards currently owned by node `n` (actual assignment).
-    pub fn owned_by(&self, n: usize) -> Vec<usize> {
-        self.control.actual.owned_by(n)
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.control.actual.epoch
-    }
-
-    /// Operator intent for tests: migrate `vshards` to node `to` at the
-    /// next reconcile. Goes through the full two-phase extract/install
-    /// path, rebalancing window included.
-    pub fn force_migration(&mut self, vshards: &[usize], to: usize) {
-        self.control.retarget(vshards, to);
-    }
-
-    fn reachable(&self, n: usize) -> bool {
-        self.nodes[n].up && self.submits >= self.nodes[n].partitioned_until
-    }
-
-    /// Discards a node's in-memory state — a process crash. The durable
-    /// checkpoint and the ingress journal are all that survive.
-    fn crash(&mut self, n: usize) {
-        self.nodes[n].agent = None;
-        self.nodes[n].up = false;
-        self.nodes[n].applied_since_ckpt = 0;
-        self.metrics.crashes.inc();
-    }
-
-    /// Rebuilds node `n` to exactly what the actual assignment says it
-    /// owns: durable checkpoint (filtered — it may predate migrations)
-    /// plus an in-order journal replay of everything past each vshard's
-    /// applied watermark. A corrupt or missing checkpoint degrades to a
-    /// full replay from sequence 1; the journal is the source of truth.
-    fn rebuild_node(&mut self, n: usize) {
-        let owned: BTreeSet<usize> = self.control.actual.owned_by(n).into_iter().collect();
-        let epoch = self.control.actual.epoch;
-        let incarnation = self.control.worker(n).respawns + 1;
-        let seed = self.nodes[n].seed ^ incarnation;
-        let mut agent = self.nodes[n]
-            .durable
-            .as_ref()
-            .and_then(|bundle| {
-                NodeAgent::restore(
-                    Arc::clone(&self.spec),
-                    self.config.clone(),
-                    seed,
-                    n,
-                    &filter_bundle(bundle, &owned),
-                )
-                .ok()
-            })
-            .unwrap_or_else(|| {
-                NodeAgent::new(Arc::clone(&self.spec), self.config.clone(), seed, n)
-            });
-        agent
-            .reassign(epoch, owned.clone())
-            .expect("rebuilt agent accepts the current epoch");
-        for &v in &owned {
-            let from = agent.applied_seq(v) as usize;
-            for (i, event) in self.journal[v].iter().enumerate().skip(from) {
-                let seq = (i + 1) as u64;
-                match agent.submit(epoch, v, seq, event.clone()) {
-                    Ok(Applied::Fresh) => self.metrics.events_replayed.inc(),
-                    Ok(Applied::Duplicate) => self.metrics.events_deduped.inc(),
-                    Err(e) => panic!("journal replay is infallible, got {e}"),
-                }
-            }
-        }
-        // Any migration bundle still in flight toward this node is now
-        // redundant — the replay above already reconstructed that state.
-        self.in_flight.retain(|(m, _)| m.to != n);
-        self.nodes[n].agent = Some(agent);
-        self.nodes[n].up = true;
-        self.nodes[n].partitioned_until = 0;
-        self.nodes[n].applied_since_ckpt = 0;
-    }
-
-    /// One supervision + reconciliation pass: collect heartbeats, sweep
-    /// deadlines, perform due respawns, fail over shards stranded on
-    /// permanently failed workers, run phase 2 (install) of in-flight
-    /// migrations, start phase 1 (extract) of newly planned ones, and
-    /// resync lagging epochs. Phase 2 deliberately runs *before* new
-    /// phase 1s and only for bundles extracted on an earlier pass, so
-    /// every migration leaves a real window in which the target answers
-    /// [`ClusterError::Rebalancing`].
-    fn reconcile(&mut self) {
-        let now = self.now_ms;
-        // Heartbeats from every reachable running worker.
-        for n in 0..self.nodes.len() {
-            if self.reachable(n) && self.nodes[n].agent.is_some() {
-                self.control.note_heartbeat(n, now);
-            }
-        }
-        // Deadline sweep: newly Down workers get a backoff respawn;
-        // newly Failed ones are killed for good (their state is fenced
-        // off and recovered elsewhere from journal + checkpoint).
-        for n in self.control.check_deadlines(now) {
-            self.metrics.heartbeats_missed.inc();
-            if self.control.worker(n).state == WorkerState::Failed {
-                self.nodes[n].agent = None;
-                self.nodes[n].up = false;
-            }
-        }
-        // Respawns whose backoff delay has elapsed.
-        for n in self.control.due_respawns(now) {
-            self.rebuild_node(n);
-            self.control.note_respawned(n, now);
-            self.metrics.respawns.inc();
-        }
-        // Failover: shards assigned to a permanently failed worker are
-        // retargeted to the lowest-index live worker.
-        let failed: Vec<usize> = (0..self.control.nodes())
-            .filter(|&n| self.control.worker(n).state == WorkerState::Failed)
-            .collect();
-        if !failed.is_empty() {
-            if let Some(survivor) = (0..self.control.nodes())
-                .find(|&n| self.control.worker(n).state != WorkerState::Failed)
-            {
-                for &n in &failed {
-                    let stranded = self.control.desired.owned_by(n);
-                    if !stranded.is_empty() {
-                        self.control.retarget(&stranded, survivor);
-                    }
-                }
-            }
-            let control = &self.control;
-            self.in_flight
-                .retain(|(m, _)| control.worker(m.to).state != WorkerState::Failed);
-        }
-        // Phase 2: install bundles extracted on an earlier pass.
-        let pending = std::mem::take(&mut self.in_flight);
-        for (m, bundle) in pending {
-            if self.reachable(m.to) && self.nodes[m.to].agent.is_some() {
-                let epoch = self.control.actual.epoch;
-                let sessions = self.nodes[m.to]
-                    .agent
-                    .as_mut()
-                    .unwrap()
-                    .install(epoch, &bundle)
-                    .expect("install of a fenced extract bundle cannot fail");
-                self.metrics.migrations.inc();
-                self.metrics.sessions_migrated.add(sessions as u64);
-            } else {
-                self.in_flight.push((m, bundle));
-            }
-        }
-        // Phase 1: extract for newly planned migrations, both ends
-        // reachable. The commit bumps the fencing epoch immediately; the
-        // install lands on a later pass.
-        for m in self.control.plan_migrations() {
-            let from_failed = self.control.worker(m.from).state == WorkerState::Failed;
-            if from_failed {
-                // The donor is permanently gone: commit the ownership
-                // change and rebuild the target from checkpoint+journal.
-                if self.reachable(m.to) {
-                    self.control.commit_migration(&m);
-                    self.rebuild_node(m.to);
-                    self.metrics.migrations.inc();
-                }
-                continue;
-            }
-            let both_ready = self.reachable(m.from)
-                && self.reachable(m.to)
-                && self.nodes[m.from].agent.is_some()
-                && self.nodes[m.to].agent.is_some()
-                && !self.in_flight.iter().any(|(f, _)| {
-                    f.from == m.from || f.to == m.from || f.from == m.to || f.to == m.to
-                });
-            if !both_ready {
-                continue;
-            }
-            let new_epoch = self.control.actual.epoch + 1;
-            let bundle = self.nodes[m.from]
-                .agent
-                .as_mut()
-                .unwrap()
-                .extract(new_epoch, &m.vshards)
-                .expect("extract under a fresh epoch cannot be fenced");
-            self.nodes[m.to]
-                .agent
-                .as_mut()
-                .unwrap()
-                .begin_incoming(new_epoch, &m.vshards)
-                .expect("begin_incoming under a fresh epoch cannot be fenced");
-            self.control.commit_migration(&m);
-            debug_assert_eq!(self.control.actual.epoch, new_epoch);
-            self.in_flight.push((m, bundle));
-        }
-        // Epoch resync: reachable workers that missed a bump (they were
-        // not a party to the migration) are brought to the actual epoch.
-        let epoch = self.control.actual.epoch;
-        for n in 0..self.nodes.len() {
-            if !self.reachable(n) {
-                continue;
-            }
-            if let Some(agent) = self.nodes[n].agent.as_mut() {
-                if agent.epoch() < epoch {
-                    let owned: BTreeSet<usize> =
-                        self.control.actual.owned_by(n).into_iter().collect();
-                    agent
-                        .reassign(epoch, owned)
-                        .expect("resync epoch is never older than the node's");
-                }
-            }
-        }
-        self.metrics.epoch.set(epoch);
-        self.metrics.nodes_up.set(
-            (0..self.nodes.len())
-                .filter(|&n| self.reachable(n) && self.nodes[n].agent.is_some())
-                .count() as u64,
-        );
-    }
-
-    /// Draws this submit's scheduled chaos: operator rebalances fire at
-    /// their submit index, partitions by probability.
-    fn draw_pre_faults(&mut self) {
-        if self.plan.rebalance_at.contains(&self.submits) {
-            let start = self.rng.gen_range(0..VSHARDS);
-            let len = self.rng.gen_range(1..17usize);
-            let to = self.rng.gen_range(0..self.nodes.len());
-            let vshards: Vec<usize> = (start..(start + len).min(VSHARDS)).collect();
-            self.control.retarget(&vshards, to);
-        }
-        if self.plan.partition_prob > 0.0 && self.rng.gen_bool(self.plan.partition_prob) {
-            let n = self.rng.gen_range(0..self.nodes.len());
-            self.nodes[n].partitioned_until = self.submits + self.plan.partition_events;
-        }
+        Supervisor::start(transport, nodes, control, seed, checkpoint_every)
+            .expect("in-memory workers always spawn")
     }
 
     /// Test hook: crash node `n` right now, exactly as the crash fault
     /// would — in-memory state gone, checkpoint and journal intact.
     pub fn force_crash(&mut self, n: usize) {
-        self.crash(n);
+        self.kill_worker(n);
+    }
+}
+
+impl Transport for SimTransport {
+    fn clock(&self) -> &dyn Clock {
+        &self.clock
     }
 
-    /// Submits one event through the full ingress path: journal it,
-    /// route it to the cached owner, retry through typed rejections
-    /// (rebalancing waits, epoch refreshes, respawn waits) until it is
-    /// applied exactly once.
-    pub fn submit(&mut self, event: Event) -> Result<(), ClusterError> {
+    /// Advances simulated time by 1 ms and draws this submit's scheduled
+    /// chaos: operator rebalances fire at their submit index, partitions
+    /// by probability.
+    fn tick(&mut self) -> Option<(Vec<usize>, usize)> {
         self.submits += 1;
-        self.now_ms += 1;
-        self.draw_pre_faults();
-        self.reconcile();
-
-        let v = vshard(event.session());
-        self.journal[v].push(event.clone());
-        let seq = self.journal[v].len() as u64;
-
-        let started_ms = self.now_ms;
-        let owner = match self.route(v, seq, &event) {
-            Ok(owner) => owner,
-            Err(e) => {
-                // Never applied anywhere (engine rejection or routing
-                // exhaustion): drop it from the journal so crash replays
-                // and the baseline see the same accepted stream.
-                self.journal[v].pop();
-                return Err(e);
-            }
-        };
-        self.metrics.events_routed.inc();
-        self.metrics
-            .ack_latency
-            .record_ns((self.now_ms - started_ms + 1) * 1_000_000);
-
-        // Post-apply chaos: lost ack (forced redelivery — the watermark
-        // must drop it), then maybe a crash of the very node that holds
-        // the freshly applied event.
-        if self.plan.ack_loss_prob > 0.0 && self.rng.gen_bool(self.plan.ack_loss_prob) {
-            let redelivery =
-                self.nodes[owner]
-                    .agent
-                    .as_mut()
-                    .unwrap()
-                    .submit(self.cached.epoch, v, seq, event);
-            assert_eq!(
-                redelivery,
-                Ok(Applied::Duplicate),
-                "redelivered event must be deduped, not re-applied"
-            );
-            self.metrics.events_deduped.inc();
+        self.clock.advance(1_000_000);
+        let mut rebalance = None;
+        if self.plan.rebalance_at.contains(&self.submits) {
+            let start = self.rng.gen_range(0..VSHARDS);
+            let len = self.rng.gen_range(1..17usize);
+            let to = self.rng.gen_range(0..self.nodes.len());
+            rebalance = Some(((start..(start + len).min(VSHARDS)).collect(), to));
         }
-        self.nodes[owner].applied_since_ckpt += 1;
-        if self.plan.checkpoint_every > 0
-            && self.nodes[owner].applied_since_ckpt >= self.plan.checkpoint_every
-        {
-            let bundle = self.nodes[owner].agent.as_mut().unwrap().checkpoint();
-            self.nodes[owner].durable = Some(bundle);
-            self.nodes[owner].applied_since_ckpt = 0;
-            self.metrics.checkpoints.inc();
+        if self.plan.partition_prob > 0.0 && self.rng.gen_bool(self.plan.partition_prob) {
+            let n = self.rng.gen_range(0..self.nodes.len());
+            self.nodes[n].partitioned_until = self.submits + self.plan.partition_events;
         }
-        if self.plan.crash_prob > 0.0 && self.rng.gen_bool(self.plan.crash_prob) {
-            self.crash(owner);
+        rebalance
+    }
+
+    fn running(&self, n: usize) -> bool {
+        self.nodes[n].agent.is_some()
+    }
+
+    fn reachable(&self, n: usize) -> bool {
+        self.running(n) && self.submits >= self.nodes[n].partitioned_until
+    }
+
+    fn heal(&mut self) {
+        for node in &mut self.nodes {
+            node.partitioned_until = 0;
         }
+    }
+
+    fn spawn(&mut self, n: usize, seed: u64) -> Result<(), ClusterError> {
+        let agent = NodeAgent::new(Arc::clone(&self.spec), self.config.clone(), seed, n);
+        self.nodes[n].agent = Some(agent);
+        self.nodes[n].partitioned_until = 0;
         Ok(())
     }
 
-    /// The delivery retry loop: returns the node that applied the event.
-    fn route(&mut self, v: usize, seq: u64, event: &Event) -> Result<usize, ClusterError> {
-        let mut attempts: u64 = 0;
-        loop {
-            attempts += 1;
-            if attempts > MAX_ATTEMPTS {
-                return Err(ClusterError::Unavailable {
-                    vshard: v,
-                    attempts,
-                });
-            }
-            if attempts > 1 {
-                self.metrics.retries.inc();
-            }
-            let owner = self.cached.owner_of(v);
-            if self.control.worker(owner).state == WorkerState::Failed
-                && self.control.actual.owner_of(v) == owner
-            {
-                // Stranded on a failed worker and the failover has not
-                // landed yet: wait for the reconcile loop to move it.
-                if self.control.nodes() == 1
-                    || (0..self.control.nodes())
-                        .all(|n| self.control.worker(n).state == WorkerState::Failed)
-                {
-                    return Err(ClusterError::WorkerDown { node: owner });
-                }
-                self.now_ms += 5;
-                self.reconcile();
-                self.cached = self.control.actual.clone();
-                continue;
-            }
-            if !self.reachable(owner) || self.nodes[owner].agent.is_none() {
-                // Unreachable owner: a real ingress would time out, then
-                // re-resolve against the control plane.
-                self.now_ms += 5;
-                self.reconcile();
-                if self.control.actual.owner_of(v) != owner
-                    || self.control.actual.epoch != self.cached.epoch
-                {
-                    self.cached = self.control.actual.clone();
-                }
-                continue;
-            }
-            let outcome = self.nodes[owner].agent.as_mut().unwrap().submit(
-                self.cached.epoch,
-                v,
-                seq,
-                event.clone(),
-            );
-            match outcome {
-                Ok(Applied::Fresh) => return Ok(owner),
-                Ok(Applied::Duplicate) => {
-                    // First delivery of this sequence cannot be a dupe
-                    // unless a retry raced a success; count and accept.
-                    self.metrics.events_deduped.inc();
-                    return Ok(owner);
-                }
-                Err(ClusterError::Rebalancing { retry_after_ms, .. }) => {
-                    self.metrics.sheds_rebalancing.inc();
-                    self.now_ms += retry_after_ms.max(1);
-                    self.reconcile();
-                }
-                Err(ClusterError::StaleEpoch { .. }) => {
-                    self.metrics.stale_epoch_rejections.inc();
-                    self.cached = self.control.actual.clone();
-                }
-                Err(ClusterError::NotOwner { .. }) => {
-                    self.cached = self.control.actual.clone();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    fn kill(&mut self, n: usize) {
+        self.nodes[n].agent = None;
     }
 
-    /// Drains the cluster: heals partitions, resurrects every worker
-    /// (terminal drain ignores the respawn budget — this is shutdown,
-    /// not supervision), converges all pending migrations, then merges
-    /// every node's report into one, sorted by session id.
-    pub fn finish(mut self) -> ClusterReport {
-        for n in 0..self.nodes.len() {
-            self.nodes[n].partitioned_until = 0;
-            self.nodes[n].up = self.nodes[n].agent.is_some();
+    /// The worker protocol, served in memory by the worker's own
+    /// dispatch table.
+    fn call(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
+        if !self.running(n) {
+            return Err(ClusterError::WorkerDown { node: n });
         }
-        // Failed workers stay dead; their shards fail over inside
-        // reconcile. Crashed-but-respawnable workers are brought back by
-        // the normal respawn path, which we drive to quiescence here.
-        let mut guard = 0u32;
-        while !(self.control.converged() && self.in_flight.is_empty()) {
-            self.now_ms += 10;
-            self.reconcile();
-            guard += 1;
-            assert!(guard < 100_000, "shutdown reconcile failed to converge");
+        reply_result(dispatch(&mut self.nodes[n].agent, n, request).0)
+    }
+
+    /// Delivers, then draws post-apply chaos: a lost ack (redelivered
+    /// here; the watermark must drop every copy), then maybe a crash of
+    /// the very node that holds the freshly applied events.
+    fn deliver(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
+        let mut reply = self.call(n, request)?;
+        if self.plan.ack_loss_prob > 0.0 && self.rng.gen_bool(self.plan.ack_loss_prob) {
+            reply = self.call(n, request)?;
+            assert_eq!(
+                reply["fresh"].as_u64(),
+                Some(0),
+                "redelivered events must be deduped, not re-applied"
+            );
         }
-        // Any worker still down but owning shards (e.g. crashed with the
-        // respawn not yet due) is force-respawned for the drain.
-        loop {
-            let stranded: Vec<usize> = (0..self.nodes.len())
-                .filter(|&n| {
-                    self.nodes[n].agent.is_none()
-                        && !self.control.actual.owned_by(n).is_empty()
-                        && self.control.worker(n).state != WorkerState::Failed
-                })
-                .collect();
-            if stranded.is_empty() {
-                break;
-            }
-            for n in stranded {
-                self.rebuild_node(n);
-                self.metrics.respawns.inc();
-            }
-            self.now_ms += 10;
-            self.reconcile();
+        if self.plan.crash_prob > 0.0 && self.rng.gen_bool(self.plan.crash_prob) {
+            self.kill(n);
         }
-        let mut outcomes: Vec<SessionOutcome> = Vec::new();
-        for node in self.nodes {
-            if let Some(agent) = node.agent {
-                outcomes.extend(agent.finish().outcomes);
-            }
-        }
-        outcomes.sort_by(|a, b| a.session.cmp(&b.session));
-        ClusterReport {
-            outcomes,
-            metrics: self.metrics,
-        }
+        Ok(reply)
+    }
+
+    fn checkpoint(&mut self, n: usize) -> bool {
+        let Ok(reply) = self.call(n, &json!({"cmd": "checkpoint"})) else {
+            return false;
+        };
+        self.nodes[n].durable = Some(reply["bundle"].clone());
+        true
+    }
+
+    fn durable(&mut self, n: usize) -> Option<Json> {
+        self.nodes[n].durable.clone()
+    }
+
+    fn finish(&mut self, n: usize) -> Result<Vec<SessionOutcome>, ClusterError> {
+        let agent = self.nodes[n].agent.take();
+        let agent = agent.ok_or(ClusterError::WorkerDown { node: n })?;
+        Ok(agent.finish().outcomes)
     }
 }
 
@@ -625,6 +235,7 @@ mod tests {
     use super::*;
     use rega_core::spec::parse_spec;
     use rega_data::{Database, Schema, Value};
+    use rega_stream::event::Event;
     use rega_stream::Engine;
 
     fn spec() -> Arc<CompiledSpec> {
@@ -688,7 +299,7 @@ trans q -> p : x1 = y1
             for e in &events {
                 cluster.submit(e.clone()).unwrap();
             }
-            let report = cluster.finish();
+            let report = cluster.finish().unwrap();
             assert_eq!(report.outcomes, want, "{nodes}-node cluster diverged");
         }
     }
@@ -717,7 +328,7 @@ trans q -> p : x1 = y1
         for e in &events[half..] {
             cluster.submit(e.clone()).unwrap();
         }
-        let report = cluster.finish();
+        let report = cluster.finish().unwrap();
         assert_eq!(report.outcomes, want);
         assert!(
             report.metrics.migrations.get() >= 1,
@@ -754,7 +365,7 @@ trans q -> p : x1 = y1
         for e in &events {
             cluster.submit(e.clone()).unwrap();
         }
-        let report = cluster.finish();
+        let report = cluster.finish().unwrap();
         assert_eq!(report.outcomes, want);
         assert!(
             report.metrics.crashes.get() >= 1,
@@ -789,7 +400,7 @@ trans q -> p : x1 = y1
         for e in &events[half..] {
             cluster.submit(e.clone()).unwrap();
         }
-        let report = cluster.finish();
+        let report = cluster.finish().unwrap();
         assert_eq!(report.outcomes, want);
         assert_eq!(report.metrics.crashes.get(), 1);
         assert!(
@@ -821,7 +432,7 @@ trans q -> p : x1 = y1
             for e in &events {
                 cluster.submit(e.clone()).unwrap();
             }
-            let report = cluster.finish();
+            let report = cluster.finish().unwrap();
             (
                 report.outcomes,
                 report.metrics.events_routed.get(),

@@ -8,7 +8,10 @@
 //! before any test logic runs.
 
 use rega_cluster::proc::maybe_worker_entry;
-use rega_cluster::{vshard, ProcCluster};
+use rega_cluster::{
+    vshard, ClusterFaultPlan, ClusterReport, ControlConfig, ProcCluster, SimCluster, Supervisor,
+    Transport,
+};
 use rega_stream::event::Event;
 use rega_stream::{CompiledSpec, Engine, EngineConfig, SessionOutcome};
 use std::path::PathBuf;
@@ -99,6 +102,25 @@ fn batches_match_baseline() {
         "batched delivery changes nothing"
     );
     println!("ok - batches_match_baseline");
+}
+
+/// One `submit_batch` whose events would encode to more than the wire's
+/// 1 MiB frame limit on a single worker still lands, split into frames.
+fn oversized_batch_is_split_into_frames() {
+    let events = workload(8, 2_000);
+    let expected = baseline(&events);
+    let mut cluster = ProcCluster::new(1, SPEC, None, 0xBEEF, None, 0).unwrap();
+    cluster.submit_batch(&events).unwrap();
+    let report = cluster.finish().unwrap();
+    assert_eq!(
+        report.outcomes, expected,
+        "an oversized batch changes nothing"
+    );
+    let m = &report.metrics;
+    assert_eq!(m.events_routed.get(), events.len() as u64);
+    assert_eq!(m.retries.get(), 0, "no frame was refused");
+    assert_eq!(m.crashes.get(), 0, "no worker died on a frame");
+    println!("ok - oversized_batch_is_split_into_frames");
 }
 
 fn kill_midstream_recovers_from_checkpoint_and_journal() {
@@ -194,14 +216,87 @@ fn live_migration_is_epoch_fenced_and_lossless() {
     println!("ok - live_migration_is_epoch_fenced_and_lossless");
 }
 
+/// The parity script: a batched prefix, one live migration, per-event
+/// submits, a worker crash, and a batched suffix that has to wait for the
+/// respawn. Returns the report plus the epoch before the drain.
+fn parity_script<T: Transport>(
+    mut cluster: Supervisor<T>,
+    events: &[Event],
+) -> (ClusterReport, u64) {
+    let third = events.len() / 3;
+    cluster.submit_batch(&events[..third]).unwrap();
+    let moving: Vec<usize> = (0..3).map(|s| vshard(&format!("session-{s}"))).collect();
+    cluster.migrate(&moving, 1).unwrap();
+    for e in &events[third..2 * third] {
+        cluster.submit(e.clone()).unwrap();
+    }
+    cluster.kill_worker(0);
+    cluster.submit_batch(&events[2 * third..]).unwrap();
+    let epoch = cluster.epoch();
+    (cluster.finish().unwrap(), epoch)
+}
+
+/// The simulated and the process transport run the same supervisor, so
+/// one script must give the same outcomes and the same cluster story.
+fn transports_agree_on_one_script() {
+    let events = workload(6, 8);
+    let expected = baseline(&events);
+    let sim = SimCluster::new(
+        compiled(),
+        EngineConfig::default(),
+        2,
+        ControlConfig::default(),
+        ClusterFaultPlan::none(0xBEEF),
+    );
+    let procs = ProcCluster::new(2, SPEC, None, 0xBEEF, None, 0).unwrap();
+    let (sim, sim_epoch) = parity_script(sim, &events);
+    let (procs, proc_epoch) = parity_script(procs, &events);
+    assert_eq!(sim.outcomes, expected, "sim transport diverged");
+    assert_eq!(
+        procs.outcomes, sim.outcomes,
+        "transports disagree on outcomes"
+    );
+    assert_eq!(
+        proc_epoch, sim_epoch,
+        "transports disagree on the final epoch"
+    );
+    let story = |r: &ClusterReport| {
+        let m = &r.metrics;
+        [
+            m.events_routed.get(),
+            m.migrations.get(),
+            m.sessions_migrated.get(),
+            m.epoch.get(),
+        ]
+    };
+    assert_eq!(
+        story(&procs),
+        story(&sim),
+        "routed/migrations/sessions/epoch"
+    );
+    assert_eq!(sim.metrics.events_routed.get(), events.len() as u64);
+    assert!(sim.metrics.sessions_migrated.get() >= 1);
+    for r in [&sim, &procs] {
+        assert_eq!(
+            r.metrics.ack_latency.count(),
+            r.metrics.events_routed.get(),
+            "every routed event, batched or not, records its ack latency"
+        );
+        assert!(r.metrics.crashes.get() >= 1 && r.metrics.respawns.get() >= 1);
+    }
+    println!("ok - transports_agree_on_one_script");
+}
+
 fn main() {
     // Worker invocations of this same binary divert here and never return.
     maybe_worker_entry();
 
     plain_run_matches_baseline();
     batches_match_baseline();
+    oversized_batch_is_split_into_frames();
     kill_midstream_recovers_from_checkpoint_and_journal();
     corrupt_checkpoint_is_discarded_not_trusted();
     live_migration_is_epoch_fenced_and_lossless();
+    transports_agree_on_one_script();
     println!("all proc_cluster tests passed");
 }

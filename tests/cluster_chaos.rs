@@ -134,7 +134,7 @@ fn run_case(seed: u64) -> Result<(), String> {
             return fail(format!("submit {i} failed under chaos: {e}"));
         }
     }
-    let report = cluster.finish();
+    let report = cluster.finish().unwrap();
     if report.outcomes != want {
         return fail(format!(
             "verdict streams diverged under chaos plan {plan:?}\n cluster: {:?}\n baseline: {:?}",
@@ -256,7 +256,7 @@ fn crash_mid_batch_recovers_exactly_once() {
     for e in &events[half..] {
         cluster.submit(e.clone()).unwrap();
     }
-    let report = cluster.finish();
+    let report = cluster.finish().unwrap();
     assert_eq!(report.outcomes, want, "crash recovery diverged");
     assert!(report.metrics.crashes.get() >= 1);
     assert!(report.metrics.respawns.get() >= 1);
@@ -296,7 +296,7 @@ fn partition_during_migration_sheds_but_loses_nothing() {
     for e in &events {
         cluster.submit(e.clone()).unwrap();
     }
-    let report = cluster.finish();
+    let report = cluster.finish().unwrap();
     assert_eq!(report.outcomes, want, "partition+migration diverged");
     assert!(report.metrics.migrations.get() >= 1, "rebalances must run");
     assert_eq!(
@@ -340,7 +340,7 @@ fn double_rebalance_is_epoch_fenced_at_most_once() {
         cluster.submit(e.clone()).unwrap();
     }
     let epoch_after = cluster.epoch();
-    let report = cluster.finish();
+    let report = cluster.finish().unwrap();
     assert_eq!(report.outcomes, want, "double rebalance diverged");
     assert!(epoch_after >= 2, "each converged retarget bumps the epoch");
     assert!(report.metrics.migrations.get() >= 2);
@@ -370,7 +370,7 @@ fn same_seed_is_bit_for_bit_reproducible() {
         for e in &stream {
             cluster.submit(e.clone()).unwrap();
         }
-        let report = cluster.finish();
+        let report = cluster.finish().unwrap();
         (
             report.outcomes,
             report.metrics.events_routed.get(),
@@ -385,5 +385,60 @@ fn same_seed_is_bit_for_bit_reproducible() {
     };
     for seed in [3u64, 0xBEEF, 0x7777_7777] {
         assert_eq!(run(seed), run(seed), "[seed {seed:#x}] runs diverged");
+    }
+}
+
+/// Coverage floor: summed over a fixed seed range, every recovery path
+/// the differential relies on must actually fire. Without it, a reordered
+/// RNG draw or a supervisor change could quietly turn the chaos schedule
+/// into a no-op and the differential above would still pass.
+#[test]
+fn chaos_schedule_fires_every_recovery_path() {
+    let mut totals = [0u64; 7];
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream = gen_stream(&mut rng);
+        let nodes = rng.gen_range(2usize..5);
+        let plan = gen_plan(&mut rng, seed, stream.len());
+        let mut cluster = SimCluster::new(
+            spec(),
+            EngineConfig::default(),
+            nodes,
+            ControlConfig::default(),
+            plan,
+        );
+        for e in &stream {
+            cluster.submit(e.clone()).unwrap();
+        }
+        let m = cluster.finish().unwrap().metrics;
+        let fired = [
+            m.crashes.get(),
+            m.respawns.get(),
+            m.events_replayed.get(),
+            m.events_deduped.get(),
+            m.sheds_rebalancing.get(),
+            m.stale_epoch_rejections.get(),
+            m.migrations.get(),
+        ];
+        for (total, n) in totals.iter_mut().zip(fired) {
+            *total += n;
+        }
+    }
+    eprintln!("chaos coverage over seeds 0..64: {totals:?}");
+    // Floors sit at about half of what seeds 0..64 fire today.
+    let floors = [
+        ("crashes", 50),
+        ("respawns", 90),
+        ("events replayed", 500),
+        ("ack-loss dedups", 150),
+        ("rebalancing sheds", 3),
+        ("stale-epoch rejections", 18),
+        ("migrations", 18),
+    ];
+    for ((path, floor), total) in floors.iter().zip(totals) {
+        assert!(
+            total >= *floor,
+            "chaos coverage fell: {path} fired {total} times over seeds 0..64, floor {floor}"
+        );
     }
 }

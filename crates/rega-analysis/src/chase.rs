@@ -15,6 +15,8 @@
 //!   of another component (they mention none of its values).
 
 use crate::emptiness::{check_emptiness, EmptinessOptions, EmptinessVerdict, Witness};
+use rega_core::symbolic::{scontrol_nba_governed, scontrol_nba_with};
+use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, GovernError};
 use rega_data::{Database, SatCache, Value};
 use std::collections::HashMap;
@@ -90,9 +92,12 @@ fn universal_witness_impl(
     // per-lasso structure build below.
     let _span = rega_obs::span!("chase.universal_witness");
     let nba = if fast {
-        rega_core::symbolic::scontrol_nba_fast_governed(ext.ra(), cache, budget)?
+        let ops = TypeOps::new(cache, ext.ra().k(), TypePath::Fast);
+        scontrol_nba_with(ext.ra(), cache, budget, |u, t| {
+            ops.jointly_satisfiable_ids(u, t)
+        })?
     } else {
-        rega_core::symbolic::scontrol_nba_governed(ext.ra(), cache, budget)?
+        scontrol_nba_governed(ext.ra(), cache, budget)?
     };
     let mut tripped: Option<GovernError> = None;
     let lassos = rega_automata::emptiness::enumerate_accepting_lassos_abortable(

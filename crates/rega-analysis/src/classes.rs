@@ -102,28 +102,17 @@ impl ClassStructure {
         w: &Lasso<TransId>,
         horizon: usize,
     ) -> Result<ClassStructure, CoreError> {
-        Self::build_cached(ext, w, horizon, &SatCache::new(ext.ra().schema().clone()))
+        let cache = SatCache::new(ext.ra().schema().clone());
+        Self::build_governed(ext, w, horizon, &cache, &Budget::unlimited())
     }
 
     /// [`ClassStructure::build`] with the per-transition type analyses
-    /// memoized in `cache`. [`ClassStructure::build_stable`] re-builds the
-    /// structure at a growing horizon until the window signature
-    /// stabilizes; with a shared cache each distinct type is analyzed once
-    /// across all horizons (and across all lassos of an emptiness search)
-    /// instead of once per build.
-    pub fn build_cached(
-        ext: &ExtendedAutomaton,
-        w: &Lasso<TransId>,
-        horizon: usize,
-        cache: &SatCache,
-    ) -> Result<ClassStructure, CoreError> {
-        Self::build_governed(ext, w, horizon, cache, &Budget::unlimited())
-    }
-
-    /// [`ClassStructure::build_cached`] under a [`Budget`]: the per-position
-    /// equality fill and the quadratic constraint-DFA walks (every start
-    /// position × every later position, per constraint) tick, so a build at
-    /// a hostile horizon is interruptible.
+    /// memoized in `cache`, under a [`Budget`]. With a shared cache each
+    /// distinct type is analyzed once across all horizons (and across all
+    /// lassos of an emptiness search) instead of once per build. The
+    /// per-position equality fill and the quadratic constraint-DFA walks
+    /// (every start position × every later position, per constraint) tick,
+    /// so a build at a hostile horizon is interruptible.
     pub fn build_governed(
         ext: &ExtendedAutomaton,
         w: &Lasso<TransId>,
@@ -326,30 +315,21 @@ impl ClassStructure {
         w: &Lasso<TransId>,
         opts: ClassOptions,
     ) -> Result<ClassStructure, CoreError> {
-        Self::build_stable_cached(ext, w, opts, &SatCache::new(ext.ra().schema().clone()))
+        let cache = SatCache::new(ext.ra().schema().clone());
+        Self::build_stable_governed(ext, w, opts, &cache, &Budget::unlimited())
     }
 
-    /// [`ClassStructure::build_stable`] with a shared [`SatCache`].
-    pub fn build_stable_cached(
-        ext: &ExtendedAutomaton,
-        w: &Lasso<TransId>,
-        opts: ClassOptions,
-        cache: &SatCache,
-    ) -> Result<ClassStructure, CoreError> {
-        Self::build_stable_governed(ext, w, opts, cache, &Budget::unlimited())
-    }
-
-    /// [`ClassStructure::build_stable_cached`] under a [`Budget`]: the
-    /// incremental grower runs governed, and the deadline/token are
-    /// re-checked between rounds.
+    /// [`ClassStructure::build_stable`] with a shared [`SatCache`], under a
+    /// [`Budget`]: the incremental grower runs governed, and the
+    /// deadline/token are re-checked between rounds.
     ///
     /// The stabilization *schedule* — horizons visited, window-signature
-    /// comparisons, stability rounds — is exactly that of
-    /// [`build_stable_reference_governed`](ClassStructure::build_stable_reference_governed),
-    /// but each round grows one union-find incrementally instead of
-    /// rebuilding from scratch: only the new positions (plus the previous
-    /// last position, whose `ȳ`-terms become mappable) are processed, and
-    /// every constraint-DFA walk resumes from its saved state. The two
+    /// comparisons, stability rounds — is exactly that of the crate-private
+    /// `build_stable_reference_governed`, but each round grows one
+    /// union-find incrementally instead of rebuilding from scratch: only the
+    /// new positions (plus the previous last position, whose `ȳ`-terms
+    /// become mappable) are processed, and every constraint-DFA walk resumes
+    /// from its saved state. The two
     /// implementations produce field-identical structures; the reference is
     /// retained and pinned against this one by the equivalence tests below.
     pub fn build_stable_governed(
@@ -387,10 +367,10 @@ impl ClassStructure {
     /// The pre-kernel stabilized builder: rebuilds the full structure from
     /// scratch at every horizon of the stabilization schedule. Retained as
     /// the pinned reference implementation for the differential suites (and
-    /// for [`check_emptiness_reference`](crate::emptiness::check_emptiness_reference));
+    /// for [`check_emptiness_reference_governed`](crate::emptiness::check_emptiness_reference_governed));
     /// [`build_stable_governed`](ClassStructure::build_stable_governed)
     /// must produce field-identical structures.
-    pub fn build_stable_reference_governed(
+    pub(crate) fn build_stable_reference_governed(
         ext: &ExtendedAutomaton,
         w: &Lasso<TransId>,
         opts: ClassOptions,

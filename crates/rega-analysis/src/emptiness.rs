@@ -99,34 +99,28 @@ pub fn check_emptiness(
     ext: &ExtendedAutomaton,
     opts: &EmptinessOptions,
 ) -> Result<EmptinessVerdict, CoreError> {
-    check_emptiness_cached(ext, opts, &SatCache::new(ext.ra().schema().clone()))
+    let cache = SatCache::new(ext.ra().schema().clone());
+    check_emptiness_governed(ext, opts, &cache, &Budget::unlimited())
 }
 
 /// [`check_emptiness`] with every σ-type operation of the pipeline —
 /// `SControl` joint-satisfiability wiring and the per-lasso structure
-/// analyses — memoized in `cache`. One cache serves all candidate lassos,
-/// and a caller running repeated checks (benchmarks, monitoring startup)
-/// can keep the cache warm across calls.
-pub fn check_emptiness_cached(
-    ext: &ExtendedAutomaton,
-    opts: &EmptinessOptions,
-    cache: &SatCache,
-) -> Result<EmptinessVerdict, CoreError> {
-    check_emptiness_governed(ext, opts, cache, &Budget::unlimited())
-}
-
-/// [`check_emptiness_cached`] under a [`Budget`], running the **on-the-fly
-/// kernel**: the `SControl` Büchi automaton is never materialized. A lazy
-/// [`SControlSource`] wires successors into its edge arena only for states
-/// the lasso search actually reaches, and each candidate lasso is handed to
-/// witness construction *as it is discovered* — on satisfiable instances
-/// the search stops at the first witness with most of the automaton never
-/// built.
+/// analyses — memoized in `cache`, under a [`Budget`]. One cache serves all
+/// candidate lassos, and a caller running repeated checks (benchmarks,
+/// monitoring startup) can keep the cache warm across calls.
+///
+/// This runs the **on-the-fly kernel**: the `SControl` Büchi automaton is
+/// never materialized. A lazy [`SControlSource`] wires successors into its
+/// edge arena only for states the lasso search actually reaches, and each
+/// candidate lasso is handed to witness construction *as it is discovered*
+/// — on satisfiable instances the search stops at the first witness with
+/// most of the automaton never built.
 ///
 /// The traversal (and therefore the candidate order, the verdict, and the
 /// returned witness) is byte-identical to the retained
-/// [`check_emptiness_reference`] pipeline, which materializes the automaton
-/// up front; the differential suite pins the two against each other.
+/// [`check_emptiness_reference_governed`] pipeline, which materializes the
+/// automaton up front; the differential suite pins the two against each
+/// other.
 ///
 /// Governance: successor wiring ticks `emptiness.on_the_fly.expand` (with a
 /// type-count memory ceiling), the search loop ticks
@@ -225,29 +219,13 @@ pub fn check_emptiness_governed(
 /// reference for the differential suite: materialize the full `SControl`
 /// Büchi automaton, enumerate every candidate lasso up front, then try
 /// witnesses in enumeration order with from-scratch stabilized class
-/// builds. [`check_emptiness`] must return identical verdicts (and the
-/// same witness lasso) on every input.
-pub fn check_emptiness_reference(
-    ext: &ExtendedAutomaton,
-    opts: &EmptinessOptions,
-) -> Result<EmptinessVerdict, CoreError> {
-    check_emptiness_reference_cached(ext, opts, &SatCache::new(ext.ra().schema().clone()))
-}
-
-/// [`check_emptiness_reference`] with a shared [`SatCache`] (the reference
-/// still memoizes σ-type analyses — the pipelines differ in *shape*, not
-/// in caching policy).
-pub fn check_emptiness_reference_cached(
-    ext: &ExtendedAutomaton,
-    opts: &EmptinessOptions,
-    cache: &SatCache,
-) -> Result<EmptinessVerdict, CoreError> {
-    check_emptiness_reference_governed(ext, opts, cache, &Budget::unlimited())
-}
-
-/// [`check_emptiness_reference_cached`] under a [`Budget`], governed in all
-/// three phases: NBA wiring, lasso search (abort hook), and per-lasso
-/// witness construction.
+/// builds. [`check_emptiness_governed`] must return identical verdicts (and
+/// the same witness lasso) on every input.
+///
+/// The reference still memoizes σ-type analyses in `cache` — the pipelines
+/// differ in *shape*, not in caching policy — and is governed in all three
+/// phases: NBA wiring, lasso search (abort hook), and per-lasso witness
+/// construction.
 pub fn check_emptiness_reference_governed(
     ext: &ExtendedAutomaton,
     opts: &EmptinessOptions,
@@ -317,27 +295,13 @@ pub fn witness_for_lasso(
     control: &Lasso<TransId>,
     opts: &EmptinessOptions,
 ) -> Result<Option<Witness>, CoreError> {
-    witness_for_lasso_cached(
-        ext,
-        control,
-        opts,
-        &SatCache::new(ext.ra().schema().clone()),
-    )
+    let cache = SatCache::new(ext.ra().schema().clone());
+    witness_for_lasso_governed(ext, control, opts, &cache, &Budget::unlimited())
 }
 
-/// [`witness_for_lasso`] with a shared [`SatCache`].
-pub fn witness_for_lasso_cached(
-    ext: &ExtendedAutomaton,
-    control: &Lasso<TransId>,
-    opts: &EmptinessOptions,
-    cache: &SatCache,
-) -> Result<Option<Witness>, CoreError> {
-    witness_for_lasso_governed(ext, control, opts, cache, &Budget::unlimited())
-}
-
-/// [`witness_for_lasso_cached`] under a [`Budget`]: the stabilized class
-/// structure builds run governed and each collapse attempt re-checks the
-/// deadline/token.
+/// [`witness_for_lasso`] with a shared [`SatCache`], under a [`Budget`]:
+/// the stabilized class structure builds run governed and each collapse
+/// attempt re-checks the deadline/token.
 pub fn witness_for_lasso_governed(
     ext: &ExtendedAutomaton,
     control: &Lasso<TransId>,
@@ -354,10 +318,10 @@ pub fn witness_for_lasso_governed(
 }
 
 /// [`witness_for_lasso_governed`] with the *from-scratch* stabilized class
-/// builder — the per-lasso pipeline of [`check_emptiness_reference`]. The
-/// class structures are field-identical (pinned by the equivalence tests in
-/// `classes.rs`), so the two witness paths cannot diverge.
-pub fn witness_for_lasso_reference_governed(
+/// builder — the per-lasso pipeline of [`check_emptiness_reference_governed`].
+/// The class structures are field-identical (pinned by the equivalence tests
+/// in `classes.rs`), so the two witness paths cannot diverge.
+pub(crate) fn witness_for_lasso_reference_governed(
     ext: &ExtendedAutomaton,
     control: &Lasso<TransId>,
     opts: &EmptinessOptions,
@@ -764,7 +728,9 @@ mod tests {
         exts.push(contradictory);
         for (i, ext) in exts.iter().enumerate() {
             let fast = check_emptiness(ext, &opts).unwrap();
-            let refr = check_emptiness_reference(ext, &opts).unwrap();
+            let cache = SatCache::new(ext.ra().schema().clone());
+            let refr = check_emptiness_reference_governed(ext, &opts, &cache, &Budget::unlimited())
+                .unwrap();
             assert_eq!(
                 fast.is_nonempty(),
                 refr.is_nonempty(),

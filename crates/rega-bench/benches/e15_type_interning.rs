@@ -5,11 +5,11 @@
 //! [`SatCache`]. Emits the machine-readable artifact `BENCH_e15.json` at
 //! the repository root alongside the human-readable log.
 
-use rega_analysis::emptiness::{check_emptiness, check_emptiness_cached, EmptinessOptions};
+use rega_analysis::emptiness::{check_emptiness, check_emptiness_governed, EmptinessOptions};
 use rega_bench::{fmt_secs, measure_pair, write_bench_json, Measured};
 use rega_core::generate::{random_automaton, GenParams};
-use rega_core::symbolic::{scontrol_nba, scontrol_nba_cached};
-use rega_core::{paper, ExtendedAutomaton};
+use rega_core::symbolic::{scontrol_nba, scontrol_nba_governed};
+use rega_core::{paper, Budget, ExtendedAutomaton};
 use rega_data::SatCache;
 use rega_views::prop20::project_register_automaton;
 use rega_views::thm24::{project_hiding_database, Thm24Options};
@@ -114,15 +114,16 @@ fn main() {
         // `joint_sat` maps, per-build analyses), so this is a faithful
         // before-baseline; the cached path adds cross-call reuse.
         let cache = SatCache::new(ra.schema().clone());
+        let unlimited = Budget::unlimited();
         let (sctl_direct, sctl_cached) = measure_pair(
             SAMPLES,
             || scontrol_nba(ra).unwrap(),
-            || scontrol_nba_cached(ra, &cache).unwrap(),
+            || scontrol_nba_governed(ra, &cache, &unlimited).unwrap(),
         );
         let (empt_direct, empt_cached) = measure_pair(
             SAMPLES,
             || check_emptiness(&w.ext, &opts).unwrap(),
-            || check_emptiness_cached(&w.ext, &opts, &cache).unwrap(),
+            || check_emptiness_governed(&w.ext, &opts, &cache, &unlimited).unwrap(),
         );
         // The combined analysis pass every consumer of the symbolic layer
         // runs (verification, chase, monitoring startup): SControl
@@ -134,8 +135,11 @@ fn main() {
                 (nba, check_emptiness(&w.ext, &opts).unwrap())
             },
             || {
-                let nba = scontrol_nba_cached(ra, &cache).unwrap();
-                (nba, check_emptiness_cached(&w.ext, &opts, &cache).unwrap())
+                let nba = scontrol_nba_governed(ra, &cache, &unlimited).unwrap();
+                (
+                    nba,
+                    check_emptiness_governed(&w.ext, &opts, &cache, &unlimited).unwrap(),
+                )
             },
         );
         let stats = cache.stats();

@@ -4,7 +4,8 @@
 //!
 //! * **unarmed** ([`Budget::unlimited`]): the budget handle is empty; a
 //!   tick is a single branch on an `Option` — this is the hot path every
-//!   pre-existing `*_cached` entry point takes;
+//!   plain entry point takes (it calls its `*_governed` form with
+//!   `Budget::unlimited()`);
 //! * **armed** (generous limits nothing in the workload approaches): a
 //!   tick is a relaxed load/compare/store on the node counter plus a
 //!   stride-amortized (every 64th tick) deadline/cancellation check.

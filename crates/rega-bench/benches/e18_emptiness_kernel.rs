@@ -21,11 +21,12 @@
 //! `BENCH_e18.json` at the repository root.
 
 use rega_analysis::emptiness::{
-    check_emptiness, check_emptiness_reference, EmptinessOptions, EmptinessVerdict,
+    check_emptiness, check_emptiness_reference_governed, EmptinessOptions, EmptinessVerdict,
 };
 use rega_bench::{fmt_secs, measure_pair, write_bench_json};
 use rega_core::generate::{random_automaton, GenParams};
-use rega_core::{paper, ExtendedAutomaton};
+use rega_core::{paper, Budget, ExtendedAutomaton};
+use rega_data::SatCache;
 use serde_json::json;
 
 const SAMPLES: usize = 10;
@@ -104,11 +105,18 @@ fn workloads() -> Vec<(String, &'static str, ExtendedAutomaton)> {
     w
 }
 
+/// The reference pipeline with a fresh cache per call, like
+/// [`check_emptiness`].
+fn reference_pipeline(ext: &ExtendedAutomaton, opts: &EmptinessOptions) -> EmptinessVerdict {
+    let cache = SatCache::new(ext.ra().schema().clone());
+    check_emptiness_reference_governed(ext, opts, &cache, &Budget::unlimited()).unwrap()
+}
+
 /// Asserts the two pipelines agree exactly on this workload and returns
 /// (nonempty, witness-lassos-identical).
 fn assert_identical_verdicts(ext: &ExtendedAutomaton, opts: &EmptinessOptions, name: &str) -> bool {
     let fast = check_emptiness(ext, opts).unwrap();
-    let refr = check_emptiness_reference(ext, opts).unwrap();
+    let refr = reference_pipeline(ext, opts);
     match (&fast, &refr) {
         (EmptinessVerdict::Empty, EmptinessVerdict::Empty) => false,
         (EmptinessVerdict::NonEmpty(wf), EmptinessVerdict::NonEmpty(wr)) => {
@@ -144,7 +152,7 @@ fn main() {
         let (fast, refr) = measure_pair(
             SAMPLES,
             || check_emptiness(&ext, &opts).unwrap(),
-            || check_emptiness_reference(&ext, &opts).unwrap(),
+            || reference_pipeline(&ext, &opts),
         );
         let speedup = refr.median_secs / fast.median_secs.max(1e-12);
         speedups.push(speedup);

@@ -849,6 +849,12 @@ fn cluster(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
             "--snapshot-dir is for worker processes; --sim keeps checkpoints in memory".to_string(),
         );
     }
+    if !sim_mode && checkpoint_every > 0 && snapshot_dir.is_none() {
+        return Err(
+            "--checkpoint-every needs --snapshot-dir: worker processes checkpoint to files"
+                .to_string(),
+        );
+    }
     let crash_prob = crash_prob.unwrap_or(0.0);
 
     let spec_text =

@@ -383,7 +383,8 @@ fn cluster_sim_mode_is_reproducible() {
 }
 
 /// Flags one transport would silently ignore are usage errors: chaos
-/// knobs need `--sim`, and `--sim` keeps its checkpoints in memory.
+/// knobs need `--sim`, `--sim` keeps its checkpoints in memory, and worker
+/// processes checkpoint only into a `--snapshot-dir`.
 #[test]
 fn cluster_rejects_flags_the_transport_would_ignore() {
     let spec = scratch("cluster_flags_spec.ra");
@@ -403,6 +404,7 @@ fn cluster_rejects_flags_the_transport_would_ignore() {
         &["--crash-prob", "0.1"][..],
         &["--rebalance-at", "3"][..],
         &["--sim", "--snapshot-dir", "snaps"][..],
+        &["--checkpoint-every", "4"][..],
     ] {
         let out = rega()
             .args(["cluster", spec_arg, "--events", events_arg, "--procs", "1"])

@@ -19,7 +19,8 @@
 //! | Thm 24 projection | `rega-views::thm24::project_hiding_database_governed` |
 //! | completion enumeration itself | [`rega_data::SigmaType::completions_governed`] |
 //!
-//! The ungoverned `*_cached` entry points all delegate with
+//! The plain, ungoverned entry points (`complete`, `scontrol_nba`, …) all
+//! call their `*_governed` form with a fresh `SatCache` and
 //! [`Budget::unlimited`], whose per-iteration cost is a single branch —
 //! benchmark E17 pins the overhead on the e04/e15 workloads to the noise
 //! floor. A budget trip surfaces as [`CoreError::Govern`](crate::CoreError)

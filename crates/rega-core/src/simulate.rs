@@ -19,7 +19,6 @@ use crate::monitor::ConstraintMonitor;
 use crate::run::{Config, FiniteRun, LassoRun};
 use rega_data::{Database, SatCache, Term, Value, ValueSupply};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Budget limits for the search.
 #[derive(Clone, Copy, Debug)]
@@ -49,38 +48,16 @@ pub fn default_pool(db: &Database, fresh: usize) -> Vec<Value> {
 }
 
 /// Computes the successor configurations of `cur` over all outgoing
-/// transitions, with free registers drawn from `pool ∪ cur.regs`.
+/// transitions, with free registers drawn from `pool ∪ cur.regs`. The
+/// per-transition type analyses are memoized in `cache`; the search loops
+/// below call this with one cache per top-level search, so each transition
+/// type is analyzed once per search instead of once per expanded node.
 pub fn successors(
     ext: &ExtendedAutomaton,
     db: &Database,
     cur: &Config,
     pool: &[Value],
-) -> Vec<(TransId, Config)> {
-    successors_impl(ext, db, cur, pool, &mut |ty| {
-        ty.analyze(ext.ra().schema()).ok().map(Arc::new)
-    })
-}
-
-/// [`successors`] with the per-transition type analyses memoized in
-/// `cache`. The search loops below call this with one cache per top-level
-/// search, so each transition type is analyzed once per search instead of
-/// once per expanded node.
-pub fn successors_cached(
-    ext: &ExtendedAutomaton,
-    db: &Database,
-    cur: &Config,
-    pool: &[Value],
     cache: &SatCache,
-) -> Vec<(TransId, Config)> {
-    successors_impl(ext, db, cur, pool, &mut |ty| cache.analyze(ty).ok())
-}
-
-fn successors_impl(
-    ext: &ExtendedAutomaton,
-    db: &Database,
-    cur: &Config,
-    pool: &[Value],
-    analyze: &mut dyn FnMut(&rega_data::SigmaType) -> Option<Arc<rega_data::types::TypeAnalysis>>,
 ) -> Vec<(TransId, Config)> {
     let ra = ext.ra();
     let k = ra.k() as usize;
@@ -93,7 +70,7 @@ fn successors_impl(
     let mut out = Vec::new();
     for &t in ra.outgoing(cur.state) {
         let tr = ra.transition(t);
-        let Some(analysis) = analyze(&tr.ty) else {
+        let Ok(analysis) = cache.analyze(&tr.ty) else {
             continue;
         };
         // Forced value per y-register: from an x-term or constant in the
@@ -259,7 +236,7 @@ fn dfs(
         return;
     }
     let cur = run.configs.last().expect("non-empty run");
-    for (t, next) in successors_cached(ext, db, cur, pool, cache) {
+    for (t, next) in successors(ext, db, cur, pool, cache) {
         let mut m2 = monitor.clone();
         if m2.step(ext, next.state, &next.regs).is_some() {
             continue;
@@ -291,7 +268,7 @@ pub fn find_lasso_run(
                 return Ok(None);
             }
             let cur = run.configs.last().expect("non-empty");
-            for (t, next) in successors_cached(ext, db, cur, pool, &cache) {
+            for (t, next) in successors(ext, db, cur, pool, &cache) {
                 // Loop closure: next equals an earlier configuration.
                 for (i, c) in run.configs.iter().enumerate() {
                     if *c == next {
@@ -371,7 +348,7 @@ pub fn find_lasso_with_projection(
             return Ok(None);
         }
         let cur = run.configs.last().expect("non-empty");
-        for (t, next) in successors_cached(ext, db, cur, &pool_all, &cache) {
+        for (t, next) in successors(ext, db, cur, &pool_all, &cache) {
             if next.regs[..m] != probe.at(pos + 1)[..] {
                 continue;
             }
@@ -461,7 +438,8 @@ mod tests {
         let q2 = ext.ra().state_by_name("q2").unwrap();
         let cur = Config::new(q2, vec![Value(10), Value(20)]);
         let pool = vec![Value(1), Value(2)];
-        let succ = successors(&ext, &db, &cur, &pool);
+        let cache = SatCache::new(ext.ra().schema().clone());
+        let succ = successors(&ext, &db, &cur, &pool, &cache);
         assert!(!succ.is_empty());
         for (_, cfg) in &succ {
             assert_eq!(cfg.regs[1], Value(20), "register 2 must be preserved");

@@ -22,15 +22,24 @@ use std::sync::Arc;
 
 /// Builds the Büchi automaton recognizing `SControl(A)` over the alphabet of
 /// transition ids, with a private, throwaway [`SatCache`]. Prefer
-/// [`scontrol_nba_cached`] when a shared cache is available (repeated
+/// [`scontrol_nba_governed`] when a shared cache is available (repeated
 /// builds, or a surrounding analysis that reuses the same types).
 pub fn scontrol_nba(ra: &RegisterAutomaton) -> Result<Nba<TransId>, CoreError> {
-    scontrol_nba_cached(ra, &SatCache::new(ra.schema().clone()))
+    let cache = SatCache::new(ra.schema().clone());
+    scontrol_nba_governed(ra, &cache, &Budget::unlimited())
 }
 
 /// Builds the Büchi automaton recognizing `SControl(A)` over the alphabet of
 /// transition ids, memoizing every σ-type operation in `cache` (which must
-/// be tied to `ra`'s schema).
+/// be tied to `ra`'s schema), under a [`Budget`]. The quadratic wiring loop
+/// (one joint-satisfiability check per ordered transition pair, each over a
+/// `2k`-register encoding) ticks per pair, and the interned-type ceiling is
+/// enforced against `cache`.
+///
+/// Every pair is answered by [`SatCache::jointly_satisfiable_ids`]; this is
+/// the retained reference the differential suites compare the kernel-backed
+/// build ([`scontrol_nba_with`] over a fast [`crate::typeops::TypeOps`])
+/// against.
 ///
 /// NBA states: a fresh start state, plus one state per transition meaning
 /// "this transition just fired". A letter `t` can follow `u` iff
@@ -53,21 +62,28 @@ pub fn scontrol_nba(ra: &RegisterAutomaton) -> Result<Nba<TransId>, CoreError> {
 /// transitions — and the differential test in `tests/verification_pipeline.rs`
 /// pins the two against each other on automata where `from`/`to`
 /// acceptance differ.
-pub fn scontrol_nba_cached(
-    ra: &RegisterAutomaton,
-    cache: &SatCache,
-) -> Result<Nba<TransId>, CoreError> {
-    scontrol_nba_governed(ra, cache, &Budget::unlimited())
-}
-
-/// [`scontrol_nba_cached`] under a [`Budget`]: the quadratic wiring loop —
-/// one joint-satisfiability check per ordered transition pair, each over a
-/// `2k`-register encoding — ticks per pair, and the interned-type ceiling
-/// is enforced against `cache`.
 pub fn scontrol_nba_governed(
     ra: &RegisterAutomaton,
     cache: &SatCache,
     budget: &Budget,
+) -> Result<Nba<TransId>, CoreError> {
+    scontrol_nba_with(ra, cache, budget, |u, t| {
+        cache.jointly_satisfiable_ids(u, t)
+    })
+}
+
+/// The `SControl(A)` wiring loop of [`scontrol_nba_governed`], with the
+/// per-pair joint-satisfiability test supplied by the caller as `joint`
+/// over the interned transition types. The chase passes a fast
+/// [`crate::typeops::TypeOps`] (the [`TypeBits`] kernel with the usual
+/// [`SatCache`] fallback and per-pair dedupe); since only the
+/// satisfiability backend changes, the NBA is identical — same states,
+/// acceptance, edges in the same order.
+pub fn scontrol_nba_with(
+    ra: &RegisterAutomaton,
+    cache: &SatCache,
+    budget: &Budget,
+    mut joint: impl FnMut(TypeId, TypeId) -> bool,
 ) -> Result<Nba<TransId>, CoreError> {
     let _span = rega_obs::span!("scontrol.nba_build");
     let alphabet: Vec<TransId> = ra.transition_ids().collect();
@@ -86,9 +102,6 @@ pub fn scontrol_nba_governed(
         .iter()
         .map(|&t| cache.intern(&ra.transition(t).ty))
         .collect();
-    let compatible = |u: TransId, t: TransId| -> bool {
-        cache.jointly_satisfiable_ids(type_of[u.idx()], type_of[t.idx()])
-    };
     // State 0 = start; state 1 + t.idx() = "transition t just fired".
     let mut nba = Nba::new(alphabet.clone(), n + 1);
     nba.set_init(0);
@@ -102,55 +115,8 @@ pub fn scontrol_nba_governed(
     for &u in &alphabet {
         for &t in &alphabet {
             budget.tick_mem("scontrol.nba_build", || cache.stats().distinct_types)?;
-            if ra.transition(u).to == ra.transition(t).from && compatible(u, t) {
-                nba.add_transition(1 + u.idx(), &t, 1 + t.idx());
-                edges += 1;
-            }
-        }
-    }
-    rega_obs::event!(
-        "scontrol.nba_built",
-        states = n + 1,
-        edges = edges,
-        types_interned = cache.stats().distinct_types
-    );
-    Ok(nba)
-}
-
-/// [`scontrol_nba_governed`] with the per-pair joint-satisfiability checks
-/// served by the [`TypeBits`] kernel when the fragment supports it (with
-/// the usual [`SatCache`] fallback and per-pair dedupe via
-/// [`crate::typeops::TypeOps`]). Produces the identical NBA — same states,
-/// acceptance, edges in the same order — since only the satisfiability
-/// backend changes; [`scontrol_nba_governed`] itself stays on the pure
-/// cache path as the retained reference for the differential suites.
-pub fn scontrol_nba_fast_governed(
-    ra: &RegisterAutomaton,
-    cache: &SatCache,
-    budget: &Budget,
-) -> Result<Nba<TransId>, CoreError> {
-    let _span = rega_obs::span!("scontrol.nba_build");
-    let ops = crate::typeops::TypeOps::new(cache, ra.k(), crate::typeops::TypePath::Fast);
-    let alphabet: Vec<TransId> = ra.transition_ids().collect();
-    let n = alphabet.len();
-    let type_of: Vec<TypeId> = alphabet
-        .iter()
-        .map(|&t| ops.intern(&ra.transition(t).ty))
-        .collect();
-    let mut nba = Nba::new(alphabet.clone(), n + 1);
-    nba.set_init(0);
-    for &t in &alphabet {
-        if ra.is_initial(ra.transition(t).from) {
-            nba.add_transition(0, &t, 1 + t.idx());
-        }
-        nba.set_accepting(1 + t.idx(), ra.is_accepting(ra.transition(t).from));
-    }
-    let mut edges = 0u64;
-    for &u in &alphabet {
-        for &t in &alphabet {
-            budget.tick_mem("scontrol.nba_build", || cache.stats().distinct_types)?;
             if ra.transition(u).to == ra.transition(t).from
-                && ops.jointly_satisfiable_ids(type_of[u.idx()], type_of[t.idx()])
+                && joint(type_of[u.idx()], type_of[t.idx()])
             {
                 nba.add_transition(1 + u.idx(), &t, 1 + t.idx());
                 edges += 1;
@@ -169,7 +135,7 @@ pub fn scontrol_nba_fast_governed(
 /// A lazy [`SuccessorSource`] revealing the `SControl(A)` Büchi automaton
 /// on demand, without materializing it.
 ///
-/// States and acceptance follow [`scontrol_nba_cached`] exactly (state 0 =
+/// States and acceptance follow [`scontrol_nba_governed`] exactly (state 0 =
 /// start, state `1 + t.idx()` = "transition `t` just fired", accepting iff
 /// `from(t) ∈ F`), and edges are produced in ascending letter order — so the
 /// generic emptiness engine traverses precisely the automaton the eager
@@ -330,7 +296,7 @@ impl SuccessorSource for SControlSource<'_> {
     }
 
     fn is_accepting(&self, s: usize) -> bool {
-        // Matches scontrol_nba_cached: state 1 + t.idx() accepts iff
+        // Matches scontrol_nba_governed: state 1 + t.idx() accepts iff
         // from(t) ∈ F; the start state never does.
         s > 0 && {
             let t = self.alphabet[s - 1];
@@ -462,7 +428,7 @@ mod tests {
         ] {
             let cache = SatCache::new(ext.schema().clone());
             let budget = Budget::unlimited();
-            let nba = scontrol_nba_cached(&ext, &cache).unwrap();
+            let nba = scontrol_nba_governed(&ext, &cache, &budget).unwrap();
             let mut src = SControlSource::new(&ext, &cache, &budget);
             assert_eq!(src.num_states(), nba.num_states());
             assert_eq!(src.alphabet(), nba.alphabet());

@@ -19,23 +19,16 @@ use rega_data::{Budget, SatCache, SigmaType, TypeId};
 /// Register traces are preserved (each original step is refined into the
 /// nondeterministic choice of a completion).
 pub fn complete(ra: &RegisterAutomaton) -> Result<RegisterAutomaton, CoreError> {
-    complete_cached(ra, &SatCache::new(ra.schema().clone()))
+    let cache = SatCache::new(ra.schema().clone());
+    complete_governed(ra, &cache, &Budget::unlimited())
 }
 
 /// [`complete`] with every completion enumeration and satisfiability check
-/// memoized in `cache` — transitions sharing a type enumerate its
-/// completions once.
-pub fn complete_cached(
-    ra: &RegisterAutomaton,
-    cache: &SatCache,
-) -> Result<RegisterAutomaton, CoreError> {
-    complete_governed(ra, cache, &Budget::unlimited())
-}
-
-/// [`complete_cached`] under a [`Budget`]: the completion enumeration of
-/// each transition type (the exponential step) and the per-completion
-/// insertion loop both tick, and the interned-type ceiling is enforced
-/// against `cache`.
+/// memoized in `cache`, under a [`Budget`]. Transitions sharing a type
+/// enumerate its completions once. The completion enumeration of each
+/// transition type (the exponential step) and the per-completion insertion
+/// loop both tick, and the interned-type ceiling is enforced against
+/// `cache`.
 pub fn complete_governed(
     ra: &RegisterAutomaton,
     cache: &SatCache,
@@ -109,20 +102,16 @@ pub struct StateDriven {
 /// States of the original automaton without outgoing transitions disappear
 /// (they cannot occur in an infinite run).
 pub fn state_driven(ra: &RegisterAutomaton) -> StateDriven {
-    state_driven_cached(ra, &SatCache::new(ra.schema().clone()))
-}
-
-/// [`state_driven`] with transition validation memoized in `cache`. The
-/// construction duplicates each type once per successor pair, so the cache
-/// reduces the quadratic re-analysis to one analysis per distinct type.
-pub fn state_driven_cached(ra: &RegisterAutomaton, cache: &SatCache) -> StateDriven {
-    state_driven_governed(ra, cache, &Budget::unlimited())
+    let cache = SatCache::new(ra.schema().clone());
+    state_driven_governed(ra, &cache, &Budget::unlimited())
         .expect("ungoverned state-driven cannot fail: every type is already validated")
 }
 
-/// [`state_driven_cached`] under a [`Budget`]: the quadratic transition
-/// wiring — each type duplicated once per successor pair — ticks per pair,
-/// so a hostile automaton with a dense successor structure is interruptible.
+/// [`state_driven`] with transition validation memoized in `cache`, under
+/// a [`Budget`]. The construction duplicates each type once per successor
+/// pair, so the cache reduces the quadratic re-analysis to one analysis per
+/// distinct type, and the wiring ticks per pair, so a hostile automaton with
+/// a dense successor structure is interruptible.
 pub fn state_driven_governed(
     ra: &RegisterAutomaton,
     cache: &SatCache,
@@ -186,34 +175,22 @@ pub fn state_driven_governed(
 /// through the surjection `α` (each original state letter becomes the
 /// alternation of its preimages).
 pub fn state_driven_extended(ext: &ExtendedAutomaton) -> ExtendedAutomaton {
-    state_driven_extended_cached(ext, &SatCache::new(ext.ra().schema().clone()))
-}
-
-/// [`state_driven_extended`] with a shared [`SatCache`].
-pub fn state_driven_extended_cached(
-    ext: &ExtendedAutomaton,
-    cache: &SatCache,
-) -> ExtendedAutomaton {
-    state_driven_extended_governed(ext, cache, &Budget::unlimited())
+    let cache = SatCache::new(ext.ra().schema().clone());
+    state_driven_extended_governed(ext, &cache, &Budget::unlimited())
         .expect("ungoverned state-driven cannot fail: every type is already validated")
 }
 
-/// [`state_driven_extended_cached`] under a [`Budget`].
+/// [`state_driven_extended`] with a shared [`SatCache`], under a
+/// [`Budget`].
 pub fn state_driven_extended_governed(
     ext: &ExtendedAutomaton,
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<ExtendedAutomaton, CoreError> {
     let sd = state_driven_governed(ext.ra(), cache, budget)?;
-    let mut preimages: Vec<Vec<StateId>> = vec![Vec::new(); ext.ra().num_states()];
-    for (new_idx, &orig) in sd.state_map.iter().enumerate() {
-        preimages[orig.idx()].push(StateId(new_idx as u32));
-    }
-    let _ = preimages;
-    let state_map = sd.state_map.clone();
     let mut out = ExtendedAutomaton::new(sd.automaton);
     for c in ext.constraints() {
-        out.add_lifted_constraint(c, |s| state_map[s.idx()])
+        out.add_lifted_constraint(c, |s| sd.state_map[s.idx()])
             .expect("constraint valid on lifted automaton");
     }
     Ok(out)
@@ -222,18 +199,11 @@ pub fn state_driven_extended_governed(
 /// Completion of an extended automaton: constraints carry over unchanged
 /// (the state set does not change).
 pub fn complete_extended(ext: &ExtendedAutomaton) -> Result<ExtendedAutomaton, CoreError> {
-    complete_extended_cached(ext, &SatCache::new(ext.ra().schema().clone()))
+    let cache = SatCache::new(ext.ra().schema().clone());
+    complete_extended_governed(ext, &cache, &Budget::unlimited())
 }
 
-/// [`complete_extended`] with a shared [`SatCache`].
-pub fn complete_extended_cached(
-    ext: &ExtendedAutomaton,
-    cache: &SatCache,
-) -> Result<ExtendedAutomaton, CoreError> {
-    complete_extended_governed(ext, cache, &Budget::unlimited())
-}
-
-/// [`complete_extended_cached`] under a [`Budget`].
+/// [`complete_extended`] with a shared [`SatCache`], under a [`Budget`].
 pub fn complete_extended_governed(
     ext: &ExtendedAutomaton,
     cache: &SatCache,
@@ -256,23 +226,16 @@ pub fn complete_for_atoms(
     ra: &RegisterAutomaton,
     atoms: &[rega_data::Literal],
 ) -> Result<RegisterAutomaton, CoreError> {
-    complete_for_atoms_cached(ra, atoms, &SatCache::new(ra.schema().clone()))
+    let cache = SatCache::new(ra.schema().clone());
+    complete_for_atoms_governed(ra, atoms, &cache, &Budget::unlimited())
 }
 
 /// [`complete_for_atoms`] with the per-variant satisfiability checks
-/// memoized in `cache` — transitions sharing a type (and the shared
-/// intermediate refinements they generate) are checked once.
-pub fn complete_for_atoms_cached(
-    ra: &RegisterAutomaton,
-    atoms: &[rega_data::Literal],
-    cache: &SatCache,
-) -> Result<RegisterAutomaton, CoreError> {
-    complete_for_atoms_governed(ra, atoms, cache, &Budget::unlimited())
-}
-
-/// [`complete_for_atoms_cached`] under a [`Budget`]: the variant set can
-/// double per atom, so the refinement loop ticks per candidate variant and
-/// enforces the interned-type ceiling against `cache`.
+/// memoized in `cache`, under a [`Budget`]. Transitions sharing a type (and
+/// the shared intermediate refinements they generate) are checked once. The
+/// variant set can double per atom, so the refinement loop ticks per
+/// candidate variant and enforces the interned-type ceiling against
+/// `cache`.
 pub fn complete_for_atoms_governed(
     ra: &RegisterAutomaton,
     atoms: &[rega_data::Literal],
@@ -390,19 +353,12 @@ pub fn complete_extended_for_atoms(
     ext: &ExtendedAutomaton,
     atoms: &[rega_data::Literal],
 ) -> Result<ExtendedAutomaton, CoreError> {
-    complete_extended_for_atoms_cached(ext, atoms, &SatCache::new(ext.ra().schema().clone()))
+    let cache = SatCache::new(ext.ra().schema().clone());
+    complete_extended_for_atoms_governed(ext, atoms, &cache, &Budget::unlimited())
 }
 
-/// [`complete_extended_for_atoms`] with a shared [`SatCache`].
-pub fn complete_extended_for_atoms_cached(
-    ext: &ExtendedAutomaton,
-    atoms: &[rega_data::Literal],
-    cache: &SatCache,
-) -> Result<ExtendedAutomaton, CoreError> {
-    complete_extended_for_atoms_governed(ext, atoms, cache, &Budget::unlimited())
-}
-
-/// [`complete_extended_for_atoms_cached`] under a [`Budget`].
+/// [`complete_extended_for_atoms`] with a shared [`SatCache`], under a
+/// [`Budget`].
 pub fn complete_extended_for_atoms_governed(
     ext: &ExtendedAutomaton,
     atoms: &[rega_data::Literal],

@@ -13,8 +13,8 @@
 //!
 //! * [`Budget::unlimited`] carries no allocation and its [`tick`]
 //!   (Budget::tick) is a single branch on a `None` — the ungoverned hot
-//!   path (every existing `*_cached` entry point) stays within measurement
-//!   noise (pinned by the E17 benchmark).
+//!   path (every plain entry point, which calls its `*_governed` form with
+//!   it) stays within measurement noise (pinned by the E17 benchmark).
 //! * A live budget counts every tick with one relaxed `fetch_add` and
 //!   compares it against the node ceiling exactly; the wall-clock deadline,
 //!   the cancellation token, and the interned-type ceiling are only
@@ -182,8 +182,8 @@ impl BudgetInner {
 /// Cloning is cheap and every clone shares the same counters, deadline and
 /// cancellation token, so one budget can cover a whole pipeline (e.g. all
 /// three phases of `check_emptiness` plus the projection that follows).
-/// [`Budget::unlimited`] is the zero-cost null object every `*_cached`
-/// entry point passes internally.
+/// [`Budget::unlimited`] is the zero-cost null object every plain
+/// (ungoverned) entry point passes to its `*_governed` form.
 #[derive(Clone, Default)]
 pub struct Budget {
     inner: Option<Arc<BudgetInner>>,

@@ -369,13 +369,8 @@ impl SatCache {
         self.agrees_with_ids(a, b)
     }
 
-    /// Memoized [`SigmaType::completions`] by handle; each completion is
-    /// interned.
-    pub fn completions_id(&self, id: TypeId) -> Result<Vec<TypeId>, DataError> {
-        self.completions_id_governed(id, &Budget::unlimited())
-    }
-
-    /// [`SatCache::completions_id`] under a [`Budget`]. The enumeration
+    /// Memoized [`SigmaType::completions`] by handle, each completion
+    /// interned, under a [`Budget`]. The enumeration
     /// itself is interruptible (see [`SigmaType::completions_governed`]);
     /// budget trips are returned but **not** memoized — the same type may
     /// complete fine under a larger budget — and the enumeration runs

@@ -54,7 +54,7 @@ impl<'a> FlowContext<'a> {
 
     /// Closure of register set `base` under the x-side equalities of `q`'s
     /// type: all registers `l` with `x_l = x_m` forced for some `m ∈ base`.
-    fn close_x(&self, q: StateId, base: &BTreeSet<u16>) -> BTreeSet<u16> {
+    pub(crate) fn close_x(&self, q: StateId, base: &BTreeSet<u16>) -> BTreeSet<u16> {
         let Some(a) = self.a(q) else {
             return base.clone();
         };
@@ -66,7 +66,7 @@ impl<'a> FlowContext<'a> {
 
     /// Pushes a register set across `q`'s transition: registers `m` with
     /// `x_s = y_m` forced for some `s` in the set.
-    fn push_y(&self, q: StateId, set: &BTreeSet<u16>) -> BTreeSet<u16> {
+    pub(crate) fn push_y(&self, q: StateId, set: &BTreeSet<u16>) -> BTreeSet<u16> {
         let Some(a) = self.a(q) else {
             return BTreeSet::new();
         };
@@ -78,34 +78,14 @@ impl<'a> FlowContext<'a> {
 
     /// The initial tracked set when the factor starts at a `q`-position:
     /// registers x-equal to register `i`.
-    fn start_set(&self, q: StateId, i: RegIdx) -> BTreeSet<u16> {
+    pub(crate) fn start_set(&self, q: StateId, i: RegIdx) -> BTreeSet<u16> {
         self.close_x(q, &BTreeSet::from([i.0]))
     }
 
     /// One flow step: the set at the next position, given the set at a
     /// `q`-position and the next position's state `q'`.
-    fn flow(&self, q: StateId, set: &BTreeSet<u16>, q2: StateId) -> BTreeSet<u16> {
+    pub(crate) fn flow(&self, q: StateId, set: &BTreeSet<u16>, q2: StateId) -> BTreeSet<u16> {
         self.close_x(q2, &self.push_y(q, set))
-    }
-
-    /// Public variant of the x-equality closure (used by Theorem 24).
-    pub fn close_x_public(&self, q: StateId, base: &BTreeSet<u16>) -> BTreeSet<u16> {
-        self.close_x(q, base)
-    }
-
-    /// Public variant of the y-push (used by Theorem 24).
-    pub fn push_y_public(&self, q: StateId, set: &BTreeSet<u16>) -> BTreeSet<u16> {
-        self.push_y(q, set)
-    }
-
-    /// Public variant of the start set (used by Theorem 24).
-    pub fn start_set_public(&self, q: StateId, i: RegIdx) -> BTreeSet<u16> {
-        self.start_set(q, i)
-    }
-
-    /// Public variant of the flow step (used by Theorem 24).
-    pub fn flow_public(&self, q: StateId, set: &BTreeSet<u16>, q2: StateId) -> BTreeSet<u16> {
-        self.flow(q, set, q2)
     }
 }
 

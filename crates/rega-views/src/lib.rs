@@ -41,15 +41,12 @@ pub mod thm24;
 
 pub use observer::{ObserverSnapshot, Verdict, ViewObserver};
 pub use prop20::{
-    project_register_automaton, project_register_automaton_cached,
-    project_register_automaton_governed, project_register_automaton_reference_governed, Projection,
+    project_register_automaton, project_register_automaton_governed,
+    project_register_automaton_reference_governed, Projection,
 };
 pub use prop6::eliminate_global_equalities;
-pub use thm13::{
-    project_extended, project_extended_cached, project_extended_governed,
-    project_extended_reference_governed,
-};
+pub use thm13::{project_extended, project_extended_governed, project_extended_reference_governed};
 pub use thm24::{
-    project_hiding_database, project_hiding_database_cached, project_hiding_database_governed,
+    project_hiding_database, project_hiding_database_governed,
     project_hiding_database_reference_governed,
 };

@@ -37,21 +37,12 @@ pub struct Projection {
 /// registers (Proposition 20).
 pub fn project_register_automaton(ra: &RegisterAutomaton, m: u16) -> Result<Projection, CoreError> {
     let cache = SatCache::new(ra.schema().clone());
-    project_register_automaton_cached(ra, m, &cache)
+    project_register_automaton_governed(ra, m, &cache, &Budget::unlimited())
 }
 
 /// [`project_register_automaton`] sharing a caller-supplied σ-type cache
 /// across the completion, state-driven wiring, joint-satisfiability
-/// pruning and register restriction.
-pub fn project_register_automaton_cached(
-    ra: &RegisterAutomaton,
-    m: u16,
-    cache: &SatCache,
-) -> Result<Projection, CoreError> {
-    project_register_automaton_governed(ra, m, cache, &Budget::unlimited())
-}
-
-/// [`project_register_automaton_cached`] under a [`Budget`]: the completion,
+/// pruning and register restriction, under a [`Budget`]: the completion,
 /// state-driven wiring, per-transition restriction and the `m²` Lemma 21
 /// constraint builds all check the deadline/ceilings at loop granularity.
 pub fn project_register_automaton_governed(

@@ -48,24 +48,15 @@ pub struct ExtendedProjection {
 /// registers (Theorem 13; see the module docs for the supported fragment).
 pub fn project_extended(ext: &ExtendedAutomaton, m: u16) -> Result<ExtendedProjection, CoreError> {
     let cache = SatCache::new(ext.ra().schema().clone());
-    project_extended_cached(ext, m, &cache)
+    project_extended_governed(ext, m, &cache, &Budget::unlimited())
 }
 
-/// [`project_extended`] sharing a caller-supplied σ-type cache: the
+/// [`project_extended`] sharing a caller-supplied σ-type cache — the
 /// completion, state-driven wiring, joint-satisfiability pruning and
-/// register restriction below all hit the same memo tables.
-pub fn project_extended_cached(
-    ext: &ExtendedAutomaton,
-    m: u16,
-    cache: &SatCache,
-) -> Result<ExtendedProjection, CoreError> {
-    project_extended_governed(ext, m, cache, &Budget::unlimited())
-}
-
-/// [`project_extended_cached`] under a [`Budget`]: the (exponential)
-/// completion after Proposition 6, the state-driven wiring, the
-/// per-transition restriction loop and the `m²` Lemma 21 builds all check
-/// the deadline/ceilings at loop granularity.
+/// register restriction below all hit the same memo tables — under a
+/// [`Budget`]: the (exponential) completion after Proposition 6, the
+/// state-driven wiring, the per-transition restriction loop and the `m²`
+/// Lemma 21 builds all check the deadline/ceilings at loop granularity.
 pub fn project_extended_governed(
     ext: &ExtendedAutomaton,
     m: u16,

@@ -114,25 +114,15 @@ pub fn project_hiding_database(
     opts: &Thm24Options,
 ) -> Result<DatabaseHidingProjection, CoreError> {
     let cache = SatCache::new(ra.schema().clone());
-    project_hiding_database_cached(ra, m, opts, &cache)
+    project_hiding_database_governed(ra, m, opts, &cache, &Budget::unlimited())
 }
 
 /// [`project_hiding_database`] sharing a caller-supplied σ-type cache
 /// across the equality completion, state-driven wiring,
-/// joint-satisfiability pruning and saturation.
-pub fn project_hiding_database_cached(
-    ra: &RegisterAutomaton,
-    m: u16,
-    opts: &Thm24Options,
-    cache: &SatCache,
-) -> Result<DatabaseHidingProjection, CoreError> {
-    project_hiding_database_governed(ra, m, opts, cache, &Budget::unlimited())
-}
-
-/// [`project_hiding_database_cached`] under a [`Budget`]: the equality
-/// completion, state-driven wiring, saturation/restriction loop, Lemma 21
-/// builds, and the selector worklists (which can blow up combinatorially)
-/// all check the deadline/ceilings at loop granularity.
+/// joint-satisfiability pruning and saturation, under a [`Budget`]: the
+/// equality completion, state-driven wiring, saturation/restriction loop,
+/// Lemma 21 builds, and the selector worklists (which can blow up
+/// combinatorially) all check the deadline/ceilings at loop granularity.
 pub fn project_hiding_database_governed(
     ra: &RegisterAutomaton,
     m: u16,
@@ -362,7 +352,7 @@ fn adom_selector(
         if set.iter().any(|r| xpos[q.idx()].contains(r)) {
             return true;
         }
-        let pushed = ctx.push_y_public(q, set);
+        let pushed = ctx.push_y(q, set);
         pushed.iter().any(|r| ypos[q.idx()].contains(r))
     };
 
@@ -414,7 +404,7 @@ fn adom_selector(
                 }
                 St::Start => {
                     for &q in &states {
-                        let s0 = ctx.start_set_public(q, i);
+                        let s0 = ctx.start_set(q, i);
                         let next = if hit(q, &s0) {
                             St::Found
                         } else if s0.is_empty() {
@@ -428,7 +418,7 @@ fn adom_selector(
                 }
                 St::Track(prev, set) => {
                     for &q in &states {
-                        let s2 = ctx.flow_public(*prev, set, q);
+                        let s2 = ctx.flow(*prev, set, q);
                         let next = if hit(q, &s2) {
                             St::Found
                         } else if s2.is_empty() {
@@ -469,9 +459,9 @@ fn adom_selector(
                 let mut row = Vec::with_capacity(states.len());
                 for &q in &states {
                     // Arriving taint closed at q, plus q's x-positives.
-                    let mut cur = ctx.close_x_public(q, &st.0);
-                    cur.extend(ctx.close_x_public(q, &xpos[q.idx()]));
-                    let mut next = ctx.push_y_public(q, &cur);
+                    let mut cur = ctx.close_x(q, &st.0);
+                    cur.extend(ctx.close_x(q, &xpos[q.idx()]));
+                    let mut next = ctx.push_y(q, &cur);
                     next.extend(ypos[q.idx()].iter().copied());
                     let key = St(next);
                     let id = match index.get(&key) {
@@ -533,8 +523,8 @@ fn adom_selector(
                     }
                     St::Start => {
                         for &q in &states {
-                            let s1 = ctx.start_set_public(q, i);
-                            let s2 = ctx.start_set_public(q, RegIdx(r));
+                            let s1 = ctx.start_set(q, i);
+                            let s2 = ctx.start_set(q, RegIdx(r));
                             if s1.is_empty() || s2.is_empty() {
                                 continue;
                             }
@@ -549,8 +539,8 @@ fn adom_selector(
                     }
                     St::Track(prev, a, b) => {
                         for &q in &states {
-                            let a2 = ctx.flow_public(*prev, a, q);
-                            let b2 = ctx.flow_public(*prev, b, q);
+                            let a2 = ctx.flow(*prev, a, q);
+                            let b2 = ctx.flow(*prev, b, q);
                             if a2.is_empty() || b2.is_empty() {
                                 continue;
                             }
@@ -604,7 +594,7 @@ fn tuple_selector(
         if let Some(hit) = flow_cache.get(&key) {
             return hit.clone();
         }
-        let result = ctx.flow_public(prev, set, q);
+        let result = ctx.flow(prev, set, q);
         flow_cache.insert(key, result.clone());
         result
     };
@@ -857,7 +847,7 @@ fn tuple_selector(
                         let conn = &mut conns[c as usize];
                         match (conn.0, regs2.len()) {
                             (ConnState::Waiting, 1) => {
-                                let s0 = ctx.close_x_public(q, &BTreeSet::from([regs2[0]]));
+                                let s0 = ctx.close_x(q, &BTreeSet::from([regs2[0]]));
                                 if s0.is_empty() {
                                     reject = true;
                                     break;
@@ -866,7 +856,7 @@ fn tuple_selector(
                             }
                             (ConnState::Waiting, 2) => {
                                 // Both endpoints now: connected iff x-equal.
-                                let s0 = ctx.close_x_public(q, &BTreeSet::from([regs2[0]]));
+                                let s0 = ctx.close_x(q, &BTreeSet::from([regs2[0]]));
                                 if s0.contains(&regs2[1]) {
                                     *conn = (ConnState::Done, None);
                                 } else {

@@ -24,7 +24,4 @@ pub mod views;
 
 pub use model::{abstract_model, database_model, Roles, Workflow};
 pub use scenario::sample_database;
-pub use views::{
-    author_view, author_view_cached, project_run, reviewer_view_double_blind,
-    reviewer_view_double_blind_cached,
-};
+pub use views::{author_view, project_run, reviewer_view_double_blind};

@@ -14,38 +14,33 @@
 use crate::model::{abstract_model, Workflow};
 use rega_core::run::FiniteRun;
 use rega_core::transform::permute_registers;
-use rega_core::CoreError;
+use rega_core::{Budget, CoreError};
 use rega_data::{SatCache, Value};
-use rega_views::prop20::{project_register_automaton_cached, Projection};
+use rega_views::prop20::{project_register_automaton_governed, Projection};
 
 /// The author's view of the abstract workflow: `[paper, author]` visible,
 /// the reviewer register hidden.
 pub fn author_view() -> Result<Projection, CoreError> {
     let w = abstract_model();
-    author_view_cached(&SatCache::new(w.automaton.schema().clone()))
-}
-
-/// [`author_view`] sharing a caller-supplied σ-type cache, so multi-view
-/// builds over the same (empty) schema reuse one memo table.
-pub fn author_view_cached(cache: &SatCache) -> Result<Projection, CoreError> {
-    let w = abstract_model();
-    // paper, author are already the leading registers.
-    project_register_automaton_cached(&w.automaton, 2, cache)
+    author_projection(&w, &SatCache::new(w.automaton.schema().clone()))
 }
 
 /// The double-blind reviewer's view: `[paper, reviewer]` visible, the
 /// author hidden. The registers are permuted so the visible ones lead.
 pub fn reviewer_view_double_blind() -> Result<Projection, CoreError> {
     let w = abstract_model();
-    reviewer_view_double_blind_cached(&SatCache::new(w.automaton.schema().clone()))
+    reviewer_projection(&w, &SatCache::new(w.automaton.schema().clone()))
 }
 
-/// [`reviewer_view_double_blind`] sharing a caller-supplied σ-type cache.
-pub fn reviewer_view_double_blind_cached(cache: &SatCache) -> Result<Projection, CoreError> {
-    let w = abstract_model();
+fn author_projection(w: &Workflow, cache: &SatCache) -> Result<Projection, CoreError> {
+    // paper, author are already the leading registers.
+    project_register_automaton_governed(&w.automaton, 2, cache, &Budget::unlimited())
+}
+
+fn reviewer_projection(w: &Workflow, cache: &SatCache) -> Result<Projection, CoreError> {
     // new order: paper(0), reviewer(2), author(1)
     let permuted = permute_registers(&w.automaton, &[0, 2, 1]);
-    project_register_automaton_cached(&permuted, 2, cache)
+    project_register_automaton_governed(&permuted, 2, cache, &Budget::unlimited())
 }
 
 /// The runtime view of a concrete run: the registers in `keep`, in order.
@@ -75,9 +70,9 @@ pub fn with_views() -> Result<WorkflowWithViews, CoreError> {
     let workflow = abstract_model();
     let cache = SatCache::new(workflow.automaton.schema().clone());
     Ok(WorkflowWithViews {
+        author: author_projection(&workflow, &cache)?,
+        reviewer: reviewer_projection(&workflow, &cache)?,
         workflow,
-        author: author_view_cached(&cache)?,
-        reviewer: reviewer_view_double_blind_cached(&cache)?,
     })
 }
 

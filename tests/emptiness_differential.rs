@@ -3,8 +3,9 @@
 //! `check_emptiness` runs the fast path: lazy `SControl` expansion into an
 //! edge arena, bitset σ-type joint-satisfiability, incremental stabilized
 //! class structures, and witness construction interleaved with the lasso
-//! search. `check_emptiness_reference` is the retained pre-kernel pipeline
-//! (materialized NBA, up-front enumeration, from-scratch class builds).
+//! search. `check_emptiness_reference_governed` is the retained pre-kernel
+//! pipeline (materialized NBA, up-front enumeration, from-scratch class
+//! builds).
 //!
 //! Over generated extended register automata the two must agree *exactly*:
 //! same verdict, and on non-empty instances the same witness control lasso.
@@ -14,11 +15,12 @@
 
 use proptest::prelude::*;
 use rega_analysis::emptiness::{
-    check_emptiness, check_emptiness_reference, EmptinessOptions, EmptinessVerdict, Witness,
+    check_emptiness, check_emptiness_reference_governed, EmptinessOptions, EmptinessVerdict,
+    Witness,
 };
 use rega_core::generate::{random_automaton, GenParams};
-use rega_core::{ConstraintKind, ExtendedAutomaton};
-use rega_data::RegIdx;
+use rega_core::{Budget, ConstraintKind, ExtendedAutomaton};
+use rega_data::{RegIdx, SatCache};
 
 /// Replays a witness through the concrete run verifier.
 fn verify_witness(ext: &ExtendedAutomaton, w: &Witness, label: &str) {
@@ -38,7 +40,8 @@ fn assert_pipelines_agree(ext: &ExtendedAutomaton, label: &str) {
     let opts = EmptinessOptions::default();
     let fast = check_emptiness(ext, &opts)
         .unwrap_or_else(|e| panic!("{label}: fast pipeline errored: {e:?}"));
-    let refr = check_emptiness_reference(ext, &opts)
+    let cache = SatCache::new(ext.ra().schema().clone());
+    let refr = check_emptiness_reference_governed(ext, &opts, &cache, &Budget::unlimited())
         .unwrap_or_else(|e| panic!("{label}: reference pipeline errored: {e:?}"));
     match (&fast, &refr) {
         (EmptinessVerdict::Empty, EmptinessVerdict::Empty) => {}

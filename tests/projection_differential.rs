@@ -23,6 +23,7 @@ use rega_analysis::chase::{
 use rega_analysis::EmptinessOptions;
 use rega_core::extended::GlobalConstraint;
 use rega_core::generate::{random_automaton, GenParams};
+use rega_core::symbolic::{scontrol_nba_governed, scontrol_nba_with};
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{
     paper, Budget, BudgetSpec, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId,
@@ -203,6 +204,42 @@ fn assert_chase_identical(ext: &ExtendedAutomaton, what: &str) {
     let ref_cache = SatCache::new(ext.ra().schema().clone());
     let budget = Budget::unlimited();
     let opts = EmptinessOptions::default();
+    // The eager SControl builds of the two chase paths: the shared wiring
+    // loop on the kernel versus the pure cache path.
+    let ra = ext.ra();
+    let ops = TypeOps::new(&fast_cache, ra.k(), TypePath::Fast);
+    let fast_nba = scontrol_nba_with(ra, &fast_cache, &budget, |u, t| {
+        ops.jointly_satisfiable_ids(u, t)
+    })
+    .unwrap();
+    let ref_nba = scontrol_nba_governed(ra, &ref_cache, &budget).unwrap();
+    assert_eq!(
+        fast_nba.num_states(),
+        ref_nba.num_states(),
+        "{what}: SControl state counts differ"
+    );
+    assert_eq!(
+        fast_nba.alphabet(),
+        ref_nba.alphabet(),
+        "{what}: SControl alphabets"
+    );
+    assert_eq!(
+        fast_nba.inits(),
+        ref_nba.inits(),
+        "{what}: SControl initial states"
+    );
+    for s in 0..ref_nba.num_states() {
+        assert_eq!(
+            fast_nba.is_accepting(s),
+            ref_nba.is_accepting(s),
+            "{what}: SControl acceptance of state {s}"
+        );
+    }
+    assert_eq!(
+        fast_nba.transitions().collect::<Vec<_>>(),
+        ref_nba.transitions().collect::<Vec<_>>(),
+        "{what}: SControl edges differ"
+    );
     let fast = universal_witness_database_governed(ext, &opts, &fast_cache, &budget).unwrap();
     let reference =
         universal_witness_database_reference_governed(ext, &opts, &ref_cache, &budget).unwrap();

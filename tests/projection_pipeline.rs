@@ -5,10 +5,10 @@
 
 use rega_core::generate::{random_automaton, GenParams};
 use rega_core::simulate::{self, SearchLimits};
-use rega_core::ExtendedAutomaton;
+use rega_core::{Budget, ExtendedAutomaton};
 use rega_data::{Database, SatCache, Schema, Value};
-use rega_views::prop20::{project_register_automaton, project_register_automaton_cached};
-use rega_views::thm13::{project_extended, project_extended_cached};
+use rega_views::prop20::{project_register_automaton, project_register_automaton_governed};
+use rega_views::thm13::{project_extended, project_extended_governed};
 
 fn limits() -> SearchLimits {
     SearchLimits {
@@ -112,11 +112,12 @@ fn projection_composes() {
     // share the empty schema, so the memo tables compound across stages
     // instead of being rebuilt per call.
     let cache = SatCache::new(Schema::empty());
+    let budget = Budget::unlimited();
     for seed in [0, 3, 5] {
         let ra = random_automaton(&small_params(), seed);
-        let direct = project_register_automaton_cached(&ra, 1, &cache).unwrap();
-        let stage1 = project_register_automaton_cached(&ra, 2, &cache).unwrap(); // identity-ish
-        let stage2 = project_extended_cached(&stage1.view, 1, &cache);
+        let direct = project_register_automaton_governed(&ra, 1, &cache, &budget).unwrap();
+        let stage1 = project_register_automaton_governed(&ra, 2, &cache, &budget).unwrap(); // identity-ish
+        let stage2 = project_extended_governed(&stage1.view, 1, &cache, &budget);
         let Ok(stage2) = stage2 else {
             continue; // outside thm13's supported fragment — skip
         };

@@ -15,267 +15,364 @@
 //!   semantically-forced inequality locally visible at a common live
 //!   position, which is what confines the witness to the factor.)
 //!
+//! ## Representation
+//!
+//! A register set is a `RegMask`, one bit per register — a finite exact
+//! representation of "which registers hold the tracked value". A
+//! `FlowTable` is built once per projection: for every state it holds
+//! four tables from a register to the registers its type forces equal or
+//! unequal to it (`x=x`, `x=y`, `x≠x`, `x≠y`), so every flow step is an OR
+//! over the set bits of a mask. Prop 20, Thm 13 and Thm 24 share one table
+//! across all their register pairs and selectors.
+//!
+//! `e≠ᵢⱼ` is the subset construction of an NFA that tracks the source class
+//! (`P1`) and guesses a switch to a class forced unequal to it (`P2`).
+//! Every NFA successor on letter `q` is a `q`-state, so a subset is just `q`
+//! plus the tracked `P1` mask and a sorted set of `P2` masks; the
+//! construction determinizes on the fly, without building the NFA. Both
+//! constructions discover states breadth-first in alphabet order and intern
+//! the dead state lazily, which is exactly the order the generic
+//! `Nfa::determinize` uses, so [`Dfa::minimize`] returns the same DFA
+//! (init, acceptance and every transition row) as determinizing the NFA.
+//!
 //! The output DFAs plug directly into
 //! [`ExtendedAutomaton::add_constraint_dfa`](rega_core::ExtendedAutomaton::add_constraint_dfa).
 
-use rega_automata::{Dfa, Nfa};
-use rega_core::{CoreError, RegisterAutomaton, StateId};
-use rega_data::{types::TypeAnalysis, RegIdx, Term};
-use std::collections::{BTreeSet, HashMap};
+use crate::fxhash::FxMap;
+use rega_automata::Dfa;
+use rega_core::extended::ConstraintKind;
+use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
+use rega_data::{RegIdx, SatCache, Term};
 
-/// Precomputed per-state type analyses for a state-driven automaton.
-pub struct FlowContext<'a> {
-    ra: &'a RegisterAutomaton,
-    /// `analysis[q]` — the analysis of state `q`'s unique outgoing type.
-    analysis: Vec<Option<TypeAnalysis>>,
+/// A set of registers: bit `r` is set iff register `r` is in the set.
+pub(crate) type RegMask = u64;
+
+/// The most registers a `FlowTable` tracks, one bit each in a
+/// `RegMask`. Completion enumerates Bell(2k) saturated types per
+/// transition, so no projection reaches Lemma 21 anywhere near this bound.
+const MAX_FLOW_REGISTERS: u16 = RegMask::BITS as u16;
+
+/// The value-flow tables of a state-driven automaton: for every state `q`
+/// and register `r`, the registers `q`'s type forces equal or unequal to
+/// `r`.
+pub(crate) struct FlowTable {
+    k: usize,
+    alphabet: Vec<StateId>,
+    /// `x_eq[q·k + r]`: registers `l` with `x_l = x_r` forced at `q` (just
+    /// `r` when `q` has no outgoing type).
+    x_eq: Vec<RegMask>,
+    /// `x_y_eq[q·k + s]`: registers `m` with `x_s = y_m` forced at `q`.
+    x_y_eq: Vec<RegMask>,
+    /// `x_neq[q·k + l]`: registers `m` with `x_l ≠ x_m` forced at `q`.
+    x_neq: Vec<RegMask>,
+    /// `x_y_neq[q·k + l]`: registers `m` with `x_l ≠ y_m` forced at `q`.
+    x_y_neq: Vec<RegMask>,
 }
 
-impl<'a> FlowContext<'a> {
-    /// Builds the context; the automaton must be state-driven (each state
-    /// one outgoing type). Completeness is the caller's responsibility (the
-    /// `e≠` characterization needs it; `e=` is correct regardless).
-    pub fn new(ra: &'a RegisterAutomaton) -> Result<Self, CoreError> {
+/// The OR of `row[r]` over the registers `r` of `set`.
+#[inline]
+fn or_rows(row: &[RegMask], mut set: RegMask) -> RegMask {
+    let mut out = 0;
+    while set != 0 {
+        out |= row[set.trailing_zeros() as usize];
+        set &= set - 1;
+    }
+    out
+}
+
+impl FlowTable {
+    /// Builds the table over a fresh σ-type cache. The automaton must be
+    /// state-driven (each state one outgoing type) and have at most
+    /// 64 registers (one bit each in a mask). Completeness is the caller's
+    /// responsibility (the `e≠` characterization needs it; `e=` is correct
+    /// regardless).
+    pub(crate) fn new(ra: &RegisterAutomaton) -> Result<Self, CoreError> {
+        Self::with_cache(ra, &SatCache::new(ra.schema().clone()))
+    }
+
+    /// [`FlowTable::new`] reading each state type's analysis from a
+    /// caller-supplied σ-type cache (the one the projection interned the
+    /// normalized automaton's types into).
+    pub(crate) fn with_cache(ra: &RegisterAutomaton, cache: &SatCache) -> Result<Self, CoreError> {
         if !ra.is_state_driven() {
             return Err(CoreError::NotStateDriven);
         }
-        let mut analysis = Vec::with_capacity(ra.num_states());
-        for q in ra.states() {
-            analysis.push(match ra.state_type(q) {
-                Some(ty) => Some(ty.analyze(ra.schema())?),
-                None => None,
-            });
+        if ra.k() > MAX_FLOW_REGISTERS {
+            return Err(CoreError::UnsupportedProjection(format!(
+                "value-flow tables track at most {MAX_FLOW_REGISTERS} registers, \
+                 the automaton has {}",
+                ra.k()
+            )));
         }
-        Ok(FlowContext { ra, analysis })
-    }
-
-    fn a(&self, q: StateId) -> Option<&TypeAnalysis> {
-        self.analysis[q.idx()].as_ref()
-    }
-
-    /// Closure of register set `base` under the x-side equalities of `q`'s
-    /// type: all registers `l` with `x_l = x_m` forced for some `m ∈ base`.
-    pub(crate) fn close_x(&self, q: StateId, base: &BTreeSet<u16>) -> BTreeSet<u16> {
-        let Some(a) = self.a(q) else {
-            return base.clone();
+        let k = usize::from(ra.k());
+        let n = ra.num_states();
+        let mut table = FlowTable {
+            k,
+            alphabet: ra.states().collect(),
+            x_eq: (0..n).flat_map(|_| (0..k).map(|r| 1 << r)).collect(),
+            x_y_eq: vec![0; n * k],
+            x_neq: vec![0; n * k],
+            x_y_neq: vec![0; n * k],
         };
-        let k = self.ra.k();
-        (0..k)
-            .filter(|&l| base.iter().any(|&m| a.forced_eq(Term::x(l), Term::x(m))))
-            .collect()
+        for q in ra.states() {
+            let Some(ty) = ra.state_type(q) else {
+                continue;
+            };
+            let a = cache.analyze(ty)?;
+            let x: Vec<usize> = (0..ra.k()).map(|r| a.class_of(Term::x(r))).collect();
+            let y: Vec<usize> = (0..ra.k()).map(|r| a.class_of(Term::y(r))).collect();
+            let base = q.idx() * k;
+            for r in 0..k {
+                let (mut eq, mut xy, mut nx, mut ny) = (0, 0, 0, 0);
+                for m in 0..k {
+                    let bit: RegMask = 1 << m;
+                    if x[m] == x[r] {
+                        eq |= bit;
+                    }
+                    if y[m] == x[r] {
+                        xy |= bit;
+                    }
+                    if a.forced_neq(Term::x(r as u16), Term::x(m as u16)) {
+                        nx |= bit;
+                    }
+                    if a.forced_neq(Term::x(r as u16), Term::y(m as u16)) {
+                        ny |= bit;
+                    }
+                }
+                table.x_eq[base + r] = eq;
+                table.x_y_eq[base + r] = xy;
+                table.x_neq[base + r] = nx;
+                table.x_y_neq[base + r] = ny;
+            }
+        }
+        Ok(table)
+    }
+
+    /// The automaton's states, in order: the alphabet of every DFA built
+    /// from this table.
+    pub(crate) fn alphabet(&self) -> &[StateId] {
+        &self.alphabet
+    }
+
+    #[inline]
+    fn row<'t>(&self, table: &'t [RegMask], q: usize) -> &'t [RegMask] {
+        &table[q * self.k..(q + 1) * self.k]
+    }
+
+    /// Closure of register set `set` under the x-side equalities of `q`'s
+    /// type: all registers `l` with `x_l = x_m` forced for some `m ∈ set`.
+    #[inline]
+    pub(crate) fn close_x(&self, q: StateId, set: RegMask) -> RegMask {
+        or_rows(self.row(&self.x_eq, q.idx()), set)
     }
 
     /// Pushes a register set across `q`'s transition: registers `m` with
     /// `x_s = y_m` forced for some `s` in the set.
-    pub(crate) fn push_y(&self, q: StateId, set: &BTreeSet<u16>) -> BTreeSet<u16> {
-        let Some(a) = self.a(q) else {
-            return BTreeSet::new();
-        };
-        let k = self.ra.k();
-        (0..k)
-            .filter(|&m| set.iter().any(|&s| a.forced_eq(Term::x(s), Term::y(m))))
-            .collect()
+    #[inline]
+    pub(crate) fn push_y(&self, q: StateId, set: RegMask) -> RegMask {
+        or_rows(self.row(&self.x_y_eq, q.idx()), set)
     }
 
     /// The initial tracked set when the factor starts at a `q`-position:
     /// registers x-equal to register `i`.
-    pub(crate) fn start_set(&self, q: StateId, i: RegIdx) -> BTreeSet<u16> {
-        self.close_x(q, &BTreeSet::from([i.0]))
+    #[inline]
+    pub(crate) fn start_set(&self, q: StateId, i: RegIdx) -> RegMask {
+        self.x_eq[q.idx() * self.k + usize::from(i.0)]
     }
 
     /// One flow step: the set at the next position, given the set at a
-    /// `q`-position and the next position's state `q'`.
-    pub(crate) fn flow(&self, q: StateId, set: &BTreeSet<u16>, q2: StateId) -> BTreeSet<u16> {
-        self.close_x(q2, &self.push_y(q, set))
+    /// `q`-position and the next position's state `q2`.
+    #[inline]
+    pub(crate) fn flow(&self, q: StateId, set: RegMask, q2: StateId) -> RegMask {
+        self.close_x(q2, self.push_y(q, set))
+    }
+
+    /// Registers `m` with `x_l ≠ x_m` forced at `q` for some `l ∈ set`.
+    #[inline]
+    fn neq_x(&self, q: StateId, set: RegMask) -> RegMask {
+        or_rows(self.row(&self.x_neq, q.idx()), set)
+    }
+
+    /// Registers `m` with `x_l ≠ y_m` forced at `q` for some `l ∈ set`.
+    #[inline]
+    fn neq_y(&self, q: StateId, set: RegMask) -> RegMask {
+        or_rows(self.row(&self.x_y_neq, q.idx()), set)
+    }
+
+    /// Builds the `e=ᵢⱼ` DFA of Lemma 21 over the automaton's state
+    /// alphabet, ticking `budget` once per DFA state discovered.
+    pub(crate) fn eq_dfa(
+        &self,
+        i: RegIdx,
+        j: RegIdx,
+        budget: &Budget,
+    ) -> Result<Dfa<StateId>, CoreError> {
+        const PHASE: &str = "views.lemma21.eq";
+        let _span = rega_obs::span!(PHASE, i = i.0, j = j.0);
+        // DFA states: the factor's start (id 0, never a target), then
+        // `(q, S)` — the last letter and the non-empty set holding the
+        // tracked value — or `DEAD`, in discovery order.
+        const START: (u32, RegMask) = (u32::MAX - 1, 0);
+        const DEAD: (u32, RegMask) = (u32::MAX, 0);
+        let mut index: FxMap<(u32, RegMask), usize> = FxMap::default();
+        let mut keys = vec![START];
+        budget.tick(PHASE)?;
+        let mut trans: Vec<Vec<usize>> = Vec::new();
+        while trans.len() < keys.len() {
+            let (prev, set) = keys[trans.len()];
+            // The set pushed across `prev`'s transition is the same for
+            // every next letter.
+            let pushed = match (prev, set) {
+                START | DEAD => 0,
+                _ => self.push_y(StateId(prev), set),
+            };
+            let mut row = Vec::with_capacity(self.alphabet.len());
+            for &q in &self.alphabet {
+                let next = match (prev, set) {
+                    START => self.start_set(q, i),
+                    DEAD => 0,
+                    _ => self.close_x(q, pushed),
+                };
+                let key = if next == 0 { DEAD } else { (q.0, next) };
+                let id = match index.get(&key) {
+                    Some(&id) => id,
+                    None => {
+                        budget.tick(PHASE)?;
+                        index.insert(key, keys.len());
+                        keys.push(key);
+                        keys.len() - 1
+                    }
+                };
+                row.push(id);
+            }
+            trans.push(row);
+        }
+        let accepting: Vec<bool> = keys.iter().map(|&(_, set)| (set >> j.0) & 1 == 1).collect();
+        Ok(Dfa::from_parts(self.alphabet.clone(), 0, accepting, trans).minimize())
+    }
+
+    /// Builds the `e≠ᵢⱼ` DFA of Lemma 21 over the automaton's state
+    /// alphabet (a fused subset construction of the switch NFA, see the
+    /// module docs), ticking `budget` once per DFA state discovered.
+    pub(crate) fn neq_dfa(
+        &self,
+        i: RegIdx,
+        j: RegIdx,
+        budget: &Budget,
+    ) -> Result<Dfa<StateId>, CoreError> {
+        const PHASE: &str = "views.lemma21.neq";
+        let _span = rega_obs::span!(PHASE, i = i.0, j = j.0);
+        // A subset of the NFA `{Start} ∪ P1(q, S) ∪ P2(q, T)` is keyed
+        // `[q, S, T₁ < T₂ < …]` (`S = 0` when no `P1` state is in it); the
+        // empty subset — the dead state — is `[]`. The start subset `{Start}`
+        // is id 0 and has no key: no letter leads back to it.
+        let mut index: FxMap<Box<[RegMask]>, usize> = FxMap::default();
+        let mut keys: Vec<Box<[RegMask]>> = vec![Box::new([])];
+        budget.tick(PHASE)?;
+        let mut trans: Vec<Vec<usize>> = Vec::new();
+        let mut pushed_p2: Vec<RegMask> = Vec::new();
+        let mut p2: Vec<RegMask> = Vec::new();
+        let mut next: Vec<RegMask> = Vec::new();
+        while trans.len() < keys.len() {
+            let id = trans.len();
+            // Everything that crosses the previous letter's transition is
+            // independent of the next letter: the pushed P1 set, the x-y
+            // switch targets, and each pushed P2 set.
+            let (prev, p1) = match *keys[id] {
+                [prev, p1, ..] => (Some(StateId(prev as u32)), p1),
+                _ => (None, 0),
+            };
+            let (pushed_p1, switch_y) = match prev {
+                Some(prev) if p1 != 0 => (self.push_y(prev, p1), self.neq_y(prev, p1)),
+                _ => (0, 0),
+            };
+            pushed_p2.clear();
+            if let Some(prev) = prev {
+                pushed_p2.extend(keys[id][2..].iter().map(|&t| self.push_y(prev, t)));
+            }
+            let mut row = Vec::with_capacity(self.alphabet.len());
+            for &q in &self.alphabet {
+                let s1 = if id == 0 {
+                    self.start_set(q, i)
+                } else {
+                    self.close_x(q, pushed_p1)
+                };
+                p2.clear();
+                // x-x switch at this position: classes forced apart from
+                // the tracked one.
+                let mut hits = self.neq_x(q, s1);
+                while hits != 0 {
+                    p2.push(self.start_set(q, RegIdx(hits.trailing_zeros() as u16)));
+                    hits &= hits - 1;
+                }
+                // x-y switch across the transition from `prev`.
+                if switch_y != 0 {
+                    p2.push(self.close_x(q, switch_y));
+                }
+                p2.extend(
+                    pushed_p2
+                        .iter()
+                        .map(|&t| self.close_x(q, t))
+                        .filter(|&t| t != 0),
+                );
+                p2.sort_unstable();
+                p2.dedup();
+                next.clear();
+                if s1 != 0 || !p2.is_empty() {
+                    next.extend([RegMask::from(q.0), s1]);
+                    next.extend_from_slice(&p2);
+                }
+                let target = match index.get(next.as_slice()) {
+                    Some(&target) => target,
+                    None => {
+                        budget.tick(PHASE)?;
+                        index.insert(next.as_slice().into(), keys.len());
+                        keys.push(next.as_slice().into());
+                        keys.len() - 1
+                    }
+                };
+                row.push(target);
+            }
+            trans.push(row);
+        }
+        let accepting: Vec<bool> = keys
+            .iter()
+            .enumerate()
+            .map(|(id, key)| id != 0 && key.iter().skip(2).any(|&t| (t >> j.0) & 1 == 1))
+            .collect();
+        Ok(Dfa::from_parts(self.alphabet.clone(), 0, accepting, trans).minimize())
     }
 }
 
 /// Builds the `e=ᵢⱼ` DFA of Lemma 21 over the automaton's state alphabet.
 pub fn eq_dfa(ra: &RegisterAutomaton, i: RegIdx, j: RegIdx) -> Result<Dfa<StateId>, CoreError> {
-    let ctx = FlowContext::new(ra)?;
-    let alphabet: Vec<StateId> = ra.states().collect();
-    // Deterministic lazy construction. States: Start, Dead, Track(q, S).
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    enum St {
-        Start,
-        Dead,
-        Track(StateId, BTreeSet<u16>),
-    }
-    let mut index: HashMap<St, usize> = HashMap::new();
-    let mut states: Vec<St> = Vec::new();
-    fn intern<St: Clone + Eq + std::hash::Hash>(
-        s: St,
-        index: &mut HashMap<St, usize>,
-        states: &mut Vec<St>,
-    ) -> usize {
-        if let Some(&id) = index.get(&s) {
-            return id;
-        }
-        let id = states.len();
-        index.insert(s.clone(), id);
-        states.push(s);
-        id
-    }
-    let start = intern(St::Start, &mut index, &mut states);
-    debug_assert_eq!(start, 0);
-    let mut trans: Vec<Vec<usize>> = Vec::new();
-    let mut done = 0usize;
-    while done < states.len() {
-        let st = states[done].clone();
-        done += 1;
-        let mut row = Vec::with_capacity(alphabet.len());
-        for &q in &alphabet {
-            let next = match &st {
-                St::Start => {
-                    let s0 = ctx.start_set(q, i);
-                    if s0.is_empty() {
-                        St::Dead
-                    } else {
-                        St::Track(q, s0)
-                    }
-                }
-                St::Dead => St::Dead,
-                St::Track(prev, set) => {
-                    let s2 = ctx.flow(*prev, set, q);
-                    if s2.is_empty() {
-                        St::Dead
-                    } else {
-                        St::Track(q, s2)
-                    }
-                }
-            };
-            row.push(intern(next, &mut index, &mut states));
-        }
-        trans.push(row);
-    }
-    let accepting: Vec<bool> = states
-        .iter()
-        .map(|s| matches!(s, St::Track(_, set) if set.contains(&j.0)))
-        .collect();
-    Ok(Dfa::from_parts(alphabet, 0, accepting, trans).minimize())
+    FlowTable::new(ra)?.eq_dfa(i, j, &Budget::unlimited())
 }
 
-/// Builds the `e≠ᵢⱼ` DFA of Lemma 21 (via an NFA with a nondeterministic
-/// switch over an inequality literal, then the subset construction).
+/// Builds the `e≠ᵢⱼ` DFA of Lemma 21 over the automaton's state alphabet.
 pub fn neq_dfa(ra: &RegisterAutomaton, i: RegIdx, j: RegIdx) -> Result<Dfa<StateId>, CoreError> {
-    let ctx = FlowContext::new(ra)?;
-    let alphabet: Vec<StateId> = ra.states().collect();
-    let k = ra.k();
+    FlowTable::new(ra)?.neq_dfa(i, j, &Budget::unlimited())
+}
 
-    // NFA states: Start, P1(q, S) — tracking the source class,
-    // P2(q, T) — tracking a class known-unequal to the source.
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    enum St {
-        Start,
-        P1(StateId, BTreeSet<u16>),
-        P2(StateId, BTreeSet<u16>),
-    }
-    let mut index: HashMap<St, usize> = HashMap::new();
-    let mut states: Vec<St> = Vec::new();
-    let mut nfa = Nfa::new(0);
-    fn intern<St: Clone + Eq + std::hash::Hash>(
-        s: St,
-        index: &mut HashMap<St, usize>,
-        states: &mut Vec<St>,
-        nfa: &mut Nfa<StateId>,
-    ) -> usize {
-        if let Some(&id) = index.get(&s) {
-            return id;
-        }
-        let id = nfa.add_state();
-        index.insert(s.clone(), id);
-        states.push(s);
-        id
-    }
-    let start = intern(St::Start, &mut index, &mut states, &mut nfa);
-    nfa.set_init(start);
-
-    // Switch targets from a P1-set at a `q`-position: classes forced apart
-    // from the tracked class by an x-x inequality at `q`.
-    let xx_switch = |q: StateId, set: &BTreeSet<u16>| -> Vec<BTreeSet<u16>> {
-        let Some(a) = ctx.a(q) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for m in 0..k {
-            let hit = set.iter().any(|&l| a.forced_neq(Term::x(l), Term::x(m)));
-            if hit {
-                let t = ctx.close_x(q, &BTreeSet::from([m]));
-                if !out.contains(&t) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    };
-    // x-y switch: at a `q`-position with tracked set `set`, registers `m`
-    // with `x_l ≠ y_m` forced start an unequal class at the *next* position.
-    let xy_switch = |q: StateId, set: &BTreeSet<u16>| -> BTreeSet<u16> {
-        let Some(a) = ctx.a(q) else {
-            return BTreeSet::new();
-        };
-        (0..k)
-            .filter(|&m| set.iter().any(|&l| a.forced_neq(Term::x(l), Term::y(m))))
-            .collect()
-    };
-
-    let mut done = 0usize;
-    while done < states.len() {
-        let st = states[done].clone();
-        let sid = index[&st];
-        done += 1;
-        for &q in &alphabet {
-            match &st {
-                St::Start => {
-                    let s0 = ctx.start_set(q, i);
-                    if !s0.is_empty() {
-                        let t = intern(St::P1(q, s0.clone()), &mut index, &mut states, &mut nfa);
-                        nfa.add_transition(sid, q, t);
-                    }
-                    // Immediate x-x switch at the first position.
-                    for tset in xx_switch(q, &s0) {
-                        let t = intern(St::P2(q, tset), &mut index, &mut states, &mut nfa);
-                        nfa.add_transition(sid, q, t);
-                    }
-                }
-                St::P1(prev, set) => {
-                    let s2 = ctx.flow(*prev, set, q);
-                    if !s2.is_empty() {
-                        let t = intern(St::P1(q, s2.clone()), &mut index, &mut states, &mut nfa);
-                        nfa.add_transition(sid, q, t);
-                    }
-                    // x-x switch at the new position.
-                    for tset in xx_switch(q, &s2) {
-                        let t = intern(St::P2(q, tset), &mut index, &mut states, &mut nfa);
-                        nfa.add_transition(sid, q, t);
-                    }
-                    // x-y switch across the transition from `prev`.
-                    let ym = xy_switch(*prev, set);
-                    if !ym.is_empty() {
-                        let tset = ctx.close_x(q, &ym);
-                        if !tset.is_empty() {
-                            let t = intern(St::P2(q, tset), &mut index, &mut states, &mut nfa);
-                            nfa.add_transition(sid, q, t);
-                        }
-                    }
-                }
-                St::P2(prev, set) => {
-                    let s2 = ctx.flow(*prev, set, q);
-                    if !s2.is_empty() {
-                        let t = intern(St::P2(q, s2), &mut index, &mut states, &mut nfa);
-                        nfa.add_transition(sid, q, t);
-                    }
-                }
-            }
+/// Attaches the `e=ᵢⱼ` and `e≠ᵢⱼ` constraints for every pair of the view's
+/// `m` visible registers, all from one flow table. `phase` is the caller's
+/// per-pair budget phase; each DFA build ticks its own.
+pub(crate) fn add_view_constraints(
+    view: &mut ExtendedAutomaton,
+    flow: &FlowTable,
+    m: u16,
+    budget: &Budget,
+    phase: &'static str,
+) -> Result<(), CoreError> {
+    for i in 0..m {
+        for j in 0..m {
+            budget.tick(phase)?;
+            let (i, j) = (RegIdx(i), RegIdx(j));
+            view.add_constraint_dfa(ConstraintKind::Equal, i, j, flow.eq_dfa(i, j, budget)?)?;
+            view.add_constraint_dfa(ConstraintKind::NotEqual, i, j, flow.neq_dfa(i, j, budget)?)?;
         }
     }
-    for (s, id) in index.iter() {
-        if let St::P2(_, set) = s {
-            if set.contains(&j.0) {
-                nfa.set_accepting(*id, true);
-            }
-        }
-    }
-    Ok(nfa.determinize(&alphabet).minimize())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -414,8 +511,25 @@ mod tests {
     fn flow_context_requires_state_driven() {
         let (ra, _) = paper::example1();
         assert!(matches!(
-            FlowContext::new(&ra),
+            FlowTable::new(&ra),
             Err(CoreError::NotStateDriven)
+        ));
+    }
+
+    #[test]
+    fn more_registers_than_mask_bits_is_a_typed_error() {
+        // A one-state, state-driven automaton over 65 registers: the flow
+        // table cannot track it, and says so instead of panicking.
+        let mut ra = RegisterAutomaton::new(65, rega_data::Schema::empty());
+        let p = ra.add_state("p");
+        ra.set_initial(p);
+        ra.set_accepting(p);
+        ra.add_transition(p, rega_data::SigmaType::empty(65), p)
+            .unwrap();
+        assert!(ra.is_state_driven());
+        assert!(matches!(
+            eq_dfa(&ra, RegIdx(0), RegIdx(0)),
+            Err(CoreError::UnsupportedProjection(_))
         ));
     }
 }

@@ -29,10 +29,10 @@
 //! the successor list. The recycled buffers are bounded by the frontier
 //! and its successors, and freed when the frontier dies.
 
+use crate::fxhash::FxSeed;
 use rega_core::monitor::{ConstraintMonitor, ExportedSlots};
 use rega_core::{ExtendedAutomaton, StateId};
 use rega_data::{Database, Value};
-use std::collections::hash_map::RandomState;
 use std::collections::BTreeSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -76,7 +76,7 @@ pub struct ViewObserver {
 
 /// The buffers one [`ViewObserver::observe`] call builds the next
 /// frontier in, kept between calls so a step does not allocate.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Scratch {
     /// The successor frontier under construction, in discovery order.
     next: Vec<(StateId, ConstraintMonitor)>,
@@ -89,61 +89,14 @@ struct Scratch {
     /// chooses cannot be aimed at one bucket. Even colliding keys cost at
     /// most `max_frontier + 1` comparisons per successor, as the table
     /// never holds more entries.
-    seed: u64,
+    seed: FxSeed,
 }
 
 const EMPTY: u32 = u32::MAX;
 
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch {
-            next: Vec::new(),
-            table: Vec::new(),
-            pool: Vec::new(),
-            seed: RandomState::new().hash_one(0u64),
-        }
-    }
-}
-
 impl Clone for Scratch {
     fn clone(&self) -> Self {
         Scratch::default()
-    }
-}
-
-/// The multiply-rotate hash of the Fx scheme, with a final avalanche so
-/// the table can index by the low bits. The keys are short integer
-/// sequences, on which SipHash would cost as much as the step itself.
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.add(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        let z = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        z ^ (z >> 33)
     }
 }
 
@@ -158,7 +111,7 @@ impl Scratch {
     }
 
     fn slot_of(&self, state: StateId, monitor: &ConstraintMonitor) -> usize {
-        let mut hasher = FxHasher(self.seed);
+        let mut hasher = self.seed.build_hasher();
         state.hash(&mut hasher);
         monitor.hash(&mut hasher);
         hasher.finish() as usize & (self.table.len() - 1)

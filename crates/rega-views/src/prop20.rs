@@ -14,12 +14,11 @@
 //! (with vertex covers bounded by `k`), which the tests verify through the
 //! Theorem 18 checker.
 
-use crate::lemma21;
-use rega_core::extended::ConstraintKind;
+use crate::lemma21::{self, FlowTable};
 use rega_core::transform::{complete_governed, complete_reference_governed, state_driven_governed};
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton};
-use rega_data::{RegIdx, SatCache, TypeId};
+use rega_data::{SatCache, TypeId};
 
 /// A projection view of a register automaton.
 #[derive(Clone, Debug)]
@@ -139,14 +138,9 @@ fn project_impl(
     }
 
     let mut view = ExtendedAutomaton::new(view);
-    for i in 0..m {
-        for j in 0..m {
-            budget.tick("views.prop20.lemma21")?;
-            let eq = lemma21::eq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            view.add_constraint_dfa(ConstraintKind::Equal, RegIdx(i), RegIdx(j), eq)?;
-            let neq = lemma21::neq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            view.add_constraint_dfa(ConstraintKind::NotEqual, RegIdx(i), RegIdx(j), neq)?;
-        }
+    if m > 0 {
+        let flow = FlowTable::with_cache(&normalized, cache)?;
+        lemma21::add_view_constraints(&mut view, &flow, m, budget, "views.prop20.lemma21")?;
     }
     rega_obs::event!(
         "views.prop20_built",

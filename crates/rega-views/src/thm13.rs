@@ -26,13 +26,12 @@
 //! covers every projection of a plain register automaton — the case the
 //! paper's Theorem 19 revolves around.
 
-use crate::lemma21;
+use crate::lemma21::{self, FlowTable};
 use crate::prop6::eliminate_global_equalities;
-use rega_core::extended::ConstraintKind;
 use rega_core::transform::{complete_governed, complete_reference_governed, state_driven_governed};
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::{RegIdx, SatCache, TypeId};
+use rega_data::{SatCache, TypeId};
 
 /// The result of projecting an extended automaton.
 #[derive(Clone, Debug)]
@@ -171,14 +170,9 @@ fn project_impl(
         }
     }
     let mut view = ExtendedAutomaton::new(view);
-    for i in 0..m {
-        for j in 0..m {
-            budget.tick("views.thm13.lemma21")?;
-            let eq = lemma21::eq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            view.add_constraint_dfa(ConstraintKind::Equal, RegIdx(i), RegIdx(j), eq)?;
-            let neq = lemma21::neq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            view.add_constraint_dfa(ConstraintKind::NotEqual, RegIdx(i), RegIdx(j), neq)?;
-        }
+    if m > 0 {
+        let flow = FlowTable::with_cache(&normalized, cache)?;
+        lemma21::add_view_constraints(&mut view, &flow, m, budget, "views.thm13.lemma21")?;
     }
     // Lift the surviving inequality constraints from the intermediate
     // automaton through the normalization map.
@@ -201,9 +195,10 @@ fn project_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rega_core::extended::ConstraintKind;
     use rega_core::paper;
     use rega_core::simulate::{self, SearchLimits};
-    use rega_data::{Database, Schema, Value};
+    use rega_data::{Database, RegIdx, Schema, Value};
 
     fn limits() -> SearchLimits {
         SearchLimits {

@@ -45,19 +45,18 @@
 //!   examples). Finiteness constraints are vacuous on ultimately periodic
 //!   runs either way — see `rega_core::enhanced`.
 
-use crate::lemma21::{self, FlowContext};
+use crate::fxhash::FxMap;
+use crate::lemma21::{self, FlowTable, RegMask};
 use rega_automata::{Dfa, Nba};
 use rega_core::enhanced::{
     EnhancedAutomaton, FinitenessConstraint, PositionSelector, TupleInequality,
 };
-use rega_core::extended::ConstraintKind;
 use rega_core::transform::{
     complete_for_atoms_governed, complete_for_atoms_reference_governed, state_driven_governed,
 };
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
 use rega_data::{Literal, RegIdx, SatCache, Term, TypeId};
-use std::collections::{BTreeSet, HashMap};
 
 /// Budgets and limits for the construction.
 #[derive(Clone, Copy, Debug)]
@@ -229,24 +228,46 @@ fn project_impl(
         }
     }
 
-    // 3. Lemma 21 constraints on the visible registers.
+    // 3. Lemma 21 constraints on the visible registers. One flow table
+    // serves them and every selector below.
+    let flow = FlowTable::with_cache(&normalized, cache)?;
     let mut ext = ExtendedAutomaton::new(view);
-    for i in 0..m {
-        for j in 0..m {
-            budget.tick("views.thm24.lemma21")?;
-            let eq = lemma21::eq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            ext.add_constraint_dfa(ConstraintKind::Equal, RegIdx(i), RegIdx(j), eq)?;
-            let neq = lemma21::neq_dfa(&normalized, RegIdx(i), RegIdx(j))?;
-            ext.add_constraint_dfa(ConstraintKind::NotEqual, RegIdx(i), RegIdx(j), neq)?;
-        }
-    }
+    lemma21::add_view_constraints(&mut ext, &flow, m, budget, "views.thm24.lemma21")?;
     let mut enhanced = EnhancedAutomaton::new(ext);
+    add_selectors(&mut enhanced, &normalized, &flow, m, opts, budget)?;
 
+    rega_obs::event!(
+        "views.thm24_built",
+        view_states = enhanced.ext().ra().num_states(),
+        finiteness = enhanced.finiteness_constraints().len(),
+        tuple_inequalities = enhanced.tuple_inequalities().len(),
+        types_interned = cache.stats().distinct_types
+    );
+    Ok(DatabaseHidingProjection {
+        view: enhanced,
+        normalized,
+        m,
+    })
+}
+
+/// Steps 4 and 5 of the construction: the finiteness constraint of every
+/// visible register and the tuple inequality constraints of every
+/// relation, all selectors tracking value flow through one table.
+fn add_selectors(
+    enhanced: &mut EnhancedAutomaton,
+    normalized: &RegisterAutomaton,
+    flow: &FlowTable,
+    m: u16,
+    opts: &Thm24Options,
+    budget: &Budget,
+) -> Result<(), CoreError> {
+    let _span = rega_obs::span!("views.thm24.selectors", keep = m);
+    let schema = normalized.schema();
     // 4. Finiteness constraints per visible register.
     for i in 0..m {
         enhanced.add_finiteness(FinitenessConstraint {
             register: RegIdx(i),
-            selector: adom_selector(&normalized, RegIdx(i), budget)?,
+            selector: adom_selector(normalized, flow, RegIdx(i), budget)?,
         });
     }
 
@@ -276,9 +297,9 @@ fn project_impl(
                     rest /= m.max(1) as usize;
                 }
                 budget.check("views.thm24.tuple_constraints")?;
-                if let Some(selector) =
-                    tuple_selector(&normalized, rel, &f_slots, &i_regs, &j_regs, opts, budget)?
-                {
+                if let Some(selector) = tuple_selector(
+                    normalized, flow, rel, &f_slots, &i_regs, &j_regs, opts, budget,
+                )? {
                     enhanced.add_tuple_inequality(TupleInequality {
                         i_regs: i_regs.clone(),
                         j_regs: j_regs.clone(),
@@ -288,19 +309,7 @@ fn project_impl(
             }
         }
     }
-
-    rega_obs::event!(
-        "views.thm24_built",
-        view_states = enhanced.ext().ra().num_states(),
-        finiteness = enhanced.finiteness_constraints().len(),
-        tuple_inequalities = enhanced.tuple_inequalities().len(),
-        types_interned = cache.stats().distinct_types
-    );
-    Ok(DatabaseHidingProjection {
-        view: enhanced,
-        normalized,
-        m,
-    })
+    Ok(())
 }
 
 /// Builds the position selector for "`(h, i)` is an active-domain
@@ -312,30 +321,25 @@ fn project_impl(
 /// after `h`.
 fn adom_selector(
     normalized: &RegisterAutomaton,
+    flow: &FlowTable,
     i: RegIdx,
     budget: &Budget,
 ) -> Result<PositionSelector, CoreError> {
-    let ctx = FlowContext::new(normalized)?;
-    let states: Vec<StateId> = normalized.states().collect();
+    let states = flow.alphabet().to_vec();
     let k = normalized.k();
 
     // Positive-literal register sets per state: x-side and y-side.
-    let mut xpos: Vec<BTreeSet<u16>> = Vec::with_capacity(states.len());
-    let mut ypos: Vec<BTreeSet<u16>> = Vec::with_capacity(states.len());
+    let mut xpos: Vec<RegMask> = Vec::with_capacity(states.len());
+    let mut ypos: Vec<RegMask> = Vec::with_capacity(states.len());
     for &q in &states {
-        let mut xs = BTreeSet::new();
-        let mut ys = BTreeSet::new();
+        let (mut xs, mut ys) = (0, 0);
         if let Some(ty) = normalized.state_type(q) {
             for lit in ty.literals() {
                 if lit.is_positive_rel() {
                     for t in lit.terms() {
                         match t {
-                            Term::X(r) => {
-                                xs.insert(r.0);
-                            }
-                            Term::Y(r) => {
-                                ys.insert(r.0);
-                            }
+                            Term::X(r) => xs |= 1 << r.0,
+                            Term::Y(r) => ys |= 1 << r.0,
                             Term::Const(_) => {}
                         }
                     }
@@ -348,12 +352,8 @@ fn adom_selector(
 
     // `hit(q, set)`: the tracked flow touches a positive literal at a
     // `q`-position — via an x-slot now, or a y-slot while pushing.
-    let hit = |q: StateId, set: &BTreeSet<u16>| -> bool {
-        if set.iter().any(|r| xpos[q.idx()].contains(r)) {
-            return true;
-        }
-        let pushed = ctx.push_y(q, set);
-        pushed.iter().any(|r| ypos[q.idx()].contains(r))
+    let hit = |q: StateId, set: RegMask| -> bool {
+        set & xpos[q.idx()] != 0 || flow.push_y(q, set) & ypos[q.idx()] != 0
     };
 
     let trivial_before = {
@@ -367,16 +367,16 @@ fn adom_selector(
         #[derive(Clone, PartialEq, Eq, Hash)]
         enum St {
             Start,
-            Track(StateId, BTreeSet<u16>),
+            Track(StateId, RegMask),
             Found,
         }
         let mut nba = Nba::new(states.clone(), 0);
-        let mut index: HashMap<St, usize> = HashMap::new();
+        let mut index: FxMap<St, usize> = FxMap::default();
         let mut work: Vec<St> = Vec::new();
         let intern = |s: St,
                       nba: &mut Nba<StateId>,
                       work: &mut Vec<St>,
-                      index: &mut HashMap<St, usize>|
+                      index: &mut FxMap<St, usize>|
          -> usize {
             if let Some(&id) = index.get(&s) {
                 return id;
@@ -404,10 +404,10 @@ fn adom_selector(
                 }
                 St::Start => {
                     for &q in &states {
-                        let s0 = ctx.start_set(q, i);
-                        let next = if hit(q, &s0) {
+                        let s0 = flow.start_set(q, i);
+                        let next = if hit(q, s0) {
                             St::Found
-                        } else if s0.is_empty() {
+                        } else if s0 == 0 {
                             continue;
                         } else {
                             St::Track(q, s0)
@@ -418,10 +418,10 @@ fn adom_selector(
                 }
                 St::Track(prev, set) => {
                     for &q in &states {
-                        let s2 = ctx.flow(*prev, set, q);
-                        let next = if hit(q, &s2) {
+                        let s2 = flow.flow(*prev, *set, q);
+                        let next = if hit(q, s2) {
                             St::Found
-                        } else if s2.is_empty() {
+                        } else if s2 == 0 {
                             continue;
                         } else {
                             St::Track(q, s2)
@@ -444,11 +444,11 @@ fn adom_selector(
         // Prefix taint DFA: state (q_last or none, raw taint set).
         let before = {
             #[derive(Clone, PartialEq, Eq, Hash)]
-            struct St(BTreeSet<u16>);
-            let mut index: HashMap<St, usize> = HashMap::new();
+            struct St(RegMask);
+            let mut index: FxMap<St, usize> = FxMap::default();
             let mut sts: Vec<St> = Vec::new();
             let mut trans: Vec<Vec<usize>> = Vec::new();
-            let init = St(BTreeSet::new());
+            let init = St(0);
             index.insert(init.clone(), 0);
             sts.push(init);
             let mut done = 0;
@@ -459,11 +459,8 @@ fn adom_selector(
                 let mut row = Vec::with_capacity(states.len());
                 for &q in &states {
                     // Arriving taint closed at q, plus q's x-positives.
-                    let mut cur = ctx.close_x(q, &st.0);
-                    cur.extend(ctx.close_x(q, &xpos[q.idx()]));
-                    let mut next = ctx.push_y(q, &cur);
-                    next.extend(ypos[q.idx()].iter().copied());
-                    let key = St(next);
+                    let cur = flow.close_x(q, st.0) | flow.close_x(q, xpos[q.idx()]);
+                    let key = St(flow.push_y(q, cur) | ypos[q.idx()]);
                     let id = match index.get(&key) {
                         Some(&id) => id,
                         None => {
@@ -477,7 +474,7 @@ fn adom_selector(
                 }
                 trans.push(row);
             }
-            let accepting: Vec<bool> = sts.iter().map(|s| s.0.contains(&r)).collect();
+            let accepting: Vec<bool> = sts.iter().map(|s| (s.0 >> r) & 1 == 1).collect();
             Dfa::from_parts(states.clone(), 0, accepting, trans).minimize()
         };
 
@@ -486,16 +483,16 @@ fn adom_selector(
             #[derive(Clone, PartialEq, Eq, Hash)]
             enum St {
                 Start,
-                Track(StateId, BTreeSet<u16>, BTreeSet<u16>),
+                Track(StateId, RegMask, RegMask),
                 Found,
             }
             let mut nba = Nba::new(states.clone(), 0);
-            let mut index: HashMap<St, usize> = HashMap::new();
+            let mut index: FxMap<St, usize> = FxMap::default();
             let mut work: Vec<St> = Vec::new();
             let intern = |s: St,
                           nba: &mut Nba<StateId>,
                           work: &mut Vec<St>,
-                          index: &mut HashMap<St, usize>|
+                          index: &mut FxMap<St, usize>|
              -> usize {
                 if let Some(&id) = index.get(&s) {
                     return id;
@@ -523,12 +520,12 @@ fn adom_selector(
                     }
                     St::Start => {
                         for &q in &states {
-                            let s1 = ctx.start_set(q, i);
-                            let s2 = ctx.start_set(q, RegIdx(r));
-                            if s1.is_empty() || s2.is_empty() {
+                            let s1 = flow.start_set(q, i);
+                            let s2 = flow.start_set(q, RegIdx(r));
+                            if s1 == 0 || s2 == 0 {
                                 continue;
                             }
-                            let next = if s1.intersection(&s2).next().is_some() {
+                            let next = if s1 & s2 != 0 {
                                 St::Found
                             } else {
                                 St::Track(q, s1, s2)
@@ -539,12 +536,12 @@ fn adom_selector(
                     }
                     St::Track(prev, a, b) => {
                         for &q in &states {
-                            let a2 = ctx.flow(*prev, a, q);
-                            let b2 = ctx.flow(*prev, b, q);
-                            if a2.is_empty() || b2.is_empty() {
+                            let a2 = flow.flow(*prev, *a, q);
+                            let b2 = flow.flow(*prev, *b, q);
+                            if a2 == 0 || b2 == 0 {
                                 continue;
                             }
-                            let next = if a2.intersection(&b2).next().is_some() {
+                            let next = if a2 & b2 != 0 {
                                 St::Found
                             } else {
                                 St::Track(q, a2, b2)
@@ -576,8 +573,10 @@ enum ConnState {
 /// Builds the marked-word Büchi selector for `ψ^R_{E,F}` with the given
 /// visible register tuples. Returns `None` when no transition carries a
 /// matching pair of literals (the constraint would be vacuous).
+#[allow(clippy::too_many_arguments)]
 fn tuple_selector(
     normalized: &RegisterAutomaton,
+    flow: &FlowTable,
     rel: rega_data::RelSym,
     f_slots: &[usize],
     i_regs: &[RegIdx],
@@ -585,19 +584,7 @@ fn tuple_selector(
     opts: &Thm24Options,
     budget: &Budget,
 ) -> Result<Option<Nba<(StateId, u32)>>, CoreError> {
-    let ctx = FlowContext::new(normalized)?;
-    let states: Vec<StateId> = normalized.states().collect();
-    // Flow steps recur constantly across selector states; memoize them.
-    let mut flow_cache: HashMap<(StateId, Vec<u16>, StateId), BTreeSet<u16>> = HashMap::new();
-    let mut flow = |prev: StateId, set: &BTreeSet<u16>, q: StateId| -> BTreeSet<u16> {
-        let key = (prev, set.iter().copied().collect::<Vec<u16>>(), q);
-        if let Some(hit) = flow_cache.get(&key) {
-            return hit.clone();
-        }
-        let result = ctx.flow(prev, set, q);
-        flow_cache.insert(key, result.clone());
-        result
-    };
+    let states = flow.alphabet();
     let arity = normalized.schema().arity(rel);
     let l = f_slots.len();
     let e_slots: Vec<usize> = (0..arity).filter(|s| !f_slots.contains(s)).collect();
@@ -606,7 +593,7 @@ fn tuple_selector(
     // their term vectors (registers; constants unsupported upstream).
     let mut neg_lits: Vec<Vec<Vec<Term>>> = Vec::with_capacity(states.len());
     let mut pos_lits: Vec<Vec<Vec<Term>>> = Vec::with_capacity(states.len());
-    for &q in &states {
+    for &q in states {
         let mut negs = Vec::new();
         let mut poss = Vec::new();
         if let Some(ty) = normalized.state_type(q) {
@@ -641,14 +628,14 @@ fn tuple_selector(
 
     // Marked alphabet.
     let mut alphabet: Vec<(StateId, u32)> = Vec::new();
-    for &q in &states {
+    for &q in states {
         for mark in 0..(1u32 << (2 * l)) {
             alphabet.push((q, mark));
         }
     }
 
     /// Per-connection tracking payload: simulated state plus marked regs.
-    type Tracker = Option<(StateId, BTreeSet<u16>)>;
+    type Tracker = Option<(StateId, RegMask)>;
 
     /// Full NBA state.
     #[derive(Clone, PartialEq, Eq, Hash)]
@@ -673,12 +660,12 @@ fn tuple_selector(
     };
 
     let mut nba = Nba::new(alphabet.clone(), 0);
-    let mut index: HashMap<Sel, usize> = HashMap::new();
+    let mut index: FxMap<Sel, usize> = FxMap::default();
     let mut work: Vec<Sel> = Vec::new();
     let intern = |s: Sel,
                   nba: &mut Nba<(StateId, u32)>,
                   work: &mut Vec<Sel>,
-                  index: &mut HashMap<Sel, usize>|
+                  index: &mut FxMap<Sel, usize>|
      -> usize {
         if let Some(&id) = index.get(&s) {
             return id;
@@ -692,6 +679,9 @@ fn tuple_selector(
     nba.set_init(start);
 
     let full_marks = (1u32 << (2 * l)) - 1;
+    // Per connection: how many endpoint events fire at the current
+    // position, and the registers of the first two.
+    let mut per_conn: Vec<(usize, [u16; 2])> = vec![(0, [0; 2]); n_conns];
 
     let mut done = 0usize;
     while done < work.len() {
@@ -703,23 +693,37 @@ fn tuple_selector(
             )));
         }
         let st = work[done].clone();
-        let sid = index[&st];
+        let sid = done;
         done += 1;
 
         if st.accept {
             nba.set_accepting(sid, true);
             // Sink: loop on unmarked letters only.
-            for &q in &states {
+            for &q in states {
                 let t = intern(st.clone(), &mut nba, &mut work, &mut index);
                 nba.add_transition(sid, &(q, 0), t);
             }
             continue;
         }
 
-        for &q in &states {
+        for &q in states {
+            // Advance all trackers by q. A tracked value that dies rejects
+            // the letter whatever its marks and anchors.
+            let mut advanced = st.conns.clone();
+            let dies = advanced.iter_mut().any(|c| {
+                if c.0 != ConnState::Tracking {
+                    return false;
+                }
+                let (prev, set) = c.1.expect("tracking has data");
+                let s2 = flow.flow(prev, set, q);
+                c.1 = Some((q, s2));
+                s2 == 0
+            });
+            if dies {
+                continue;
+            }
             // Events at this position: (conn, register) pairs.
-            // 1. Pending y-events from the previous position.
-            let base_events: Vec<(u8, u16)> = st.pending.clone();
+            // 1. Pending y-events from the previous position (`st.pending`).
             // 2. Anchor guesses: none / n here / n' here / both here —
             // independent of the mark, so computed once per state letter.
             // Enumerate literal choices for the guessed anchors.
@@ -807,48 +811,45 @@ fn tuple_selector(
                 if mark & st.marks != 0 {
                     continue; // a mark may appear only once
                 }
-                let mut events = base_events.clone();
+                let mut mark_events: Vec<(u8, u16)> = Vec::new();
                 for t in 0..l {
                     if mark & (1 << t) != 0 {
-                        events.push(((e_slots.len() + 2 * t) as u8, i_regs[t].0));
+                        mark_events.push(((e_slots.len() + 2 * t) as u8, i_regs[t].0));
                     }
                     if mark & (1 << (l + t)) != 0 {
-                        events.push(((e_slots.len() + 2 * t + 1) as u8, j_regs[t].0));
+                        mark_events.push(((e_slots.len() + 2 * t + 1) as u8, j_regs[t].0));
                     }
                 }
 
-                for (n_here, np_here, anchor_events, anchor_pending) in variants.clone() {
-                    // Advance all trackers by q, then fire events.
-                    let mut conns = st.conns.clone();
-                    let mut reject = false;
-                    for c in conns.iter_mut() {
-                        if c.0 == ConnState::Tracking {
-                            let (prev, set) = c.1.clone().expect("tracking has data");
-                            let s2 = flow(prev, &set, q);
-                            if s2.is_empty() {
-                                reject = true;
-                                break;
-                            }
-                            c.1 = Some((q, s2));
-                        }
-                    }
-                    if reject {
-                        continue;
-                    }
-                    let mut all_events = events.clone();
-                    all_events.extend(anchor_events.iter().copied());
+                for (n_here, np_here, anchor_events, anchor_pending) in &variants {
                     // Group events per connection (two endpoints may fire
-                    // at the same position).
-                    let mut per_conn: HashMap<u8, Vec<u16>> = HashMap::new();
-                    for &(c, r2) in &all_events {
-                        per_conn.entry(c).or_default().push(r2);
+                    // at the same position; a third never matches).
+                    for e in per_conn.iter_mut() {
+                        *e = (0, [0; 2]);
                     }
-                    for (&c, regs2) in &per_conn {
-                        let conn = &mut conns[c as usize];
-                        match (conn.0, regs2.len()) {
+                    for (c, r2) in st
+                        .pending
+                        .iter()
+                        .chain(&mark_events)
+                        .chain(anchor_events)
+                        .copied()
+                    {
+                        let e = &mut per_conn[c as usize];
+                        if e.0 < 2 {
+                            e.1[e.0] = r2;
+                        }
+                        e.0 += 1;
+                    }
+                    let mut conns = advanced.clone();
+                    let mut reject = false;
+                    for (conn, &(count, regs2)) in conns.iter_mut().zip(&per_conn) {
+                        if count == 0 {
+                            continue;
+                        }
+                        match (conn.0, count) {
                             (ConnState::Waiting, 1) => {
-                                let s0 = ctx.close_x(q, &BTreeSet::from([regs2[0]]));
-                                if s0.is_empty() {
+                                let s0 = flow.start_set(q, RegIdx(regs2[0]));
+                                if s0 == 0 {
                                     reject = true;
                                     break;
                                 }
@@ -856,8 +857,8 @@ fn tuple_selector(
                             }
                             (ConnState::Waiting, 2) => {
                                 // Both endpoints now: connected iff x-equal.
-                                let s0 = ctx.close_x(q, &BTreeSet::from([regs2[0]]));
-                                if s0.contains(&regs2[1]) {
+                                let s0 = flow.start_set(q, RegIdx(regs2[0]));
+                                if (s0 >> regs2[1]) & 1 == 1 {
                                     *conn = (ConnState::Done, None);
                                 } else {
                                     reject = true;
@@ -865,8 +866,8 @@ fn tuple_selector(
                                 }
                             }
                             (ConnState::Tracking, 1) => {
-                                let (_, set) = conn.1.as_ref().expect("tracking");
-                                if set.contains(&regs2[0]) {
+                                let (_, set) = conn.1.expect("tracking");
+                                if (set >> regs2[0]) & 1 == 1 {
                                     *conn = (ConnState::Done, None);
                                 } else {
                                     reject = true;
@@ -886,8 +887,8 @@ fn tuple_selector(
                     }
                     let mut pending = anchor_pending.clone();
                     pending.sort();
-                    let n_done = st.n_done || n_here;
-                    let np_done = st.np_done || np_here;
+                    let n_done = st.n_done || *n_here;
+                    let np_done = st.np_done || *np_here;
                     let marks = st.marks | mark;
                     let complete = n_done
                         && np_done
@@ -1068,7 +1069,8 @@ mod tests {
         let ra = paper::example23();
         let completed = complete_for_atoms(&ra, &equality_atoms(ra.k())).unwrap();
         let normalized = state_driven(&completed).automaton;
-        let selector = adom_selector(&normalized, RegIdx(0), &Budget::unlimited()).unwrap();
+        let flow = FlowTable::new(&normalized).unwrap();
+        let selector = adom_selector(&normalized, &flow, RegIdx(0), &Budget::unlimited()).unwrap();
 
         let ext = ExtendedAutomaton::new(normalized.clone());
         let nba = rega_core::symbolic::scontrol_nba(&normalized).unwrap();

@@ -436,3 +436,45 @@ fn on_the_fly_arena_respects_node_ceiling() {
         );
     }
 }
+
+/// The Lemma 21 DFA builds are governed themselves, not only per register
+/// pair: a ceiling that the completion, state-driven wiring and
+/// restriction of a projection fit under, but its Lemma 21 builds do not,
+/// trips inside the kernel with the kernel's phase and without
+/// overshooting.
+#[test]
+fn lemma21_build_trips_inside_the_kernel() {
+    let (ra, _) = paper::example1();
+    let nodes_for = |m: u16, max_nodes: Option<u64>| {
+        let budget = Budget::start(&BudgetSpec {
+            deadline_ms: None,
+            max_nodes,
+            max_types: None,
+        });
+        let cache = SatCache::new(Schema::empty());
+        let res = project_register_automaton_governed(&ra, m, &cache, &budget);
+        (res, budget.nodes())
+    };
+    // m = 0 runs every phase except Lemma 21; m = 1 adds one register
+    // pair's `e=` and `e≠` builds.
+    let (_, before) = nodes_for(0, None);
+    let (_, total) = nodes_for(1, None);
+    assert!(
+        total > before + 4,
+        "the Lemma 21 builds must tick: {before} ticks without them, {total} with"
+    );
+    let ceiling = before + (total - before) / 2;
+    let (res, nodes) = nodes_for(1, Some(ceiling));
+    match res {
+        Err(CoreError::Govern(g @ GovernError::NodeBudgetExceeded { .. })) => {
+            assert!(
+                g.phase().starts_with("views.lemma21."),
+                "trip must name the Lemma 21 phase, got {:?}",
+                g.phase()
+            );
+            assert_eq!(g.nodes(), ceiling + 1, "trip fires on the refused tick");
+        }
+        other => panic!("expected NodeBudgetExceeded, got {other:?}"),
+    }
+    assert!(nodes <= ceiling + 1);
+}

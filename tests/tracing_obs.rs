@@ -10,6 +10,10 @@
 //!    JSONL schema reconstructs the per-phase wall-time tree (NBA build /
 //!    lasso search / witness) and the SatCache hit ratio through
 //!    `rega_obs::report` — the same pipeline `rega trace-report` runs.
+//! 3. **Projection spans**: the Lemma 21 DFA builds and the Theorem 24
+//!    selector worklists each open their own span, nested under the
+//!    projection that runs them, so their share of a projection is read
+//!    from production telemetry.
 
 use rega_core::spec::parse_spec;
 use rega_data::{Database, Schema, Value};
@@ -163,19 +167,7 @@ fn emptiness_trace_reconstructs_phase_tree_and_hit_ratio() {
     assert!(verdict.is_nonempty());
     drop(guard);
 
-    // Serialize exactly as the JSONL sink would and feed the report
-    // pipeline behind `rega trace-report`.
-    let text: String = sink
-        .events()
-        .iter()
-        .map(|e| {
-            let mut line = serde_json::to_string(&e.to_json()).unwrap();
-            line.push('\n');
-            line
-        })
-        .collect();
-    let summary = rega_obs::report::summarize(&text).unwrap();
-    assert!(summary.unclosed.is_empty());
+    let summary = summarize(&sink);
 
     let check = summary
         .tree
@@ -204,4 +196,64 @@ fn emptiness_trace_reconstructs_phase_tree_and_hit_ratio() {
     let rendered = rega_obs::report::render(&summary);
     assert!(rendered.contains("emptiness.check"));
     assert!(rendered.contains("satcache hit ratio"));
+}
+
+/// Summarizes the events a memory sink collected, exactly as
+/// `rega trace-report` reads a JSONL trace.
+fn summarize(sink: &rega_obs::MemorySink) -> rega_obs::report::TraceSummary {
+    let text: String = sink
+        .events()
+        .iter()
+        .map(|e| {
+            let mut line = serde_json::to_string(&e.to_json()).unwrap();
+            line.push('\n');
+            line
+        })
+        .collect();
+    let summary = rega_obs::report::summarize(&text).unwrap();
+    assert!(summary.unclosed.is_empty());
+    summary
+}
+
+#[test]
+fn projection_spans_nest_lemma21_and_selectors() {
+    use rega_obs::report::SpanNode;
+    use rega_views::thm24::{project_hiding_database, Thm24Options};
+    use rega_views::{project_extended, project_register_automaton};
+
+    fn child<'a>(node: &'a SpanNode, name: &str) -> &'a SpanNode {
+        node.children
+            .get(name)
+            .unwrap_or_else(|| panic!("span {name} missing under its parent"))
+    }
+    /// One `e=` and one `e≠` build per visible register pair, inside the
+    /// projection's span.
+    fn assert_lemma21_nested(root: &SpanNode, projection: &str, pairs: u64) {
+        let outer = child(root, projection);
+        for name in ["views.lemma21.eq", "views.lemma21.neq"] {
+            let inner = child(outer, name);
+            assert_eq!(inner.count, pairs, "{projection}: {name} builds");
+            assert!(inner.total_ns <= outer.total_ns);
+        }
+    }
+
+    let (sink, guard) = rega_obs::install_memory();
+    let (ra, _) = rega_core::paper::example1();
+    project_register_automaton(&ra, 1).unwrap();
+    project_extended(&rega_core::ExtendedAutomaton::new(ra), 1).unwrap();
+    project_hiding_database(&rega_core::paper::example23(), 1, &Thm24Options::default()).unwrap();
+    drop(guard);
+
+    let summary = summarize(&sink);
+    assert_lemma21_nested(&summary.tree, "views.prop20", 1);
+    assert_lemma21_nested(&summary.tree, "views.thm13", 1);
+    assert_lemma21_nested(&summary.tree, "views.thm24", 1);
+    let thm24 = child(&summary.tree, "views.thm24");
+    let selectors = child(thm24, "views.thm24.selectors");
+    assert_eq!(selectors.count, 1);
+    assert!(selectors.total_ns <= thm24.total_ns);
+    assert!(
+        !selectors.children.contains_key("views.lemma21.eq"),
+        "the selectors run after the Lemma 21 builds, not inside them"
+    );
 }

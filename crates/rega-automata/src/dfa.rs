@@ -8,7 +8,9 @@
 use crate::nfa::Nfa;
 use crate::regex::Regex;
 use crate::Letter;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// A total DFA over the explicit alphabet `alphabet`. Transitions are stored
 /// densely: `trans[state][letter_index]`.
@@ -199,22 +201,43 @@ impl<L: Letter> Dfa<L> {
             .iter()
             .map(|&s| usize::from(self.accepting[s]))
             .collect();
+        // Signature of a state: its class, then its successors' classes.
+        // Each round numbers the distinct signatures in order of first
+        // occurrence. Only distinct ones are kept, one row each in a flat
+        // buffer, found again through their hash; every buffer is reused
+        // by the next round.
+        let width = 1 + self.alphabet.len();
+        let hasher = RandomState::new();
+        let mut sig: Vec<usize> = Vec::with_capacity(width);
+        let mut rows: Vec<usize> = Vec::new();
+        // Hash → newest class with that hash; class → the previous one.
+        let mut by_hash: HashMap<u64, usize> = HashMap::new();
+        let mut chain: Vec<Option<usize>> = Vec::new();
+        let mut new_class = vec![0usize; reachable.len()];
         loop {
-            // Signature: (class, classes of successors).
-            let mut sig_index: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-            let mut new_class = vec![0usize; reachable.len()];
+            rows.clear();
+            by_hash.clear();
+            chain.clear();
             for (i, &s) in reachable.iter().enumerate() {
-                let succ: Vec<usize> = self.trans[s]
-                    .iter()
-                    .map(|&t| class[old_to_new[t]])
-                    .collect();
-                let key = (class[i], succ);
-                let next_id = sig_index.len();
-                let id = *sig_index.entry(key).or_insert(next_id);
-                new_class[i] = id;
+                sig.clear();
+                sig.push(class[i]);
+                sig.extend(self.trans[s].iter().map(|&t| class[old_to_new[t]]));
+                let h = hasher.hash_one(&sig);
+                let mut probe = by_hash.get(&h).copied();
+                while let Some(id) = probe {
+                    if rows[id * width..][..width] == sig[..] {
+                        break;
+                    }
+                    probe = chain[id];
+                }
+                new_class[i] = probe.unwrap_or_else(|| {
+                    chain.push(by_hash.insert(h, chain.len()));
+                    rows.extend_from_slice(&sig);
+                    chain.len() - 1
+                });
             }
             let stable = new_class == class;
-            class = new_class;
+            std::mem::swap(&mut class, &mut new_class);
             if stable {
                 break;
             }

@@ -25,6 +25,8 @@
 //!   baseline;
 //! * [`proc`] — real worker processes over the length-prefixed
 //!   `rega-serve` wire framing, and the worker side of that protocol;
+//! * [`batch`] — the binary `event-batch` frame that carries events to
+//!   workers on both transports;
 //! * [`error`] — the typed failure taxonomy ([`ClusterError`]), including
 //!   the graceful-degradation `rebalancing` rejection and the
 //!   `stale-epoch` fence;
@@ -49,6 +51,7 @@
 //!    `overloaded` the same way.
 
 pub mod assign;
+pub mod batch;
 pub mod control;
 pub mod error;
 pub mod metrics;

@@ -6,11 +6,24 @@
 //! [`maybe_worker_entry`] first thing in `main`). The worker binds a
 //! loopback port, prints one handshake line
 //! (`REGA-CLUSTER-WORKER-PORT <port>`) on stdout, accepts exactly one
-//! connection from its supervisor, and then speaks length-prefixed
-//! binary frames ([`rega_serve::proto`]) wrapping the same operations
-//! the in-process [`NodeAgent`] exposes: `cfg`, `assign`, `incoming`,
-//! `event`, `event-batch`, `extract`, `install`, `checkpoint`, `ping`,
-//! `finish`, `shutdown`.
+//! connection from its supervisor, and then serves the same operations
+//! the in-process [`NodeAgent`] exposes as two kinds of length-prefixed
+//! frame, told apart by their first byte:
+//!
+//! * **Control frames** (`0xB5`, [`rega_serve::proto`]'s binary framing)
+//!   carry one JSON command: `cfg`, `assign`, `incoming`, `extract`,
+//!   `install`, `checkpoint`, `ping`, `finish`, `shutdown`.
+//! * **Batch frames** (`0xB6`, [`crate::batch`]) carry events as varint
+//!   records: `0xB6`, a u32 big-endian payload length, then varint
+//!   epoch, varint count (at most
+//!   [`FRAME_EVENTS`](crate::batch::FRAME_EVENTS)), and per record varint
+//!   vshard, varint seq, a tag byte (0 = step, 1 = end), the
+//!   length-prefixed UTF-8 session and, for a step, the length-prefixed
+//!   UTF-8 state, a varint register count and varint registers.
+//!
+//! Every reply is a JSON control frame: `ok: true` plus the command's
+//! fields (`fresh` and `duplicate` counts for a batch), or `ok: false`
+//! with a typed [`ClusterError`], so errors have one encoding.
 //!
 //! [`ProcTransport`] is the supervisor's side of that conversation: it
 //! spawns workers, carries each [`Transport`] request as one frame, and
@@ -27,6 +40,7 @@
 //! mid-stream, and per-session verdicts stay byte-identical to a
 //! single-process run.
 
+use crate::batch::{decode_batch, read_batch, BATCH_MAGIC};
 use crate::control::ControlConfig;
 use crate::error::ClusterError;
 use crate::node::{Applied, NodeAgent};
@@ -50,7 +64,8 @@ pub const WORKER_ENV: &str = "REGA_CLUSTER_WORKER";
 /// Handshake prefix the worker prints on stdout before serving.
 pub const PORT_BANNER: &str = "REGA-CLUSTER-WORKER-PORT";
 
-/// The stable JSON wire encoding of an [`Event`].
+/// The stable JSON encoding of an [`Event`], the one `rega monitor` reads.
+/// Workers receive events as batch frames ([`crate::batch`]) instead.
 pub fn event_to_json(event: &Event) -> Json {
     match event {
         Event::Step {
@@ -159,9 +174,7 @@ pub(crate) fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -
         }
         "shutdown" => Ok((ok_reply(&[]), false)),
         _ => {
-            let agent = agent
-                .as_mut()
-                .ok_or_else(|| ClusterError::Wire("worker not configured (send `cfg`)".into()))?;
+            let agent = configured(agent)?;
             match cmd {
                 "assign" => {
                     let epoch = num(doc, "epoch")?;
@@ -174,43 +187,6 @@ pub(crate) fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -
                     let vshards = vshard_list(doc, "vshards")?;
                     agent.begin_incoming(epoch, &vshards)?;
                     Ok((ok_reply(&[]), true))
-                }
-                "event" => {
-                    let epoch = num(doc, "epoch")?;
-                    let v = num(doc, "vshard")? as usize;
-                    let seq = num(doc, "seq")?;
-                    let event = event_from_json(&doc["event"])?;
-                    let applied = agent.submit(epoch, v, seq, event)?;
-                    let label = match applied {
-                        Applied::Fresh => "fresh",
-                        Applied::Duplicate => "duplicate",
-                    };
-                    Ok((ok_reply(&[("applied", json!(label))]), true))
-                }
-                "event-batch" => {
-                    let epoch = num(doc, "epoch")?;
-                    let items = doc["items"]
-                        .as_array()
-                        .ok_or_else(|| ClusterError::Wire("`items` must be an array".into()))?;
-                    let mut fresh = 0u64;
-                    let mut duplicate = 0u64;
-                    for item in items {
-                        let v = num(item, "vshard")? as usize;
-                        let seq = num(item, "seq")?;
-                        let event = event_from_json(&item["event"])?;
-                        // A typed mid-batch rejection fails the whole
-                        // frame; the supervisor falls back to per-event
-                        // delivery, where the sequence watermark dedups
-                        // the prefix that already applied.
-                        match agent.submit(epoch, v, seq, event)? {
-                            Applied::Fresh => fresh += 1,
-                            Applied::Duplicate => duplicate += 1,
-                        }
-                    }
-                    Ok((
-                        ok_reply(&[("fresh", json!(fresh)), ("duplicate", json!(duplicate))]),
-                        true,
-                    ))
                 }
                 "extract" => {
                     let epoch = num(doc, "epoch")?;
@@ -237,6 +213,36 @@ pub(crate) fn dispatch(agent: &mut Option<NodeAgent>, node: usize, doc: &Json) -
     }
 }
 
+fn configured(agent: &mut Option<NodeAgent>) -> Result<&mut NodeAgent, ClusterError> {
+    agent
+        .as_mut()
+        .ok_or_else(|| ClusterError::Wire("worker not configured (send `cfg`)".into()))
+}
+
+/// Serves one batch frame: decodes it whole, then applies its records in
+/// order. The reply counts `fresh` and `duplicate` records.
+pub(crate) fn dispatch_batch(agent: &mut Option<NodeAgent>, frame: &[u8]) -> Json {
+    let result = (|| {
+        let agent = configured(agent)?;
+        let (epoch, items) = decode_batch(frame)?;
+        let (mut fresh, mut duplicate) = (0u64, 0u64);
+        for (v, seq, event) in items {
+            // A typed mid-batch rejection fails the whole frame; the
+            // supervisor falls back to per-event delivery, where the
+            // sequence watermark dedups the prefix that already applied.
+            match agent.submit(epoch, v, seq, event)? {
+                Applied::Fresh => fresh += 1,
+                Applied::Duplicate => duplicate += 1,
+            }
+        }
+        Ok(ok_reply(&[
+            ("fresh", json!(fresh)),
+            ("duplicate", json!(duplicate)),
+        ]))
+    })();
+    result.unwrap_or_else(|e| err_reply(&e))
+}
+
 /// A worker reply as a result: `ok: true` replies pass through, anything
 /// else is the typed error it carries.
 pub(crate) fn reply_result(reply: Json) -> Result<Json, ClusterError> {
@@ -260,7 +266,15 @@ pub fn run_worker(node: usize) -> Result<(), ClusterError> {
     let mut reader = BufReader::new(stream.try_clone().map_err(wire_err)?);
     let mut writer = stream;
     let mut agent: Option<NodeAgent> = None;
+    let mut frame = Vec::new();
     loop {
+        let first = reader.fill_buf().map_err(wire_err)?.first().copied();
+        if first == Some(BATCH_MAGIC) {
+            read_batch(&mut reader, &mut frame)?;
+            let reply = dispatch_batch(&mut agent, &frame);
+            write_frame(&mut writer, Framing::Binary, &reply).map_err(wire_err)?;
+            continue;
+        }
         let doc = match read_frame(&mut reader).map_err(wire_err)? {
             Some((_, doc)) => doc,
             None => return Ok(()),
@@ -391,6 +405,30 @@ impl ProcTransport {
             .as_ref()
             .map(|d| d.join(format!("worker-{n}.snap")))
     }
+
+    /// One frame each way: `send` writes the request, the reply is a JSON
+    /// control frame. A broken pipe means the worker is gone: it is
+    /// reaped and forgotten.
+    fn exchange(
+        &mut self,
+        n: usize,
+        send: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
+    ) -> Result<Json, ClusterError> {
+        let w = self.workers[n]
+            .as_mut()
+            .ok_or(ClusterError::WorkerDown { node: n })?;
+        let reply = match send(&mut w.writer) {
+            Ok(()) => read_frame(&mut w.reader).ok().flatten(),
+            Err(_) => None,
+        };
+        match reply {
+            Some((_, reply)) => reply_result(reply),
+            None => {
+                self.kill(n);
+                Err(ClusterError::WorkerDown { node: n })
+            }
+        }
+    }
 }
 
 impl Transport for ProcTransport {
@@ -423,23 +461,13 @@ impl Transport for ProcTransport {
         }
     }
 
-    /// One binary frame each way. A broken pipe means the worker is gone:
-    /// it is reaped and forgotten.
     fn call(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
-        let w = self.workers[n]
-            .as_mut()
-            .ok_or(ClusterError::WorkerDown { node: n })?;
-        let reply = match write_frame(&mut w.writer, Framing::Binary, request) {
-            Ok(()) => read_frame(&mut w.reader).ok().flatten(),
-            Err(_) => None,
-        };
-        match reply {
-            Some((_, reply)) => reply_result(reply),
-            None => {
-                self.kill(n);
-                Err(ClusterError::WorkerDown { node: n })
-            }
-        }
+        self.exchange(n, |w| write_frame(w, Framing::Binary, request))
+    }
+
+    /// The frame is written as it is, in one write.
+    fn batch(&mut self, n: usize, frame: &[u8]) -> Result<Json, ClusterError> {
+        self.exchange(n, |w| w.write_all(frame))
     }
 
     fn checkpoint(&mut self, n: usize) -> bool {
@@ -497,6 +525,7 @@ impl Drop for ProcTransport {
 mod tests {
     use super::*;
     use crate::assign::{vshard, VSHARDS};
+    use crate::batch::encode_batch;
     use rega_data::Value;
 
     const SPEC: &str = "\
@@ -554,42 +583,24 @@ trans p -> p : x1 = x1
         );
         assert_eq!(reply["ok"].as_bool(), Some(true));
 
-        let v = vshard("alice") as u64;
-        let (reply, _) = dispatch(
-            &mut agent,
-            0,
-            &json!({
-                "cmd": "event", "epoch": 1u64, "vshard": v, "seq": 1u64,
-                "event": event_to_json(&step("alice", 1)),
-            }),
-        );
-        assert_eq!(reply["applied"].as_str(), Some("fresh"));
+        // Events arrive as binary batch frames.
+        let v = vshard("alice");
+        let (one, two) = (step("alice", 1), step("alice", 2));
+        let mut frame = Vec::new();
+        encode_batch(1, &[(v, 1, &one)], &mut frame);
+        let reply = dispatch_batch(&mut agent, &frame);
+        assert_eq!(reply["fresh"].as_u64(), Some(1));
 
         // Typed errors cross the dispatch boundary intact.
-        let (reply, _) = dispatch(
-            &mut agent,
-            0,
-            &json!({
-                "cmd": "event", "epoch": 9u64, "vshard": v, "seq": 2u64,
-                "event": event_to_json(&step("alice", 2)),
-            }),
-        );
+        encode_batch(9, &[(v, 2, &two)], &mut frame);
+        let reply = dispatch_batch(&mut agent, &frame);
         assert_eq!(
             ClusterError::from_json(&reply["error"]),
             ClusterError::StaleEpoch { sent: 9, held: 1 }
         );
 
-        let (reply, _) = dispatch(
-            &mut agent,
-            0,
-            &json!({
-                "cmd": "event-batch", "epoch": 1u64,
-                "items": [
-                    {"vshard": v, "seq": 1u64, "event": event_to_json(&step("alice", 1))},
-                    {"vshard": v, "seq": 2u64, "event": event_to_json(&step("alice", 2))},
-                ],
-            }),
-        );
+        encode_batch(1, &[(v, 1, &one), (v, 2, &two)], &mut frame);
+        let reply = dispatch_batch(&mut agent, &frame);
         assert_eq!(
             reply["fresh"].as_u64(),
             Some(1),
@@ -603,7 +614,7 @@ trans p -> p : x1 = x1
         let (reply, _) = dispatch(
             &mut agent,
             0,
-            &json!({"cmd": "extract", "epoch": 2u64, "vshards": [v]}),
+            &json!({"cmd": "extract", "epoch": 2u64, "vshards": [v as u64]}),
         );
         let bundle = reply["bundle"].clone();
         assert_eq!(bundle["epoch"].as_u64(), Some(2));

@@ -18,7 +18,7 @@ use crate::assign::VSHARDS;
 use crate::control::ControlConfig;
 use crate::error::ClusterError;
 use crate::node::NodeAgent;
-use crate::proc::{dispatch, reply_result};
+use crate::proc::{dispatch, dispatch_batch, reply_result};
 use crate::supervisor::{Supervisor, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,13 +192,22 @@ impl Transport for SimTransport {
         reply_result(dispatch(&mut self.nodes[n].agent, n, request).0)
     }
 
+    /// The same frame bytes a worker process reads, decoded by the same
+    /// codec.
+    fn batch(&mut self, n: usize, frame: &[u8]) -> Result<Json, ClusterError> {
+        if !self.running(n) {
+            return Err(ClusterError::WorkerDown { node: n });
+        }
+        reply_result(dispatch_batch(&mut self.nodes[n].agent, frame))
+    }
+
     /// Delivers, then draws post-apply chaos: a lost ack (redelivered
     /// here; the watermark must drop every copy), then maybe a crash of
     /// the very node that holds the freshly applied events.
-    fn deliver(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
-        let mut reply = self.call(n, request)?;
+    fn deliver(&mut self, n: usize, frame: &[u8]) -> Result<Json, ClusterError> {
+        let mut reply = self.batch(n, frame)?;
         if self.plan.ack_loss_prob > 0.0 && self.rng.gen_bool(self.plan.ack_loss_prob) {
-            reply = self.call(n, request)?;
+            reply = self.batch(n, frame)?;
             assert_eq!(
                 reply["fresh"].as_u64(),
                 Some(0),

@@ -49,11 +49,11 @@
 //! rejected, not absorbed.
 
 use crate::assign::{vshard, Assignment, Migration, VSHARDS};
+use crate::batch::{encode_batch, FRAME_EVENTS};
 use crate::control::{ControlConfig, ControlPlane, WorkerState};
 use crate::error::ClusterError;
 use crate::metrics::ClusterMetrics;
 use crate::node::{filter_bundle, seqs_from_json};
-use crate::proc::event_to_json;
 use rega_stream::event::Event;
 use rega_stream::{Clock, SessionOutcome};
 use serde_json::{json, Value as Json};
@@ -64,11 +64,6 @@ const MS: u64 = 1_000_000;
 /// How long the supervisor waits before looking again at an owner it
 /// cannot reach or a migration that cannot progress yet.
 const POLL_MS: u64 = 5;
-
-/// One `event-batch` request, ingest or journal replay, carries at most
-/// this many events, which keeps every frame far below the wire's
-/// frame-size limit.
-const FRAME_EVENTS: usize = 1024;
 
 /// How the supervisor reaches worker `n`. Requests and replies are the
 /// worker protocol of [`crate::proc`], whichever side of a process
@@ -108,13 +103,19 @@ pub trait Transport {
     /// Stops worker `n` without warning; it is no longer running.
     fn kill(&mut self, n: usize);
 
-    /// One request to worker `n`; `Ok` carries an `ok: true` reply.
+    /// One JSON control request to worker `n`; `Ok` carries an
+    /// `ok: true` reply.
     fn call(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError>;
 
-    /// An ingress `event-batch` request: [`Transport::call`] plus any
-    /// faults the transport injects. Journal replays use plain `call`.
-    fn deliver(&mut self, n: usize, request: &Json) -> Result<Json, ClusterError> {
-        self.call(n, request)
+    /// One binary `event-batch` frame ([`crate::batch`]) to worker `n`;
+    /// `Ok` carries the `ok: true` reply counting `fresh` and `duplicate`
+    /// records.
+    fn batch(&mut self, n: usize, frame: &[u8]) -> Result<Json, ClusterError>;
+
+    /// An ingress batch: [`Transport::batch`] plus any faults the
+    /// transport injects. Journal replays use plain `batch`.
+    fn deliver(&mut self, n: usize, frame: &[u8]) -> Result<Json, ClusterError> {
+        self.batch(n, frame)
     }
 
     /// Writes a durable checkpoint of worker `n`; `false` when none was
@@ -157,30 +158,16 @@ pub struct Supervisor<T: Transport> {
     /// Rebuilds so far: a rebuild replays the journal, so it may have
     /// applied events an ingest call still has in flight.
     rebuilds: u64,
+    /// The batch frame being sent, reused across deliveries.
+    frame: Vec<u8>,
     checkpoint_every: u64,
     seed: u64,
     budget_ms: u64,
     metrics: ClusterMetrics,
 }
 
-/// One journaled event on its way to a worker.
-struct Item<'a> {
-    vshard: usize,
-    seq: u64,
-    event: &'a Event,
-}
-
-/// The `event-batch` request carrying `items`.
-fn event_batch(epoch: u64, items: &[Item<'_>]) -> Json {
-    let items = items.iter().map(|item| {
-        json!({
-            "vshard": item.vshard as u64,
-            "seq": item.seq,
-            "event": event_to_json(item.event),
-        })
-    });
-    json!({"cmd": "event-batch", "epoch": epoch, "items": Json::Array(items.collect())})
-}
+/// One journaled event on its way to a worker: `(vshard, seq, event)`.
+type Item<'a> = (usize, u64, &'a Event);
 
 fn vshards_json(vshards: &[usize]) -> Json {
     Json::Array(vshards.iter().map(|&v| json!(v as u64)).collect())
@@ -233,6 +220,7 @@ impl<T: Transport> Supervisor<T> {
             live: vec![false; nodes],
             applied_since_ckpt: vec![0; nodes],
             rebuilds: 0,
+            frame: Vec::new(),
             checkpoint_every,
             seed,
             budget_ms,
@@ -299,9 +287,9 @@ impl<T: Transport> Supervisor<T> {
     }
 
     /// Submits a batch through the same path: consecutive events with the
-    /// same owner travel as one `event-batch` request, up to a frame-size
-    /// bound. On error, the events from the failing one on were never
-    /// applied and are not journaled.
+    /// same owner travel as one batch frame of at most [`FRAME_EVENTS`].
+    /// On error, the events from the failing one on were never applied
+    /// and are not journaled.
     pub fn submit_batch(&mut self, events: &[Event]) -> Result<(), ClusterError> {
         let started_ns = self.now_ns();
         for _ in events {
@@ -316,12 +304,7 @@ impl<T: Transport> Supervisor<T> {
             .map(|event| {
                 let v = vshard(event.session());
                 self.journal[v].push(event.clone());
-                let seq = self.journal[v].len() as u64;
-                Item {
-                    vshard: v,
-                    seq,
-                    event,
-                }
+                (v, self.journal[v].len() as u64, event)
             })
             .collect();
         let (acked, e) = match self.route(&items, started_ns) {
@@ -330,9 +313,9 @@ impl<T: Transport> Supervisor<T> {
         };
         // Never applied anywhere: drop from the journal so replays and the
         // single-process baseline see the same accepted stream.
-        let dropped: BTreeSet<usize> = items[acked..].iter().map(|item| item.vshard).collect();
-        for item in items[acked..].iter().rev() {
-            self.journal[item.vshard].pop();
+        let dropped: BTreeSet<usize> = items[acked..].iter().map(|&(v, _, _)| v).collect();
+        for &(v, _, _) in items[acked..].iter().rev() {
+            self.journal[v].pop();
         }
         // A rebuild during this call replayed the journal with those
         // events in it: stop the workers that may hold them, so that
@@ -359,7 +342,7 @@ impl<T: Transport> Supervisor<T> {
         let mut one_at_a_time = false;
         while done < items.len() {
             attempts += 1;
-            let v = items[done].vshard;
+            let v = items[done].0;
             if attempts > 1 {
                 self.metrics.retries.inc();
                 if self.now_ns() - waiting_since > self.budget_ms * MS {
@@ -387,15 +370,15 @@ impl<T: Transport> Supervisor<T> {
                 }
                 continue;
             }
-            let same_owner = |item: &&Item<'_>| self.cached.owner_of(item.vshard) == owner;
+            let same_owner = |item: &&Item<'_>| self.cached.owner_of(item.0) == owner;
             let run = if one_at_a_time {
                 1
             } else {
                 let owned_run = items[done..].iter().take_while(same_owner);
                 owned_run.take(FRAME_EVENTS).count()
             };
-            let request = event_batch(self.cached.epoch, &items[done..done + run]);
-            let retry = match self.transport.deliver(owner, &request) {
+            encode_batch(self.cached.epoch, &items[done..done + run], &mut self.frame);
+            let retry = match self.transport.deliver(owner, &self.frame) {
                 Ok(reply) => {
                     self.acked(owner, run as u64, count(&reply, "duplicate"), started_ns);
                     done += run;
@@ -503,15 +486,10 @@ impl<T: Transport> Supervisor<T> {
             let suffix = self.journal[v].get(from..).unwrap_or(&[]);
             for (c, chunk) in suffix.chunks(FRAME_EVENTS).enumerate() {
                 let first = (from + c * FRAME_EVENTS) as u64 + 1;
-                let items: Vec<Item<'_>> = (first..)
-                    .zip(chunk)
-                    .map(|(seq, event)| Item {
-                        vshard: v,
-                        seq,
-                        event,
-                    })
-                    .collect();
-                let reply = self.transport.call(n, &event_batch(epoch, &items))?;
+                let items: Vec<Item<'_>> =
+                    (first..).zip(chunk).map(|(seq, e)| (v, seq, e)).collect();
+                encode_batch(epoch, &items, &mut self.frame);
+                let reply = self.transport.batch(n, &self.frame)?;
                 self.metrics.events_replayed.add(count(&reply, "fresh"));
                 self.metrics.events_deduped.add(count(&reply, "duplicate"));
             }

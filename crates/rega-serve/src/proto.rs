@@ -114,22 +114,27 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 /// Writes one document in the given framing. JSONL appends `\n`; binary
-/// prefixes [`BINARY_MAGIC`] and the big-endian payload length.
+/// prefixes [`BINARY_MAGIC`] and the big-endian payload length. The frame
+/// is assembled first and written with one `write_all`, so an unbuffered
+/// socket sees one write per frame, not one per part.
 pub fn write_frame<W: Write>(w: &mut W, framing: Framing, doc: &Json) -> std::io::Result<()> {
     let payload = serde_json::to_string(doc)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    match framing {
+    let frame = match framing {
         Framing::Jsonl => {
-            w.write_all(payload.as_bytes())?;
-            w.write_all(b"\n")?;
+            let mut line = payload.into_bytes();
+            line.push(b'\n');
+            line
         }
         Framing::Binary => {
-            let len = payload.len() as u32;
-            w.write_all(&[BINARY_MAGIC])?;
-            w.write_all(&len.to_be_bytes())?;
-            w.write_all(payload.as_bytes())?;
+            let mut frame = Vec::with_capacity(5 + payload.len());
+            frame.push(BINARY_MAGIC);
+            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frame.extend_from_slice(payload.as_bytes());
+            frame
         }
-    }
+    };
+    w.write_all(&frame)?;
     w.flush()
 }
 

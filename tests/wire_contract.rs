@@ -3,13 +3,16 @@
 //! An event reaches the monitor through one of four decoders: the batch
 //! monitor's line parser (`parse_event`), the server's `event` /
 //! `event-batch` payloads as a JSONL string or as a JSON object
-//! (`TenantRegistry::ingest`), and the cluster's worker protocol
+//! (`TenantRegistry::ingest`), and the cluster's JSON event decoder
 //! (`event_from_json`). Each must accept or reject every line exactly as
-//! `parse_event` does, with the same error. The table holds the edge
+//! `parse_event` does, with the same error. Past the cluster's ingress,
+//! events travel to workers as binary batch records, so every accepted
+//! event must also come back from that codec unchanged. The table holds the edge
 //! cases: numbers that re-serialise as integers (`1.0`, `1e0`), `-0`, the
 //! ends of the `u64` range, escaped session names, duplicate keys, an
 //! extra field and `"end": false`.
 
+use rega_cluster::batch::{decode_batch, encode_batch};
 use rega_cluster::proc::event_from_json;
 use rega_data::BudgetSpec;
 use rega_obs::Registry;
@@ -107,6 +110,14 @@ fn every_path_agrees_with_the_line_parser() {
                 assert_eq!(as_string, Ok(()), "string payload {line}");
                 assert_eq!(as_object, Ok(()), "object payload {line}");
                 assert_eq!(cluster.as_ref().ok(), Some(event), "cluster decoder {line}");
+                let v = rega_cluster::vshard(event.session());
+                let mut frame = Vec::new();
+                encode_batch(1, &[(v, 7, event)], &mut frame);
+                assert_eq!(
+                    decode_batch(&frame),
+                    Ok((1, vec![(v, 7, event.clone())])),
+                    "batch codec {line}"
+                );
             }
             Err(error) => {
                 assert_eq!(as_string.as_ref(), Err(error), "string payload {line}");

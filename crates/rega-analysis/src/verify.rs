@@ -14,13 +14,21 @@
 //!    construction) whose guards are evaluated under the transition types.
 //! 4. The product of the automaton with the formula automaton is again an
 //!    extended automaton; `𝒜 ⊨ φ` iff the product is empty (Corollary 10).
+//!
+//! One [`SatCache`] serves the whole pipeline: the refinement analyzes
+//! every refined type to keep the satisfiable ones, so the truth table, the
+//! product's transitions and the emptiness check find each type already
+//! interned and analyzed. Spans: `verify` (the root), with `verify.refine`,
+//! `verify.truth` (translating `¬φ` and evaluating its propositions under
+//! every refined type), `verify.product` and `emptiness.check` beneath it.
 
-use crate::emptiness::{check_emptiness, EmptinessOptions, EmptinessVerdict, Witness};
-use rega_core::transform::complete_extended_for_atoms;
-use rega_core::{CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::{Literal, Term};
+use crate::emptiness::{check_emptiness_governed, EmptinessOptions, EmptinessVerdict, Witness};
+use rega_core::transform::complete_extended_for_atoms_governed;
+use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
+use rega_data::{Literal, SatCache, Term};
 use rega_logic::translate::ltl_to_automaton;
 use rega_logic::LtlFo;
+use std::borrow::Cow;
 
 /// Budgets for verification (the underlying emptiness search).
 #[derive(Clone, Copy, Debug, Default)]
@@ -88,46 +96,57 @@ pub fn verify(
     phi: &LtlFo,
     opts: &VerifyOptions,
 ) -> Result<VerifyResult, CoreError> {
+    let _verify = rega_obs::span!("verify");
     let k = ext.ra().k();
     phi.validate(ext.ra().schema(), k)?;
     let nz = phi.num_globals();
 
     // 1. Eliminate globals.
-    let (ext, phi) = if nz > 0 {
-        (add_global_registers(ext, nz)?, phi.eliminate_globals(k))
+    let (ext, phi): (Cow<ExtendedAutomaton>, Cow<LtlFo>) = if nz > 0 {
+        (
+            Cow::Owned(add_global_registers(ext, nz)?),
+            Cow::Owned(phi.eliminate_globals(k)),
+        )
     } else {
-        (ext.clone(), phi.clone())
+        (Cow::Borrowed(ext), Cow::Borrowed(phi))
     };
+    let cache = SatCache::new(ext.ra().schema().clone());
+    let budget = Budget::unlimited();
 
     // 2. Refine the types just enough to decide every atom the formula
     // mentions.
-    let mut atoms = Vec::new();
-    for q in &phi.props {
-        atoms.extend(q.atoms().ok_or_else(|| {
-            CoreError::Data(rega_data::DataError::Undetermined(
-                "global variable not eliminated".into(),
-            ))
-        })?);
-    }
-    atoms.sort();
-    atoms.dedup();
-    let ext = complete_extended_for_atoms(&ext, &atoms)?;
-
-    // 3. Translate ¬φ.
-    let neg = phi.negated();
-    let auto = ltl_to_automaton(&neg.formula);
-
-    // Truth of each proposition under each transition's (refined) type.
-    let schema = ext.ra().schema().clone();
-    let mut prop_truth: Vec<Vec<bool>> = Vec::with_capacity(ext.ra().num_transitions());
-    for t in ext.ra().transition_ids() {
-        let ty = &ext.ra().transition(t).ty;
-        let mut row = Vec::with_capacity(neg.props.len());
-        for q in &neg.props {
-            row.push(q.eval_under_type(ty, &schema)?);
+    let ext = {
+        let _refine = rega_obs::span!("verify.refine");
+        let mut atoms = Vec::new();
+        for q in &phi.props {
+            atoms.extend(q.atoms().ok_or_else(|| {
+                CoreError::Data(rega_data::DataError::Undetermined(
+                    "global variable not eliminated".into(),
+                ))
+            })?);
         }
-        prop_truth.push(row);
-    }
+        atoms.sort();
+        atoms.dedup();
+        complete_extended_for_atoms_governed(&ext, &atoms, &cache, &budget)?
+    };
+
+    // 3. Translate ¬φ, and evaluate each proposition under each
+    // transition's (refined) type.
+    let (auto, prop_truth) = {
+        let _truth = rega_obs::span!("verify.truth");
+        let neg = phi.negated();
+        let auto = ltl_to_automaton(&neg.formula);
+        let mut prop_truth: Vec<Vec<bool>> = Vec::with_capacity(ext.ra().num_transitions());
+        for t in ext.ra().transition_ids() {
+            let analysis = cache.analyze(&ext.ra().transition(t).ty)?;
+            let mut row = Vec::with_capacity(neg.props.len());
+            for q in &neg.props {
+                row.push(q.eval_under_analysis(&analysis)?);
+            }
+            prop_truth.push(row);
+        }
+        (auto, prop_truth)
+    };
     let guard_ok = |atom: usize, t: rega_core::TransId| -> bool {
         let g = &auto.guards[atom];
         g.pos.iter().all(|&p| prop_truth[t.idx()][p as usize])
@@ -137,70 +156,76 @@ pub fn verify(
     // 4. Product automaton, built lazily. States: (q, atom, counter) over
     // 1 + m acceptance sets (set 0 = F of the automaton, sets 1..=m from
     // the formula automaton).
-    let m = auto.acc.len();
-    let n_sets = 1 + m;
-    let ra = ext.ra();
-    let mut product = RegisterAutomaton::new(ra.k(), schema.clone());
-    let mut index: std::collections::HashMap<(StateId, usize, usize), StateId> = Default::default();
-    let mut states: Vec<(StateId, usize, usize)> = Vec::new();
-    fn intern_state(
-        ra: &RegisterAutomaton,
-        index: &mut std::collections::HashMap<(StateId, usize, usize), StateId>,
-        states: &mut Vec<(StateId, usize, usize)>,
-        product: &mut RegisterAutomaton,
-        q: StateId,
-        a: usize,
-        c: usize,
-    ) -> StateId {
-        *index.entry((q, a, c)).or_insert_with(|| {
-            let id = product.add_state(&format!("{}|a{}|c{}", ra.state_name(q), a, c));
-            states.push((q, a, c));
-            id
-        })
-    }
-    for q in ra.states().filter(|&q| ra.is_initial(q)) {
-        for &a0 in &auto.inits {
-            let id = intern_state(ra, &mut index, &mut states, &mut product, q, a0, 0);
-            product.set_initial(id);
+    let product_ext = {
+        let _product = rega_obs::span!("verify.product");
+        let m = auto.acc.len();
+        let n_sets = 1 + m;
+        let ra = ext.ra();
+        let mut product = RegisterAutomaton::new(ra.k(), ra.schema().clone());
+        let mut index: std::collections::HashMap<(StateId, usize, usize), StateId> =
+            Default::default();
+        let mut states: Vec<(StateId, usize, usize)> = Vec::new();
+        fn intern_state(
+            ra: &RegisterAutomaton,
+            index: &mut std::collections::HashMap<(StateId, usize, usize), StateId>,
+            states: &mut Vec<(StateId, usize, usize)>,
+            product: &mut RegisterAutomaton,
+            q: StateId,
+            a: usize,
+            c: usize,
+        ) -> StateId {
+            *index.entry((q, a, c)).or_insert_with(|| {
+                let id = product.add_state(&format!("{}|a{}|c{}", ra.state_name(q), a, c));
+                states.push((q, a, c));
+                id
+            })
         }
-    }
-    let in_set = |q: StateId, a: usize, set: usize| -> bool {
-        if set == 0 {
-            ra.is_accepting(q)
-        } else {
-            auto.acc[set - 1][a]
-        }
-    };
-    let mut done = 0usize;
-    while done < states.len() {
-        let (q, a, c) = states[done];
-        let sid = index[&(q, a, c)];
-        done += 1;
-        if c == 0 && in_set(q, a, 0) {
-            product.set_accepting(sid);
-        }
-        let c2 = if in_set(q, a, c) { (c + 1) % n_sets } else { c };
-        for &t in ra.outgoing(q) {
-            if !guard_ok(a, t) {
-                continue;
-            }
-            let tr = ra.transition(t);
-            for &a2 in &auto.succ[a] {
-                let tid = intern_state(ra, &mut index, &mut states, &mut product, tr.to, a2, c2);
-                product.add_transition(sid, tr.ty.clone(), tid)?;
+        for q in ra.states().filter(|&q| ra.is_initial(q)) {
+            for &a0 in &auto.inits {
+                let id = intern_state(ra, &mut index, &mut states, &mut product, q, a0, 0);
+                product.set_initial(id);
             }
         }
-    }
+        let in_set = |q: StateId, a: usize, set: usize| -> bool {
+            if set == 0 {
+                ra.is_accepting(q)
+            } else {
+                auto.acc[set - 1][a]
+            }
+        };
+        let mut done = 0usize;
+        while done < states.len() {
+            let (q, a, c) = states[done];
+            let sid = index[&(q, a, c)];
+            done += 1;
+            if c == 0 && in_set(q, a, 0) {
+                product.set_accepting(sid);
+            }
+            let c2 = if in_set(q, a, c) { (c + 1) % n_sets } else { c };
+            for &t in ra.outgoing(q) {
+                if !guard_ok(a, t) {
+                    continue;
+                }
+                let tr = ra.transition(t);
+                for &a2 in &auto.succ[a] {
+                    let tid =
+                        intern_state(ra, &mut index, &mut states, &mut product, tr.to, a2, c2);
+                    product.add_transition_interned(sid, tr.ty.clone(), tid, &cache)?;
+                }
+            }
+        }
 
-    // Lift the global constraints through the projection to q.
-    let state_of: Vec<StateId> = states.iter().map(|&(q, _, _)| q).collect();
-    let mut product_ext = ExtendedAutomaton::new(product);
-    for con in ext.constraints() {
-        product_ext.add_lifted_constraint(con, |s| state_of[s.idx()])?;
-    }
+        // Lift the global constraints through the projection to q.
+        let state_of: Vec<StateId> = states.iter().map(|&(q, _, _)| q).collect();
+        let mut product_ext = ExtendedAutomaton::new(product);
+        for con in ext.constraints() {
+            product_ext.add_lifted_constraint(con, |s| state_of[s.idx()])?;
+        }
+        product_ext
+    };
 
     // 5. Emptiness of the product.
-    match check_emptiness(&product_ext, &opts.emptiness)? {
+    match check_emptiness_governed(&product_ext, &opts.emptiness, &cache, &budget)? {
         EmptinessVerdict::Empty => Ok(VerifyResult::Holds),
         EmptinessVerdict::NonEmpty(w) => Ok(VerifyResult::CounterExample(w)),
     }

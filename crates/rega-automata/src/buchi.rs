@@ -19,8 +19,57 @@ pub struct Nba<L> {
     letter_index: HashMap<L, usize>,
     inits: Vec<usize>,
     accepting: Vec<bool>,
-    /// `trans[state][letter_index]` — successor states.
-    trans: Vec<Vec<Vec<usize>>>,
+    trans: Rows,
+}
+
+/// The successor lists of every state of an [`Nba`] or [`Ngba`], stored
+/// sparsely: a state's row holds `(letter index, successors)` pairs sorted
+/// by letter index, so a letter a state never reads costs nothing. (A dense
+/// `states × letters` table of `Vec` headers made the 28 682-state Thm 24
+/// selector over 640 letters of ternary Example 23 peak at ~550 MiB.)
+#[derive(Clone, Debug)]
+struct Rows(Vec<Vec<(usize, Vec<usize>)>>);
+
+impl Rows {
+    fn new(n: usize) -> Self {
+        Rows(vec![Vec::new(); n])
+    }
+
+    fn add_state(&mut self) -> usize {
+        self.0.push(Vec::new());
+        self.0.len() - 1
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Successors of `s` on letter index `li` (empty when there are none).
+    fn get(&self, s: usize, li: usize) -> &[usize] {
+        let row = &self.0[s];
+        match row.binary_search_by_key(&li, |&(l, _)| l) {
+            Ok(i) => &row[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Adds `to` to the successors of `from` on `li`, once.
+    fn add(&mut self, from: usize, li: usize, to: usize) {
+        let row = &mut self.0[from];
+        match row.binary_search_by_key(&li, |&(l, _)| l) {
+            Ok(i) => {
+                if !row[i].1.contains(&to) {
+                    row[i].1.push(to);
+                }
+            }
+            Err(i) => row.insert(i, (li, vec![to])),
+        }
+    }
+
+    /// The non-empty successor lists of `s`, by ascending letter index.
+    fn row(&self, s: usize) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        self.0[s].iter().map(|(li, succs)| (*li, succs.as_slice()))
+    }
 }
 
 impl<L: Letter> Nba<L> {
@@ -32,7 +81,7 @@ impl<L: Letter> Nba<L> {
             .map(|(i, l)| (l.clone(), i))
             .collect();
         Nba {
-            trans: vec![vec![Vec::new(); alphabet.len()]; n],
+            trans: Rows::new(n),
             alphabet,
             letter_index,
             inits: Vec::new(),
@@ -42,9 +91,8 @@ impl<L: Letter> Nba<L> {
 
     /// Adds a fresh state.
     pub fn add_state(&mut self) -> usize {
-        self.trans.push(vec![Vec::new(); self.alphabet.len()]);
         self.accepting.push(false);
-        self.trans.len() - 1
+        self.trans.add_state()
     }
 
     /// Number of states.
@@ -87,26 +135,25 @@ impl<L: Letter> Nba<L> {
     /// Adds a transition.
     pub fn add_transition(&mut self, from: usize, letter: &L, to: usize) {
         let li = self.letter_index[letter];
-        if !self.trans[from][li].contains(&to) {
-            self.trans[from][li].push(to);
-        }
+        self.trans.add(from, li, to);
     }
 
     /// Successors of `s` on `letter`.
     pub fn successors(&self, s: usize, letter: &L) -> &[usize] {
-        &self.trans[s][self.letter_index[letter]]
+        self.trans.get(s, self.letter_index[letter])
     }
 
     /// Successors of `s` by letter index.
     pub fn successors_idx(&self, s: usize, li: usize) -> &[usize] {
-        &self.trans[s][li]
+        self.trans.get(s, li)
     }
 
-    /// All transitions as `(from, letter_index, to)` triples.
+    /// All transitions as `(from, letter_index, to)` triples, by state,
+    /// then letter index, then insertion order.
     pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.trans.iter().enumerate().flat_map(|(s, row)| {
-            row.iter()
-                .enumerate()
+        (0..self.trans.len()).flat_map(move |s| {
+            self.trans
+                .row(s)
                 .flat_map(move |(li, succs)| succs.iter().map(move |&t| (s, li, t)))
         })
     }
@@ -167,9 +214,9 @@ impl<L: Letter> Nba<L> {
             let (a, b) = pairs[s];
             ngba.set_in_acc_set(s, 0, self.accepting[a]);
             ngba.set_in_acc_set(s, 1, other.accepting[b]);
-            for li in 0..self.alphabet.len() {
-                for &ta in &self.trans[a][li] {
-                    for &tb in &other.trans[b][li] {
+            for (li, succs) in self.trans.row(a) {
+                for &ta in succs {
+                    for &tb in other.trans.get(b, li) {
                         let t = get(ta, tb, &mut ngba, &mut pairs);
                         ngba.add_transition_idx(s, li, t);
                         if t >= processed.len() || !processed[t] {
@@ -196,7 +243,7 @@ impl<L: Letter> Nba<L> {
             let mut next = vec![false; self.num_states()];
             for (s, &live) in cur.iter().enumerate() {
                 if live {
-                    for &t in &self.trans[s][li] {
+                    for &t in self.trans.get(s, li) {
                         next[t] = true;
                     }
                 }
@@ -222,7 +269,7 @@ impl<L: Letter> Nba<L> {
         }
         while let Some(u) = stack.pop() {
             let (s, ph) = (u / c, u % c);
-            for &t in &self.trans[s][lis[ph]] {
+            for &t in self.trans.get(s, lis[ph]) {
                 let v = node(t, (ph + 1) % c);
                 if !reach[v] {
                     reach[v] = true;
@@ -235,7 +282,8 @@ impl<L: Letter> Nba<L> {
         // on a self-loop. One iterative Tarjan pass over the product graph.
         let succ = |u: usize| -> Vec<usize> {
             let (s, ph) = (u / c, u % c);
-            self.trans[s][lis[ph]]
+            self.trans
+                .get(s, lis[ph])
                 .iter()
                 .map(|&t| node(t, (ph + 1) % c))
                 .collect()
@@ -305,7 +353,7 @@ pub struct Ngba<L> {
     inits: Vec<usize>,
     /// `acc[i][s]` — state `s` belongs to acceptance set `i`.
     acc: Vec<Vec<bool>>,
-    trans: Vec<Vec<Vec<usize>>>,
+    trans: Rows,
 }
 
 impl<L: Letter> Ngba<L> {
@@ -317,7 +365,7 @@ impl<L: Letter> Ngba<L> {
             .map(|(i, l)| (l.clone(), i))
             .collect();
         Ngba {
-            trans: vec![vec![Vec::new(); alphabet.len()]; n],
+            trans: Rows::new(n),
             acc: vec![vec![false; n]; m],
             alphabet,
             letter_index,
@@ -327,11 +375,10 @@ impl<L: Letter> Ngba<L> {
 
     /// Adds a fresh state.
     pub fn add_state(&mut self) -> usize {
-        self.trans.push(vec![Vec::new(); self.alphabet.len()]);
         for set in &mut self.acc {
             set.push(false);
         }
-        self.trans.len() - 1
+        self.trans.add_state()
     }
 
     /// Number of states.
@@ -364,9 +411,7 @@ impl<L: Letter> Ngba<L> {
 
     /// Adds a transition by letter index.
     pub fn add_transition_idx(&mut self, from: usize, li: usize, to: usize) {
-        if !self.trans[from][li].contains(&to) {
-            self.trans[from][li].push(to);
-        }
+        self.trans.add(from, li, to);
     }
 
     /// Degeneralization: the classic counter construction. State `(s, i)`
@@ -384,8 +429,8 @@ impl<L: Letter> Ngba<L> {
             for &i in &self.inits {
                 nba.set_init(i);
             }
-            for (s, row) in self.trans.iter().enumerate() {
-                for (li, succs) in row.iter().enumerate() {
+            for s in 0..self.num_states() {
+                for (li, succs) in self.trans.row(s) {
                     for &t in succs {
                         let letter = self.alphabet[li].clone();
                         nba.add_transition(s, &letter, t);
@@ -404,7 +449,7 @@ impl<L: Letter> Ngba<L> {
             for i in 0..m {
                 nba.set_accepting(id(s, i), i == 0 && self.acc[0][s]);
                 let j = if self.acc[i][s] { (i + 1) % m } else { i };
-                for (li, succs) in self.trans[s].iter().enumerate() {
+                for (li, succs) in self.trans.row(s) {
                     for &t in succs {
                         let letter = self.alphabet[li].clone();
                         nba.add_transition(id(s, i), &letter, id(t, j));

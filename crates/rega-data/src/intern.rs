@@ -18,11 +18,11 @@
 //! streaming specification shared across worker threads.
 
 use crate::error::DataError;
+use crate::fxhash::FxMap;
 use crate::govern::Budget;
 use crate::schema::Schema;
 use crate::typebits::{TypeBits, TypeBitsSpace};
 use crate::types::{SigmaType, TypeAnalysis};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -42,10 +42,12 @@ impl TypeId {
 
 /// A hash-consing table for σ-types: structurally equal types map to the
 /// same [`TypeId`], and each distinct type is stored exactly once (behind an
-/// `Arc`, so resolving never clones the literal set).
+/// `Arc`, so resolving never clones the literal set). The lookup table is
+/// hashed by the seeded [`FxMap`]: a type hashes as a handful of small
+/// integers, on which SipHash would cost more than the lookup.
 #[derive(Debug, Default)]
 pub struct TypeInterner {
-    ids: HashMap<Arc<SigmaType>, TypeId>,
+    ids: FxMap<Arc<SigmaType>, TypeId>,
     types: Vec<Arc<SigmaType>>,
 }
 
@@ -111,19 +113,23 @@ pub enum RestrictOp {
     EqRegisters(u16),
 }
 
+/// The memo tables of a [`SatCache`]. Every table (the interner's too) is
+/// an [`FxMap`] with its own random seed: the keys are types and type
+/// handles an input automaton determines, so a fixed seed would let a
+/// crafted input collide them.
 #[derive(Debug, Default)]
 struct CacheInner {
     interner: TypeInterner,
-    analyses: HashMap<TypeId, Result<Arc<TypeAnalysis>, DataError>>,
-    saturated: HashMap<TypeId, Result<TypeId, DataError>>,
-    restricted: HashMap<(TypeId, RestrictOp), Result<TypeId, DataError>>,
-    joint: HashMap<(TypeId, TypeId), bool>,
-    agrees: HashMap<(TypeId, TypeId), Result<bool, DataError>>,
-    completions: HashMap<TypeId, Result<Vec<TypeId>, DataError>>,
+    analyses: FxMap<TypeId, Result<Arc<TypeAnalysis>, DataError>>,
+    saturated: FxMap<TypeId, Result<TypeId, DataError>>,
+    restricted: FxMap<(TypeId, RestrictOp), Result<TypeId, DataError>>,
+    joint: FxMap<(TypeId, TypeId), bool>,
+    agrees: FxMap<(TypeId, TypeId), Result<bool, DataError>>,
+    completions: FxMap<TypeId, Result<Vec<TypeId>, DataError>>,
     /// Bitset spaces per register count (`None` = fragment unsupported).
-    bit_spaces: HashMap<u16, Option<Arc<TypeBitsSpace>>>,
+    bit_spaces: FxMap<u16, Option<Arc<TypeBitsSpace>>>,
     /// Lossless bitset encodings per interned type (`None` = unsupported).
-    bits: HashMap<TypeId, Option<TypeBits>>,
+    bits: FxMap<TypeId, Option<TypeBits>>,
 }
 
 impl CacheInner {

@@ -21,9 +21,13 @@
 //!   σ-types with word-level kernels for the same operations, used by the
 //!   fast symbolic-control paths and losslessly convertible to/from
 //!   [`SigmaType`] and interned [`TypeId`]s.
+//! * [`fxhash`] — the seeded Fx hash every hot table of the stack is keyed
+//!   on (the `SatCache` tables, the Lemma 21 and Thm 24 interning tables,
+//!   the view observer's configuration sets).
 
 pub mod database;
 pub mod error;
+pub mod fxhash;
 pub mod govern;
 pub mod intern;
 pub mod literal;

@@ -181,7 +181,10 @@ impl Qf {
         self.eval_under_analysis(&analysis)
     }
 
-    fn eval_under_analysis(&self, a: &crate::types::TypeAnalysis) -> Result<bool, DataError> {
+    /// [`Qf::eval_under_type`] on an analysis the caller already holds —
+    /// typically [`SatCache::analyze`](crate::SatCache::analyze)'s memoized
+    /// one, so a type shared by many transitions is analyzed once.
+    pub fn eval_under_analysis(&self, a: &crate::types::TypeAnalysis) -> Result<bool, DataError> {
         let to_term = |t: &QfTerm| -> Result<Term, DataError> {
             match t {
                 QfTerm::X(i) => Ok(Term::X(*i)),

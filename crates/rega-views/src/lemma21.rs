@@ -38,10 +38,10 @@
 //! The output DFAs plug directly into
 //! [`ExtendedAutomaton::add_constraint_dfa`](rega_core::ExtendedAutomaton::add_constraint_dfa).
 
-use crate::fxhash::FxMap;
 use rega_automata::Dfa;
 use rega_core::extended::ConstraintKind;
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
+use rega_data::fxhash::FxMap;
 use rega_data::{RegIdx, SatCache, Term};
 
 /// A set of registers: bit `r` is set iff register `r` is in the set.

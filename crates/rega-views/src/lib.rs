@@ -31,7 +31,6 @@
 //!   examples (4, 7, 8, 16, 17, 23), used by the experiment suite.
 
 pub mod counterexamples;
-mod fxhash;
 pub mod lemma21;
 pub mod observer;
 pub mod prop20;

@@ -29,9 +29,9 @@
 //! the successor list. The recycled buffers are bounded by the frontier
 //! and its successors, and freed when the frontier dies.
 
-use crate::fxhash::FxSeed;
 use rega_core::monitor::{ConstraintMonitor, ExportedSlots};
 use rega_core::{ExtendedAutomaton, StateId};
+use rega_data::fxhash::FxSeed;
 use rega_data::{Database, Value};
 use std::collections::BTreeSet;
 use std::hash::{BuildHasher, Hash, Hasher};

@@ -45,7 +45,6 @@
 //!   examples). Finiteness constraints are vacuous on ultimately periodic
 //!   runs either way — see `rega_core::enhanced`.
 
-use crate::fxhash::FxMap;
 use crate::lemma21::{self, FlowTable, RegMask};
 use rega_automata::{Dfa, Nba};
 use rega_core::enhanced::{
@@ -56,6 +55,7 @@ use rega_core::transform::{
 };
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
+use rega_data::fxhash::FxMap;
 use rega_data::{Literal, RegIdx, SatCache, Term, TypeId};
 
 /// Budgets and limits for the construction.

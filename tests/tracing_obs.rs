@@ -14,6 +14,9 @@
 //!    selector worklists each open their own span, nested under the
 //!    projection that runs them, so their share of a projection is read
 //!    from production telemetry.
+//! 4. **Verification spans**: Theorem 12's `verify` opens one root span
+//!    with its refinement, truth-table and product stages and the
+//!    emptiness check of the product nested directly beneath it.
 
 use rega_core::spec::parse_spec;
 use rega_data::{Database, Schema, Value};
@@ -256,4 +259,51 @@ fn projection_spans_nest_lemma21_and_selectors() {
         !selectors.children.contains_key("views.lemma21.eq"),
         "the selectors run after the Lemma 21 builds, not inside them"
     );
+}
+
+#[test]
+fn verify_spans_nest_refine_truth_product_and_emptiness() {
+    use rega_analysis::verify::{verify, VerifyOptions};
+    use rega_data::{Qf, QfTerm};
+    use rega_logic::LtlFo;
+
+    let (sink, guard) = rega_obs::install_memory();
+    let (ra, _) = rega_core::paper::example1();
+    let ext = rega_core::ExtendedAutomaton::new(ra);
+    for (r, holds) in [(1, true), (0, false)] {
+        let phi = LtlFo::new("G stable", [("stable", Qf::Eq(QfTerm::x(r), QfTerm::y(r)))]).unwrap();
+        let v = verify(&ext, &phi, &VerifyOptions::default()).unwrap();
+        assert_eq!(v.holds(), holds);
+    }
+    drop(guard);
+
+    let summary = summarize(&sink);
+    let root = summary
+        .tree
+        .children
+        .get("verify")
+        .expect("verify opens a root span");
+    assert_eq!(root.count, 2);
+    assert!(
+        !summary.tree.children.contains_key("emptiness.check"),
+        "the product's emptiness check runs inside verify"
+    );
+    for name in [
+        "verify.refine",
+        "verify.truth",
+        "verify.product",
+        "emptiness.check",
+    ] {
+        let stage = root
+            .children
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing under verify"));
+        assert_eq!(stage.count, 2, "{name}: once per verify");
+        assert!(stage.total_ns <= root.total_ns);
+    }
+    let stages: u64 = root.children.values().map(|c| c.total_ns).sum();
+    assert!(stages <= root.total_ns);
+    assert!(root.children["emptiness.check"]
+        .children
+        .contains_key("emptiness.on_the_fly.search"));
 }

@@ -355,3 +355,236 @@ fn scontrol_nba_acceptance_agrees_with_run_semantics() {
         }
     }
 }
+
+/// Differential pin of `verify`'s single σ-type cache: the verdict, the
+/// counterexample's control lasso and its witness (database and runs) must
+/// be those of the pipeline `verify` ran before it shared one `SatCache`
+/// across its stages. That pipeline is rebuilt here from public pieces,
+/// each stage on a cache of its own: the refinement through
+/// `complete_extended_for_atoms`, the truth table through
+/// `Qf::eval_under_type`, the product through the validating
+/// `RegisterAutomaton::add_transition`, and a fresh `check_emptiness`.
+///
+/// The queries cover the benchmark's `G stable` shapes (every step keeps
+/// the register, so it holds; every step changes it, so it fails), random
+/// automata with 0–3 global constraints under four properties, and a
+/// global-variable property shaped like Example 7's "no value recurs".
+#[test]
+fn single_cache_verify_matches_three_cache_pipeline() {
+    use rega_analysis::verify::{add_global_registers, VerifyResult};
+    use rega_core::transform::complete_extended_for_atoms;
+    use rega_core::{RegisterAutomaton, StateId, TransId};
+    use rega_data::{Literal, Term};
+    use rega_logic::translate::ltl_to_automaton;
+    use std::collections::HashMap;
+
+    type Key = (StateId, usize, usize);
+    fn intern(
+        ra: &RegisterAutomaton,
+        index: &mut HashMap<Key, StateId>,
+        states: &mut Vec<Key>,
+        product: &mut RegisterAutomaton,
+        key: Key,
+    ) -> StateId {
+        *index.entry(key).or_insert_with(|| {
+            let (q, a, c) = key;
+            states.push(key);
+            product.add_state(&format!("{}|a{a}|c{c}", ra.state_name(q)))
+        })
+    }
+
+    fn three_cache_verify(ext: &ExtendedAutomaton, phi: &LtlFo) -> EmptinessVerdict {
+        let k = ext.ra().k();
+        let nz = phi.num_globals();
+        let (ext, phi) = if nz > 0 {
+            (
+                add_global_registers(ext, nz).unwrap(),
+                phi.eliminate_globals(k),
+            )
+        } else {
+            (ext.clone(), phi.clone())
+        };
+        let mut atoms: Vec<Literal> = phi.props.iter().flat_map(|q| q.atoms().unwrap()).collect();
+        atoms.sort();
+        atoms.dedup();
+        let ext = complete_extended_for_atoms(&ext, &atoms).unwrap();
+        let neg = phi.negated();
+        let auto = ltl_to_automaton(&neg.formula);
+        let ra = ext.ra();
+        let truth: Vec<Vec<bool>> = ra
+            .transition_ids()
+            .map(|t| {
+                let ty = &ra.transition(t).ty;
+                neg.props
+                    .iter()
+                    .map(|q| q.eval_under_type(ty, ra.schema()).unwrap())
+                    .collect()
+            })
+            .collect();
+        let guard_ok = |a: usize, t: TransId| {
+            let g = &auto.guards[a];
+            g.pos.iter().all(|&p| truth[t.idx()][p as usize])
+                && g.neg.iter().all(|&p| !truth[t.idx()][p as usize])
+        };
+        let n_sets = 1 + auto.acc.len();
+        let in_set = |q: StateId, a: usize, set: usize| {
+            if set == 0 {
+                ra.is_accepting(q)
+            } else {
+                auto.acc[set - 1][a]
+            }
+        };
+        let mut product = RegisterAutomaton::new(ra.k(), ra.schema().clone());
+        let mut index = HashMap::new();
+        let mut states = Vec::new();
+        for q in ra.states().filter(|&q| ra.is_initial(q)) {
+            for &a0 in &auto.inits {
+                let id = intern(ra, &mut index, &mut states, &mut product, (q, a0, 0));
+                product.set_initial(id);
+            }
+        }
+        let mut done = 0;
+        while done < states.len() {
+            let (q, a, c) = states[done];
+            let sid = index[&(q, a, c)];
+            done += 1;
+            if c == 0 && in_set(q, a, 0) {
+                product.set_accepting(sid);
+            }
+            let c2 = if in_set(q, a, c) { (c + 1) % n_sets } else { c };
+            for &t in ra.outgoing(q) {
+                if !guard_ok(a, t) {
+                    continue;
+                }
+                let tr = ra.transition(t);
+                for &a2 in &auto.succ[a] {
+                    let key = (tr.to, a2, c2);
+                    let tid = intern(ra, &mut index, &mut states, &mut product, key);
+                    product.add_transition(sid, tr.ty.clone(), tid).unwrap();
+                }
+            }
+        }
+        let state_of: Vec<StateId> = states.iter().map(|&(q, _, _)| q).collect();
+        let mut product_ext = ExtendedAutomaton::new(product);
+        for con in ext.constraints() {
+            product_ext
+                .add_lifted_constraint(con, |s| state_of[s.idx()])
+                .unwrap();
+        }
+        check_emptiness(&product_ext, &EmptinessOptions::default()).unwrap()
+    }
+
+    /// The benchmark's frozen / thawed shapes: `lit` added to every type,
+    /// the types it makes unsatisfiable dropped.
+    fn on_every_step(ext: &ExtendedAutomaton, lit: Literal) -> ExtendedAutomaton {
+        let ra = ext.ra();
+        let mut out = RegisterAutomaton::new(ra.k(), ra.schema().clone());
+        for s in ra.states() {
+            out.add_state(ra.state_name(s));
+            if ra.is_initial(s) {
+                out.set_initial(s);
+            }
+            if ra.is_accepting(s) {
+                out.set_accepting(s);
+            }
+        }
+        for t in ra.transition_ids() {
+            let tr = ra.transition(t);
+            let ty = tr.ty.with(lit.clone());
+            if ty.is_satisfiable(ra.schema()) {
+                out.add_transition(tr.from, ty, tr.to).unwrap();
+            }
+        }
+        let mut out = ExtendedAutomaton::new(out);
+        for c in ext.constraints() {
+            out.add_lifted_constraint(c, |s| s).unwrap();
+        }
+        out
+    }
+
+    let stable =
+        |r: u16| LtlFo::new("G stable", [("stable", Qf::Eq(QfTerm::x(r), QfTerm::y(r)))]).unwrap();
+    let no_recurrence = LtlFo::new(
+        "G (hit -> X (G miss))",
+        [
+            ("hit", Qf::Eq(QfTerm::x(0), QfTerm::z(0))),
+            ("miss", Qf::neq(QfTerm::x(0), QfTerm::z(0))),
+        ],
+    )
+    .unwrap();
+    let mut queries: Vec<(String, ExtendedAutomaton, LtlFo)> = Vec::new();
+    for seed in 0..16u64 {
+        let p = GenParams {
+            states: 4 + (seed % 5) as usize,
+            ..params()
+        };
+        let ext = random_extended(&p, (seed % 4) as usize, 7000 + seed);
+        let r = (seed % 2) as u16;
+        let frozen = on_every_step(&ext, Literal::eq(Term::x(r), Term::y(r)));
+        let thawed = on_every_step(&ext, Literal::neq(Term::x(r), Term::y(r)));
+        queries.push((format!("frozen {seed}"), frozen, stable(r)));
+        queries.push((format!("thawed {seed}"), thawed, stable(r)));
+    }
+    let u0 = random_extended(&params(), 0, 0)
+        .ra()
+        .schema()
+        .relation("U0")
+        .unwrap();
+    let properties = [
+        stable(0),
+        LtlFo::new(
+            "G (same -> X differ)",
+            [
+                ("same", Qf::Eq(QfTerm::x(0), QfTerm::x(1))),
+                ("differ", Qf::neq(QfTerm::x(0), QfTerm::x(1))),
+            ],
+        )
+        .unwrap(),
+        LtlFo::new("F inU", [("inU", Qf::Rel(u0, vec![QfTerm::x(1)]))]).unwrap(),
+        LtlFo::new("G F keep", [("keep", Qf::Eq(QfTerm::x(1), QfTerm::y(1)))]).unwrap(),
+    ];
+    for seed in 0..32u64 {
+        let ext = random_extended(&params(), (seed % 4) as usize, 9000 + seed);
+        let phi = properties[(seed % 4) as usize].clone();
+        queries.push((format!("random {seed}"), ext, phi));
+    }
+    queries.push((
+        "example 7".into(),
+        rega_core::paper::example7(),
+        no_recurrence.clone(),
+    ));
+    for seed in 0..7u64 {
+        let ext = random_extended(&params(), (seed % 4) as usize, 11000 + seed);
+        queries.push((format!("globals {seed}"), ext, no_recurrence.clone()));
+    }
+    assert!(queries.len() >= 64);
+
+    let (mut holds, mut fails) = (0, 0);
+    for (name, ext, phi) in &queries {
+        let got = verify(ext, phi, &VerifyOptions::default()).unwrap();
+        match (got, three_cache_verify(ext, phi)) {
+            (VerifyResult::Holds, EmptinessVerdict::Empty) => holds += 1,
+            (VerifyResult::CounterExample(w), EmptinessVerdict::NonEmpty(want)) => {
+                fails += 1;
+                assert_eq!(w.control, want.control, "{name}: control lasso");
+                assert!(
+                    w.database.same_facts(&want.database),
+                    "{name}: witness database"
+                );
+                assert_eq!(w.prefix_run.configs, want.prefix_run.configs, "{name}");
+                assert_eq!(w.prefix_run.trans, want.prefix_run.trans, "{name}");
+                assert_eq!(
+                    format!("{:?}", w.lasso_run),
+                    format!("{:?}", want.lasso_run),
+                    "{name}: lasso run"
+                );
+            }
+            (got, want) => panic!(
+                "{name}: verify says holds = {}, the three-cache pipeline {}",
+                got.holds(),
+                if want.is_nonempty() { "fails" } else { "holds" }
+            ),
+        }
+    }
+    assert!(holds >= 16 && fails >= 16, "holds {holds}, fails {fails}");
+}

@@ -21,6 +21,12 @@
 //! the announced length is [`FrameError::Truncated`]. Responses always
 //! mirror the framing of the request they answer.
 //!
+//! The server keeps each request's payload bytes ([`read_payload`]) and
+//! decodes them once ([`decode_request`]). A well-formed `event-batch`
+//! request is read straight into `Event`s ([`decode_event_batch`]); any
+//! other payload is parsed as a document and taken apart by
+//! [`parse_command`]. Both give the same [`Request`] for the same bytes.
+//!
 //! # Commands
 //!
 //! A request is a JSON object with a `cmd` field; everything else is
@@ -41,6 +47,7 @@
 
 use rega_stream::{Event, EventError};
 use serde_json::Value as Json;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 
@@ -144,13 +151,27 @@ pub fn write_frame<W: Write>(w: &mut W, framing: Framing, doc: &Json) -> std::io
 /// connection loop instead passes a reader whose timeouts it handles
 /// before calling this.
 pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<(Framing, Json)>, FrameError> {
-    let mut first = [0u8; 1];
-    match r.read(&mut first) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(FrameError::Io(e.to_string())),
-    }
-    if first[0] == BINARY_MAGIC {
+    let Some((framing, payload)) = read_payload(r)? else {
+        return Ok(None);
+    };
+    let text = payload_text(framing, &payload)?;
+    let doc = serde_json::from_str(text).map_err(|e| FrameError::BadJson(e.to_string()))?;
+    Ok(Some((framing, doc)))
+}
+
+/// Reads one message's payload bytes, undecoded: the binary frame's
+/// payload, or the JSONL line without its `\n` (and one trailing `\r`).
+/// [`read_frame`] is this plus [`payload_text`] and the JSON parse; the
+/// server keeps the bytes so [`decode_request`] can read an event batch
+/// without building a document tree.
+pub fn read_payload<R: BufRead>(r: &mut R) -> Result<Option<(Framing, Vec<u8>)>, FrameError> {
+    let io = |e: std::io::Error| FrameError::Io(e.to_string());
+    let first = match r.fill_buf().map_err(io)? {
+        [] => return Ok(None),
+        [first, ..] => *first,
+    };
+    if first == BINARY_MAGIC {
+        r.consume(1);
         let mut len_bytes = [0u8; 4];
         read_exact_counted(r, &mut len_bytes, 4)?;
         let len = u32::from_be_bytes(len_bytes) as usize;
@@ -162,39 +183,46 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<(Framing, Json)>, Fram
         }
         let mut payload = vec![0u8; len];
         read_exact_counted(r, &mut payload, len)?;
-        let text = String::from_utf8(payload)
-            .map_err(|e| FrameError::BadJson(format!("payload is not UTF-8: {e}")))?;
-        let doc = serde_json::from_str(&text).map_err(|e| FrameError::BadJson(e.to_string()))?;
-        Ok(Some((Framing::Binary, doc)))
-    } else {
-        // JSONL: accumulate until the newline (the first byte is part of
-        // the line), bounded by the same frame ceiling.
-        let mut line = vec![first[0]];
-        loop {
-            let mut b = [0u8; 1];
-            match r.read(&mut b) {
-                Ok(0) => break, // unterminated final line: still a line
-                Ok(_) if b[0] == b'\n' => break,
-                Ok(_) => {
-                    line.push(b[0]);
-                    if line.len() > MAX_FRAME_LEN {
-                        return Err(FrameError::Oversized {
-                            len: line.len(),
-                            max: MAX_FRAME_LEN,
-                        });
-                    }
-                }
-                Err(e) => return Err(FrameError::Io(e.to_string())),
-            }
-        }
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        let text = String::from_utf8(line)
-            .map_err(|e| FrameError::BadJson(format!("line is not UTF-8: {e}")))?;
-        let doc = serde_json::from_str(&text).map_err(|e| FrameError::BadJson(e.to_string()))?;
-        Ok(Some((Framing::Jsonl, doc)))
+        return Ok(Some((Framing::Binary, payload)));
     }
+    // JSONL: take buffered runs up to the newline, bounded by the same
+    // frame ceiling. A line longer than the ceiling is cut off one byte
+    // past it, so a hostile line is never buffered further.
+    let mut line = Vec::new();
+    loop {
+        let buf = r.fill_buf().map_err(io)?;
+        if buf.is_empty() {
+            break; // unterminated final line: still a line
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let run = newline.unwrap_or(buf.len());
+        if line.len() + run > MAX_FRAME_LEN {
+            r.consume(MAX_FRAME_LEN + 1 - line.len());
+            return Err(FrameError::Oversized {
+                len: MAX_FRAME_LEN + 1,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        line.extend_from_slice(&buf[..run]);
+        r.consume(run + usize::from(newline.is_some()));
+        if newline.is_some() {
+            break;
+        }
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(Some((Framing::Jsonl, line)))
+}
+
+/// The payload as text, or the `bad-json` error a non-UTF-8 payload gets.
+pub fn payload_text(framing: Framing, payload: &[u8]) -> Result<&str, FrameError> {
+    std::str::from_utf8(payload).map_err(|e| {
+        FrameError::BadJson(match framing {
+            Framing::Binary => format!("payload is not UTF-8: {e}"),
+            Framing::Jsonl => format!("line is not UTF-8: {e}"),
+        })
+    })
 }
 
 /// `read_exact` that reports how many bytes were present on a short read,
@@ -252,8 +280,9 @@ pub enum Command {
         tenant: String,
         /// Target spec.
         spec: String,
-        /// The event document.
-        event: Json,
+        /// The decoded event, or why it is not one; reported at ingest,
+        /// after the tenant and spec are resolved.
+        event: Result<Event, EventError>,
     },
     /// `{"cmd":"event-batch","tenant":T,"spec":S,"events":[E,…]}` — ingest
     /// many events in one frame (the hot path).
@@ -262,8 +291,8 @@ pub enum Command {
         tenant: String,
         /// Target spec.
         spec: String,
-        /// Event documents, each as in `event`.
-        events: Vec<Json>,
+        /// The decoded events, each as in `event`.
+        events: Vec<Result<Event, EventError>>,
     },
     /// `{"cmd":"snapshot","tenant":T}` — the tenant's live state: specs,
     /// open sessions, and its `serve.tenant.<T>.*` metrics.
@@ -351,36 +380,62 @@ pub const MAX_REQUEST_ID_LEN: usize = 128;
 pub fn request_id(doc: &Json) -> Result<Option<String>, String> {
     match doc.get("req") {
         None => Ok(None),
-        Some(Json::String(id)) if id.is_empty() => Err("field `req` must not be empty".to_string()),
-        Some(Json::String(id)) if id.len() > MAX_REQUEST_ID_LEN => {
-            Err(format!("field `req` exceeds {MAX_REQUEST_ID_LEN} bytes"))
-        }
-        Some(Json::String(id)) => Ok(Some(id.clone())),
+        Some(Json::String(id)) => check_request_id(id).map(|()| Some(id.clone())),
         Some(_) => Err("field `req` must be a string".to_string()),
     }
 }
 
-/// Extracts a required string field.
-fn str_field(obj: &Json, field: &'static str) -> Result<String, String> {
-    obj.get(field)
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{field}` must be a string"))
+fn check_request_id(id: &str) -> Result<(), String> {
+    if id.is_empty() {
+        Err("field `req` must not be empty".to_string())
+    } else if id.len() > MAX_REQUEST_ID_LEN {
+        Err(format!("field `req` exceeds {MAX_REQUEST_ID_LEN} bytes"))
+    } else {
+        Ok(())
+    }
+}
+
+/// Takes a required string field out of a request object.
+fn take_str(obj: &mut BTreeMap<String, Json>, field: &'static str) -> Result<String, String> {
+    match obj.remove(field) {
+        Some(Json::String(s)) => Ok(s),
+        _ => Err(format!("field `{field}` must be a string")),
+    }
+}
+
+/// Takes an optional string field out of a request object.
+fn take_opt_str(
+    obj: &mut BTreeMap<String, Json>,
+    field: &'static str,
+) -> Result<Option<String>, String> {
+    match obj.remove(field) {
+        None => Ok(None),
+        Some(Json::String(s)) => Ok(Some(s)),
+        Some(_) => Err(format!("field `{field}` must be a string")),
+    }
 }
 
 /// Parses one request document into a [`Command`]; the error is the
-/// message for the typed `bad-request` response.
+/// message for the typed `bad-request` response. A borrowed wrapper over
+/// [`parse_command`], which the server calls on the document it owns.
 pub fn parse_request(doc: &Json) -> Result<Command, String> {
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| "request must be a JSON object".to_string())?;
-    let cmd = obj
-        .get("cmd")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| "field `cmd` must be a string".to_string())?;
-    match cmd {
+    parse_command(doc.clone())
+}
+
+/// [`parse_request`] on an owned document: string fields and event
+/// payloads are moved out of it, not copied, and each event payload is
+/// decoded once here ([`decode_event_doc`]).
+pub fn parse_command(doc: Json) -> Result<Command, String> {
+    let Json::Object(mut obj) = doc else {
+        return Err("request must be a JSON object".to_string());
+    };
+    let cmd = match obj.remove("cmd") {
+        Some(Json::String(cmd)) => cmd,
+        _ => return Err("field `cmd` must be a string".to_string()),
+    };
+    match cmd.as_str() {
         "hello" => Ok(Command::Hello {
-            tenant: str_field(doc, "tenant")?,
+            tenant: take_str(&mut obj, "tenant")?,
         }),
         "load-spec" => {
             let view = match obj.get("view") {
@@ -393,74 +448,175 @@ pub fn parse_request(doc: &Json) -> Result<Command, String> {
                 ),
             };
             Ok(Command::LoadSpec {
-                tenant: str_field(doc, "tenant")?,
-                name: str_field(doc, "name")?,
-                spec: str_field(doc, "spec")?,
+                tenant: take_str(&mut obj, "tenant")?,
+                name: take_str(&mut obj, "name")?,
+                spec: take_str(&mut obj, "spec")?,
                 view,
             })
         }
         "open-session" => Ok(Command::OpenSession {
-            tenant: str_field(doc, "tenant")?,
-            spec: str_field(doc, "spec")?,
-            session: str_field(doc, "session")?,
+            tenant: take_str(&mut obj, "tenant")?,
+            spec: take_str(&mut obj, "spec")?,
+            session: take_str(&mut obj, "session")?,
         }),
-        "event" => Ok(Command::Event {
-            tenant: str_field(doc, "tenant")?,
-            spec: str_field(doc, "spec")?,
-            event: obj
-                .get("event")
-                .cloned()
-                .ok_or_else(|| "field `event` is required".to_string())?,
-        }),
+        "event" => {
+            let tenant = take_str(&mut obj, "tenant")?;
+            let spec = take_str(&mut obj, "spec")?;
+            let event = obj
+                .remove("event")
+                .ok_or_else(|| "field `event` is required".to_string())?;
+            Ok(Command::Event {
+                tenant,
+                spec,
+                event: decode_event_doc(&event),
+            })
+        }
         "event-batch" => {
-            let events = obj
-                .get("events")
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| "field `events` must be an array".to_string())?;
+            let Some(Json::Array(events)) = obj.remove("events") else {
+                return Err("field `events` must be an array".to_string());
+            };
             Ok(Command::EventBatch {
-                tenant: str_field(doc, "tenant")?,
-                spec: str_field(doc, "spec")?,
-                events: events.clone(),
+                tenant: take_str(&mut obj, "tenant")?,
+                spec: take_str(&mut obj, "spec")?,
+                events: events.iter().map(decode_event_doc).collect(),
             })
         }
         "snapshot" => Ok(Command::Snapshot {
-            tenant: str_field(doc, "tenant")?,
+            tenant: take_str(&mut obj, "tenant")?,
         }),
         "close" => {
-            let spec = match obj.get("spec") {
-                None => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "field `spec` must be a string".to_string())?,
-                ),
-            };
-            let session = match obj.get("session") {
-                None => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "field `session` must be a string".to_string())?,
-                ),
-            };
+            let spec = take_opt_str(&mut obj, "spec")?;
+            let session = take_opt_str(&mut obj, "session")?;
             if session.is_some() && spec.is_none() {
                 return Err("closing a session requires its `spec`".to_string());
             }
             Ok(Command::Close {
-                tenant: str_field(doc, "tenant")?,
+                tenant: take_str(&mut obj, "tenant")?,
                 spec,
                 session,
             })
         }
         "handoff" => Ok(Command::Handoff {
-            tenant: str_field(doc, "tenant")?,
-            spec: str_field(doc, "spec")?,
+            tenant: take_str(&mut obj, "tenant")?,
+            spec: take_str(&mut obj, "spec")?,
         }),
         "stats" => Ok(Command::Stats),
         "health" => Ok(Command::Health),
         "metrics" => Ok(Command::Metrics),
         other => Err(format!("unknown command `{other}`")),
     }
+}
+
+/// One request payload, decoded: its correlation id and its command.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Request {
+    /// The client's `req` id; `None` when absent or malformed (the server
+    /// mints one either way).
+    pub id: Option<String>,
+    /// The command, or the `bad-request` message (a malformed `req` id
+    /// included).
+    pub command: Result<Command, String>,
+}
+
+/// Decodes one frame payload into a [`Request`]; the error is the
+/// `bad-json` rejection of a payload that is not UTF-8 JSON. A well-formed
+/// `event-batch` request is read straight into [`Event`]s
+/// ([`decode_event_batch`]); every other payload is parsed as a document
+/// and handed to [`parse_command`].
+pub fn decode_request(framing: Framing, payload: &[u8]) -> Result<Request, FrameError> {
+    let text = payload_text(framing, payload)?;
+    if let Some(request) = decode_event_batch(text) {
+        return Ok(request);
+    }
+    let doc = serde_json::from_str(text).map_err(|e| FrameError::BadJson(e.to_string()))?;
+    Ok(match request_id(&doc) {
+        Ok(id) => Request {
+            id,
+            command: parse_command(doc),
+        },
+        Err(message) => Request {
+            id: None,
+            command: Err(message),
+        },
+    })
+}
+
+/// Reads an `event-batch` request straight from its text, with no
+/// document tree: the events come out decoded, each by the reader
+/// [`decode_event_doc`] mirrors. `None` for any other payload: another
+/// command, a syntax error, a request field of the wrong type or a
+/// malformed `req`. [`decode_request`] then parses that payload as a
+/// document, which reports exactly what is wrong. Every token is read by
+/// the parser behind `serde_json::from_str`, and a repeated key keeps its
+/// last value as in a parsed document, so an accepted payload decodes to
+/// the [`Request`] the document path builds.
+pub fn decode_event_batch(text: &str) -> Option<Request> {
+    let mut p = serde_json::Parser::new(text);
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        return None;
+    }
+    let (mut tenant, mut spec, mut events, mut id) = (None, None, None, None);
+    let mut is_batch = false;
+    p.object(|p, key| {
+        match &*key {
+            "cmd" => {
+                is_batch = p.str()? == "event-batch";
+                if !is_batch {
+                    // Stop reading: the document path parses the rest.
+                    return Err(serde_json::Error {
+                        message: "not an event batch".to_string(),
+                        offset: 0,
+                    });
+                }
+            }
+            "tenant" => tenant = Some(p.str()?.into_owned()),
+            "spec" => spec = Some(p.str()?.into_owned()),
+            "req" => id = Some(p.str()?.into_owned()),
+            "events" => {
+                let mut decoded = Vec::new();
+                p.array(|p| {
+                    decoded.push(read_event_doc(p)?);
+                    Ok(())
+                })?;
+                events = Some(decoded);
+            }
+            _ => {
+                p.value()?;
+            }
+        }
+        Ok(())
+    })
+    .ok()?;
+    p.end().ok()?;
+    if !is_batch {
+        return None;
+    }
+    if let Some(id) = &id {
+        check_request_id(id).ok()?;
+    }
+    Some(Request {
+        id,
+        command: Ok(Command::EventBatch {
+            tenant: tenant?,
+            spec: spec?,
+            events: events?,
+        }),
+    })
+}
+
+/// [`decode_event_doc`] on the event payload at the parser's position.
+fn read_event_doc(
+    p: &mut serde_json::Parser<'_>,
+) -> Result<Result<Event, EventError>, serde_json::Error> {
+    Ok(match p.peek() {
+        Some(b'{') => rega_stream::read_event(p)?,
+        Some(b'"') => rega_stream::parse_event(&p.str()?),
+        _ => {
+            p.value()?;
+            Err(EventError::Json(NOT_AN_EVENT.to_string()))
+        }
+    })
 }
 
 /// The JSONL line an event document stands for: object payloads are
@@ -479,17 +635,17 @@ pub fn event_line(event: &Json) -> Result<String, String> {
 
 const NOT_AN_EVENT: &str = "an event must be an object or a JSONL line string";
 
-/// Decodes the event document an [`Command::Event`] carries, checking the
-/// register arity against the spec's `registers`. Object payloads are
-/// decoded from the already-parsed frame with
-/// [`decode_event_checked`](rega_stream::decode_event_checked); string
-/// payloads are JSONL lines and go through the batch monitor's own
-/// [`parse_event_checked`](rega_stream::parse_event_checked). Both accept
-/// exactly what `rega monitor` accepts.
-pub fn decode_event_doc(event: &Json, registers: usize) -> Result<Event, EventError> {
+/// Decodes one event payload of an `event` / `event-batch` request. Object
+/// payloads are decoded from the parsed frame with
+/// [`decode_event`](rega_stream::decode_event); string payloads are JSONL
+/// lines and go through the batch monitor's own
+/// [`parse_event`](rega_stream::parse_event). Both accept exactly what
+/// `rega monitor` accepts; the register arity is checked at ingest, against
+/// the spec the request names.
+pub fn decode_event_doc(event: &Json) -> Result<Event, EventError> {
     match event {
-        Json::String(line) => rega_stream::parse_event_checked(line, registers),
-        Json::Object(_) => rega_stream::decode_event_checked(event, registers),
+        Json::String(line) => rega_stream::parse_event(line),
+        Json::Object(_) => rega_stream::decode_event(event),
         _ => Err(EventError::Json(NOT_AN_EVENT.to_string())),
     }
 }
@@ -547,6 +703,117 @@ mod tests {
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), Some((Framing::Jsonl, b)));
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// A JSONL line of exactly `len` bytes: a JSON string padded with `x`.
+    fn line_of(len: usize) -> Vec<u8> {
+        let mut line = vec![b'"'];
+        line.resize(len - 1, b'x');
+        line.push(b'"');
+        line
+    }
+
+    /// Reads every frame of `bytes` through a reader that buffers only a
+    /// few bytes at a time, so lines span many buffer refills.
+    fn read_all_small(bytes: &[u8]) -> Vec<Result<Option<(Framing, Json)>, FrameError>> {
+        let mut r = std::io::BufReader::with_capacity(7, bytes);
+        let mut out = Vec::new();
+        loop {
+            let frame = read_frame(&mut r);
+            let stop = !matches!(frame, Ok(Some(_)));
+            out.push(frame);
+            if stop {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_lines_up_to_the_ceiling_are_accepted() {
+        for len in [MAX_FRAME_LEN, MAX_FRAME_LEN - 1] {
+            let mut bytes = line_of(len);
+            bytes.push(b'\n');
+            let (framing, doc) = read_frame(&mut Cursor::new(&bytes)).unwrap().unwrap();
+            assert_eq!(framing, Framing::Jsonl);
+            assert_eq!(doc.as_str().map(str::len), Some(len - 2));
+        }
+        // The `\r` of a CRLF line is not counted against the ceiling once
+        // stripped, but it is part of the line while it is read.
+        let mut bytes = line_of(MAX_FRAME_LEN - 1);
+        bytes.extend(b"\r\n");
+        assert!(read_frame(&mut Cursor::new(&bytes)).unwrap().is_some());
+    }
+
+    #[test]
+    fn jsonl_line_one_byte_past_the_ceiling_is_oversized() {
+        let oversized = FrameError::Oversized {
+            len: MAX_FRAME_LEN + 1,
+            max: MAX_FRAME_LEN,
+        };
+        // Terminated, unterminated, and far past the ceiling: the same
+        // error, and the reader stops one byte past the ceiling.
+        for (len, newline) in [
+            (MAX_FRAME_LEN + 1, true),
+            (MAX_FRAME_LEN + 1, false),
+            (MAX_FRAME_LEN + 4096, true),
+        ] {
+            let mut bytes = line_of(len);
+            if newline {
+                bytes.push(b'\n');
+            }
+            let mut cursor = Cursor::new(&bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap_err(), oversized);
+            assert_eq!(cursor.position() as usize, MAX_FRAME_LEN + 1);
+        }
+        let mut bytes = line_of(MAX_FRAME_LEN);
+        bytes.extend(b"\r\n");
+        assert_eq!(read_frame(&mut Cursor::new(&bytes)).unwrap_err(), oversized);
+    }
+
+    #[test]
+    fn jsonl_strips_one_carriage_return_and_keeps_an_unterminated_last_line() {
+        let bytes = b"{\"cmd\": \"health\"}\r\n\"a\"\r\r\n{\"cmd\": \"stats\"}";
+        let frames = read_all_small(bytes);
+        assert_eq!(frames.len(), 4);
+        assert_eq!(
+            frames[0],
+            Ok(Some((Framing::Jsonl, json!({"cmd": "health"}))))
+        );
+        // Only one `\r` is stripped; the second is the parser's to judge
+        // (JSON whitespace).
+        assert_eq!(frames[1], Ok(Some((Framing::Jsonl, json!("a")))));
+        assert_eq!(
+            frames[2],
+            Ok(Some((Framing::Jsonl, json!({"cmd": "stats"}))))
+        );
+        assert_eq!(frames[3], Ok(None));
+        // A lone `\r` line is an empty line once stripped.
+        let got = read_all_small(b"\r\n");
+        assert!(matches!(&got[0], Err(FrameError::BadJson(_))), "{got:?}");
+    }
+
+    #[test]
+    fn non_utf8_payloads_are_bad_json_with_the_decoder_message() {
+        let mut line = b"\"caf".to_vec();
+        line.extend([0xC3, b'"', b'\n']);
+        assert_eq!(
+            read_frame(&mut Cursor::new(&line)).unwrap_err(),
+            FrameError::BadJson(
+                "line is not UTF-8: invalid utf-8 sequence of 1 bytes from index 4".to_string()
+            )
+        );
+        let mut frame = vec![BINARY_MAGIC, 0, 0, 0, 2, 0xFF, b'1'];
+        assert_eq!(
+            read_frame(&mut Cursor::new(&frame)).unwrap_err(),
+            FrameError::BadJson(
+                "payload is not UTF-8: invalid utf-8 sequence of 1 bytes from index 0".to_string()
+            )
+        );
+        frame[5] = b'2';
+        assert_eq!(
+            read_frame(&mut Cursor::new(&frame)).unwrap(),
+            Some((Framing::Binary, json!(21u64)))
+        );
     }
 
     #[test]
@@ -659,16 +926,16 @@ mod tests {
         let obj = json!({"session": "s", "state": "q", "regs": [1u64]});
         let line = Json::String(event_line(&obj).unwrap());
         assert_eq!(
-            decode_event_doc(&obj, 1),
-            rega_stream::parse_event_checked(&event_line(&obj).unwrap(), 1)
+            decode_event_doc(&obj),
+            rega_stream::parse_event(&event_line(&obj).unwrap())
         );
-        assert_eq!(decode_event_doc(&obj, 1), decode_event_doc(&line, 1));
+        assert_eq!(decode_event_doc(&obj), decode_event_doc(&line));
         assert_eq!(
-            decode_event_doc(&obj, 2),
+            decode_event_doc(&obj).and_then(|e| rega_stream::check_arity(e, 2)),
             Err(EventError::Arity { got: 1, want: 2 })
         );
         assert_eq!(
-            decode_event_doc(&json!(42u64), 1),
+            decode_event_doc(&json!(42u64)),
             Err(EventError::Json(NOT_AN_EVENT.to_string()))
         );
     }

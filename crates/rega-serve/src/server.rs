@@ -20,7 +20,7 @@
 //!    a signal-initiated drain is a *clean* shutdown, not an error.
 
 use crate::proto::{
-    self, parse_request, read_frame, request_id, write_frame, Command, FrameError, Framing,
+    self, decode_request, read_payload, write_frame, Command, FrameError, Framing, Request,
 };
 use crate::tenant::{TenantQuotas, TenantRegistry};
 use rega_data::BudgetSpec;
@@ -252,13 +252,20 @@ fn serve_connection(stream: TcpStream, shared: &ConnShared) -> std::io::Result<(
             Err(e) => return Err(e),
         }
         reader.get_ref().set_read_timeout(Some(IN_FRAME_TIMEOUT))?;
-        let frame = read_frame(&mut reader);
+        let frame = read_payload(&mut reader);
         reader.get_ref().set_read_timeout(Some(POLL))?;
-        match frame {
+        let decoded = match frame {
+            Ok(Some((framing, payload))) => {
+                let _span = rega_obs::span!("serve.decode", bytes = payload.len());
+                decode_request(framing, &payload).map(|request| Some((framing, request)))
+            }
+            other => other.map(|_| None),
+        };
+        match decoded {
             Ok(None) => return Ok(()),
-            Ok(Some((framing, doc))) => {
+            Ok(Some((framing, request))) => {
                 shared.requests.inc();
-                let response = handle_request(&doc, shared);
+                let response = handle_request(request, shared);
                 if response["ok"] != json!(true) {
                     shared.failures.inc();
                 }
@@ -288,27 +295,19 @@ fn serve_connection(stream: TcpStream, shared: &ConnShared) -> std::io::Result<(
     }
 }
 
-/// Services one request document end to end: resolves (or mints) its
+/// Services one decoded request end to end: resolves (or mints) its
 /// correlation id, installs the request context so every span and event
 /// downstream carries it, dispatches under a timed `serve.request` span,
 /// records the command latency histograms, emits the access / slow-request
 /// log lines, and echoes the id in the response's `req` field.
-fn handle_request(doc: &Json, shared: &ConnShared) -> Json {
+fn handle_request(request: Request, shared: &ConnShared) -> Json {
     let started = Instant::now();
-    let (id, id_error) = match request_id(doc) {
-        Ok(Some(id)) => (id, None),
-        Ok(None) => (mint_id(shared), None),
-        // A malformed `req` still gets a (minted) id so even the
-        // rejection is correlatable.
-        Err(message) => (mint_id(shared), Some(message)),
-    };
+    // An absent or malformed `req` gets a minted id, so even the rejection
+    // is correlatable.
+    let id = request.id.unwrap_or_else(|| mint_id(shared));
     let id: Arc<str> = Arc::from(id.as_str());
     let _ctx = rega_obs::RequestGuard::enter(Arc::clone(&id));
-    let parsed = match id_error {
-        Some(message) => Err(message),
-        None => parse_request(doc),
-    };
-    let (cmd_name, tenant, mut response) = match parsed {
+    let (cmd_name, tenant, mut response) = match request.command {
         Ok(cmd) => {
             let name = cmd.name();
             let tenant = cmd.tenant().map(str::to_string);
@@ -421,7 +420,7 @@ fn dispatch(cmd: Command, tenants: &TenantRegistry) -> Json {
             tenant,
             spec,
             event,
-        } => match tenants.ingest(&tenant, &spec, std::slice::from_ref(&event)) {
+        } => match tenants.ingest_events(&tenant, &spec, [event]) {
             Ok(n) => json!({"ok": true, "cmd": "event", "accepted": n}),
             Err((accepted, e)) => fail(with_accepted(e.to_json(), accepted)),
         },
@@ -429,7 +428,7 @@ fn dispatch(cmd: Command, tenants: &TenantRegistry) -> Json {
             tenant,
             spec,
             events,
-        } => match tenants.ingest(&tenant, &spec, &events) {
+        } => match tenants.ingest_events(&tenant, &spec, events) {
             Ok(n) => json!({"ok": true, "cmd": "event-batch", "accepted": n}),
             Err((accepted, e)) => fail(with_accepted(e.to_json(), accepted)),
         },

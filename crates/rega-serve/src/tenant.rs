@@ -30,7 +30,7 @@ use crate::proto::decode_event_doc;
 use rega_data::{Budget, BudgetSpec, GovernError};
 use rega_obs::{Counter, Gauge, Registry, ScopedRegistry};
 use rega_stream::{
-    CompiledSpec, Engine, EngineConfig, EngineHandle, EngineReport, Event, EventError,
+    check_arity, CompiledSpec, Engine, EngineConfig, EngineHandle, EngineReport, Event, EventError,
     SessionStatus, SubmitError,
 };
 use serde_json::{json, Value as Json};
@@ -690,19 +690,31 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// Ingests one batch of event documents for `(tenant, spec)`. Events
-    /// are validated exactly as the batch monitor validates its JSONL
-    /// lines (same decoder, same arity check; object payloads are decoded
-    /// from the parsed frame, not parsed a second time), must name an
-    /// *open* session, and are submitted through the engine's
-    /// concurrent-ingest handle.
-    /// Processing stops at the first error; the return value counts the
-    /// events accepted before it.
+    /// Ingests one batch of event documents for `(tenant, spec)`: each is
+    /// decoded with [`decode_event_doc`] (the batch monitor's decoder;
+    /// object payloads are not parsed a second time) and handed to
+    /// [`TenantRegistry::ingest_events`].
     pub fn ingest(
         &self,
         tenant: &str,
         spec: &str,
         events: &[Json],
+    ) -> Result<u64, (u64, IngestError)> {
+        self.ingest_events(tenant, spec, events.iter().map(decode_event_doc))
+    }
+
+    /// Ingests decoded events for `(tenant, spec)`, in order. The tenant
+    /// and the spec are resolved first, so their errors take precedence
+    /// over any event's. Each event must then have decoded, must carry the
+    /// spec's register arity, must name an *open* session, and is
+    /// submitted through the engine's concurrent-ingest handle.
+    /// Processing stops at the first error; the return value counts the
+    /// events accepted before it.
+    pub fn ingest_events(
+        &self,
+        tenant: &str,
+        spec: &str,
+        events: impl IntoIterator<Item = Result<Event, EventError>>,
     ) -> Result<u64, (u64, IngestError)> {
         let t = self.get(tenant).map_err(|e| (0, IngestError::from(e)))?;
         // Clone the handle out of the lock: submission may back-pressure,
@@ -717,16 +729,18 @@ impl TenantRegistry {
             (entry.handle.clone(), entry.registers)
         };
         let mut accepted = 0u64;
-        for (index, doc) in events.iter().enumerate() {
+        for (index, decoded) in events.into_iter().enumerate() {
             let fail = move |e: IngestError| (accepted, e);
-            let event = decode_event_doc(doc, registers).map_err(|error| {
-                t.metrics.events_rejected.inc();
-                fail(IngestError::Event { index, error })
-            })?;
+            let event = decoded
+                .and_then(|event| check_arity(event, registers))
+                .map_err(|error| {
+                    t.metrics.events_rejected.inc();
+                    fail(IngestError::Event { index, error })
+                })?;
             // Only open sessions may carry traffic; a terminal event
-            // releases the quota slot.
-            let is_end = matches!(event, Event::End { .. });
-            {
+            // releases the quota slot (and keeps the released name, in
+            // case the engine sheds the event below).
+            let released = {
                 let mut specs = t.specs.lock().unwrap();
                 let Some(entry) = specs.get_mut(spec) else {
                     t.metrics.events_rejected.inc();
@@ -739,21 +753,23 @@ impl TenantRegistry {
                         session: event.session().to_string(),
                     })));
                 }
-                if is_end {
-                    entry.sessions.remove(event.session());
-                    t.metrics.sessions_open.dec();
+                match event {
+                    Event::End { ref session } => {
+                        t.metrics.sessions_open.dec();
+                        entry.sessions.take(session.as_str())
+                    }
+                    Event::Step { .. } => None,
                 }
-            }
-            let session_name = event.session().to_string();
+            };
             handle.submit(event).map_err(|e| {
                 t.metrics.events_rejected.inc();
                 // A terminal event that never reached the engine must not
                 // keep its released quota slot: re-open it so the
                 // suggested retry is not answered with `unknown-session`.
-                if is_end {
+                if let Some(session) = released {
                     let mut specs = t.specs.lock().unwrap();
                     if let Some(entry) = specs.get_mut(spec) {
-                        if entry.sessions.insert(session_name.clone()) {
+                        if entry.sessions.insert(session) {
                             t.metrics.sessions_open.inc();
                         }
                     }
@@ -1228,6 +1244,72 @@ mod tests {
             Some(1),
             "the shed is visible on its own per-tenant series"
         );
+    }
+
+    #[test]
+    fn shed_terminal_event_keeps_its_session_open_for_the_retry() {
+        use rega_stream::FaultPlan;
+        use std::time::{Duration, Instant};
+        // As above, but each delivery stalls for a bounded time, so the
+        // queue frees up again and the retried `end` gets in.
+        let reg = TenantRegistry::new(
+            2,
+            TenantQuotas::default(),
+            BudgetSpec::none(),
+            EngineConfig {
+                shards: 1,
+                workers: 1,
+                queue_capacity: 1,
+                submit_timeout: Some(Duration::from_millis(10)),
+                fault: FaultPlan {
+                    stall_prob: 1.0,
+                    stall_ns: 2_000_000_000,
+                    ..FaultPlan::none()
+                },
+                ..EngineConfig::default()
+            },
+            Arc::new(Registry::new()),
+        );
+        reg.hello("a").unwrap();
+        reg.load_spec("a", "s", spec_text(), None).unwrap();
+        reg.open_session("a", "s", "x").unwrap();
+        let open = |reg: &TenantRegistry| {
+            reg.metrics().snapshot()["serve.tenant.a.sessions.open"]["value"].as_f64()
+        };
+        // Fill the queue behind the stalled worker until a step is shed.
+        let step = json!({"session": "x", "state": "p", "regs": [1u64]});
+        let full = (0..8).any(|_| reg.ingest("a", "s", std::slice::from_ref(&step)).is_err());
+        assert!(full, "a 1-slot queue behind a stalled worker must shed");
+        assert_eq!(open(&reg), Some(1.0));
+
+        let end = json!({"session": "x", "end": true});
+        match reg.ingest("a", "s", std::slice::from_ref(&end)) {
+            Err((0, IngestError::Overloaded { .. })) => {}
+            other => panic!("expected the terminal event shed, got {other:?}"),
+        }
+        // The shed `end` released nothing: the session is still open and
+        // still counted.
+        assert_eq!(open(&reg), Some(1.0));
+        let snapshot = reg.snapshot("a").unwrap();
+        assert_eq!(snapshot["specs"][0]["open_sessions"], json!(["x"]));
+
+        // Retried once the worker frees the slot, the same `end` is
+        // accepted and releases the session.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match reg.ingest("a", "s", std::slice::from_ref(&end)) {
+                Ok(1) => break,
+                Err((0, IngestError::Overloaded { .. })) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                other => panic!("the retried end must be accepted, got {other:?}"),
+            }
+        }
+        assert_eq!(open(&reg), Some(0.0));
+        match reg.ingest("a", "s", std::slice::from_ref(&step)) {
+            Err((0, IngestError::Admission(AdmissionError::UnknownSession { .. }))) => {}
+            other => panic!("the ended session must be closed, got {other:?}"),
+        }
     }
 
     #[test]

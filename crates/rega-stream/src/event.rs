@@ -14,7 +14,9 @@
 //! [`EventError`], never a panic (the `stream_faults` suite fuzzes the
 //! parser with byte mutations of valid lines to enforce this). Documents
 //! that arrive already parsed go through [`decode_event`], the same
-//! contract without a second pass over the text. When the
+//! contract without a second pass over the text, and an event object
+//! inside a larger JSON text is read in place by [`read_event`]; both
+//! apply the one set of rules in `EventFields`. When the
 //! monitored specification is known, [`parse_event_checked`] additionally
 //! validates the register arity at parse time, so an event with the wrong
 //! tuple width is rejected at the edge instead of deep inside a worker.
@@ -116,61 +118,178 @@ pub fn parse_event(line: &str) -> Result<Event, EventError> {
 /// [`parse_event`] accepts.
 pub fn decode_event(value: &serde_json::Value) -> Result<Event, EventError> {
     let obj = value.as_object().ok_or(EventError::NotAnObject)?;
-    let session = obj
-        .get("session")
-        .and_then(|v| v.as_str())
-        .ok_or(EventError::BadField {
-            field: "session",
-            expected: "a string",
-        })?
-        .to_string();
-    if session.is_empty() {
-        return Err(EventError::EmptySession);
-    }
-    if let Some(end) = obj.get("end") {
-        if end.as_bool() != Some(true) {
-            return Err(EventError::BadEnd);
+    let mut fields = EventFields::default();
+    for (key, v) in obj {
+        match key.as_str() {
+            "session" => fields.session = Some(v.as_str().map(str::to_string).ok_or(A_STRING)),
+            "state" => fields.state = Some(v.as_str().map(str::to_string).ok_or(A_STRING)),
+            "end" => fields.end = Some(v.as_bool() == Some(true)),
+            "regs" => {
+                fields.regs = Some(match v.as_array() {
+                    Some(items) => items
+                        .iter()
+                        .map(|n| n.as_u64().map(Value))
+                        .collect::<Option<_>>()
+                        .ok_or(UNSIGNED_ARRAY),
+                    None => Err(AN_ARRAY),
+                })
+            }
+            _ => fields.unexpected(key),
         }
-        for key in obj.keys() {
-            if key != "session" && key != "end" {
-                return Err(EventError::UnexpectedField(key.clone()));
+    }
+    fields.into_event()
+}
+
+/// Reads one event object straight from JSON text, at the parser's
+/// position (which must be a `{`), without building a document tree. The
+/// outer error is a syntax error; the inner result is exactly what
+/// [`decode_event`] gives for the same object. Strings and numbers are read
+/// by the parser behind [`serde_json::from_str`], so escapes, `-0`, the
+/// ends of the `u64` range and integral floats (`1.0`, `1e0`) are judged
+/// as on every other path, and duplicate keys keep the last value, as a
+/// parsed document does.
+pub fn read_event(
+    p: &mut serde_json::Parser<'_>,
+) -> Result<Result<Event, EventError>, serde_json::Error> {
+    let mut fields = EventFields::default();
+    p.object(|p, key| {
+        match &*key {
+            "session" => fields.session = Some(read_string(p)?),
+            "state" => fields.state = Some(read_string(p)?),
+            "end" => fields.end = Some(p.value()? == serde_json::Value::Bool(true)),
+            "regs" => fields.regs = Some(read_regs(p)?),
+            _ => {
+                p.value()?;
+                fields.unexpected(&key);
             }
         }
-        return Ok(Event::End { session });
+        Ok(())
+    })?;
+    Ok(fields.into_event())
+}
+
+/// A field that must be a string, or what it should have been.
+fn read_string(
+    p: &mut serde_json::Parser<'_>,
+) -> Result<Result<String, &'static str>, serde_json::Error> {
+    if p.peek() == Some(b'"') {
+        return Ok(Ok(p.str()?.into_owned()));
     }
-    let state = obj
-        .get("state")
-        .and_then(|v| v.as_str())
-        .ok_or(EventError::BadField {
-            field: "state",
-            expected: "a string",
-        })?
-        .to_string();
-    let regs_json = obj
-        .get("regs")
-        .and_then(|v| v.as_array())
-        .ok_or(EventError::BadField {
-            field: "regs",
-            expected: "an array",
-        })?;
-    let mut regs = Vec::with_capacity(regs_json.len());
-    for v in regs_json {
-        let n = v.as_u64().ok_or(EventError::BadField {
-            field: "regs",
-            expected: "an array of unsigned integers",
-        })?;
-        regs.push(Value(n));
+    p.value()?;
+    Ok(Err(A_STRING))
+}
+
+/// The register tuple, or what it should have been.
+fn read_regs(
+    p: &mut serde_json::Parser<'_>,
+) -> Result<Result<Vec<Value>, &'static str>, serde_json::Error> {
+    if p.peek() != Some(b'[') {
+        p.value()?;
+        return Ok(Err(AN_ARRAY));
     }
-    for key in obj.keys() {
-        if !matches!(key.as_str(), "session" | "state" | "regs") {
-            return Err(EventError::UnexpectedField(key.clone()));
+    let mut regs = Ok(Vec::new());
+    p.array(|p| {
+        let n = match p.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => p.number()?.as_u64(),
+            _ => {
+                p.value()?;
+                None
+            }
+        };
+        match (n, &mut regs) {
+            (Some(n), Ok(regs)) => regs.push(Value(n)),
+            _ => regs = Err(UNSIGNED_ARRAY),
+        }
+        Ok(())
+    })?;
+    Ok(regs)
+}
+
+/// What [`EventError::BadField`] says a mistyped field should be.
+const A_STRING: &str = "a string";
+const AN_ARRAY: &str = "an array";
+const UNSIGNED_ARRAY: &str = "an array of unsigned integers";
+
+/// One event object's fields as a decoder meets them, in any order; a
+/// repeated key overwrites the earlier value. [`EventFields::into_event`]
+/// then applies the wire format's rules, so both decoders ([`decode_event`]
+/// on a parsed document, [`read_event`] on text) report the same error for
+/// the same object.
+#[derive(Default)]
+struct EventFields {
+    session: Option<Result<String, &'static str>>,
+    state: Option<Result<String, &'static str>>,
+    /// Whether `end` is `true`.
+    end: Option<bool>,
+    regs: Option<Result<Vec<Value>, &'static str>>,
+    /// The smallest key outside the wire format.
+    unexpected: Option<String>,
+}
+
+impl EventFields {
+    fn unexpected(&mut self, key: &str) {
+        keep_smallest(&mut self.unexpected, key);
+    }
+
+    /// The rules, in the order they are checked: `session` (a non-empty
+    /// string), then either `end` (which must be `true`, next to nothing
+    /// but `session`) or `state` then `regs`; last, the smallest key that
+    /// does not belong.
+    fn into_event(self) -> Result<Event, EventError> {
+        let EventFields {
+            session,
+            state,
+            end,
+            regs,
+            mut unexpected,
+        } = self;
+        let session = required(session, "session", A_STRING)?;
+        if session.is_empty() {
+            return Err(EventError::EmptySession);
+        }
+        if let Some(end) = end {
+            if !end {
+                return Err(EventError::BadEnd);
+            }
+            // Next to `end`, `state` and `regs` do not belong either.
+            for (present, key) in [(state.is_some(), "state"), (regs.is_some(), "regs")] {
+                if present {
+                    keep_smallest(&mut unexpected, key);
+                }
+            }
+            return match unexpected {
+                Some(key) => Err(EventError::UnexpectedField(key)),
+                None => Ok(Event::End { session }),
+            };
+        }
+        let state = required(state, "state", A_STRING)?;
+        let regs = required(regs, "regs", AN_ARRAY)?;
+        match unexpected {
+            Some(key) => Err(EventError::UnexpectedField(key)),
+            None => Ok(Event::Step {
+                session,
+                state,
+                regs,
+            }),
         }
     }
-    Ok(Event::Step {
-        session,
-        state,
-        regs,
-    })
+}
+
+fn keep_smallest(slot: &mut Option<String>, key: &str) {
+    if slot.as_deref().is_none_or(|seen| key < seen) {
+        *slot = Some(key.to_string());
+    }
+}
+
+/// A field's value, or the [`EventError::BadField`] naming what it should
+/// have been (`absent` when it is missing).
+fn required<T>(
+    slot: Option<Result<T, &'static str>>,
+    field: &'static str,
+    absent: &'static str,
+) -> Result<T, EventError> {
+    slot.unwrap_or(Err(absent))
+        .map_err(|expected| EventError::BadField { field, expected })
 }
 
 /// Parses one JSONL line and validates the register arity of step events
@@ -180,15 +299,10 @@ pub fn parse_event_checked(line: &str, registers: usize) -> Result<Event, EventE
     check_arity(parse_event(line)?, registers)
 }
 
-/// [`decode_event`] plus the arity check of [`parse_event_checked`].
-pub fn decode_event_checked(
-    value: &serde_json::Value,
-    registers: usize,
-) -> Result<Event, EventError> {
-    check_arity(decode_event(value)?, registers)
-}
-
-fn check_arity(event: Event, registers: usize) -> Result<Event, EventError> {
+/// Rejects a step event whose register tuple does not have the
+/// specification's `registers` values ([`EventError::Arity`]); `End`
+/// events pass.
+pub fn check_arity(event: Event, registers: usize) -> Result<Event, EventError> {
     if let Event::Step { regs, .. } = &event {
         if regs.len() != registers {
             return Err(EventError::Arity {

@@ -65,7 +65,7 @@ pub mod spec;
 pub use clock::{Clock, SimClock, SystemClock};
 pub use engine::{Engine, EngineConfig, EngineReport, SessionOutcome, SubmitError};
 pub use event::{
-    decode_event, decode_event_checked, parse_event, parse_event_checked, parse_event_located,
+    check_arity, decode_event, parse_event, parse_event_checked, parse_event_located, read_event,
     Event, EventError, LocatedEventError,
 };
 pub use fault::FaultPlan;

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// An event execution strategy. All schedulers share the shard-processing
 /// core, so they differ only in interleaving, timing, and fault handling.
@@ -470,6 +470,19 @@ fn worker_loop(
     // shard id), not per-event — a span on every event would dominate the
     // hot path.
     const BATCH: usize = 64;
+    // Between batches (their spans closed) the worker yields its CPU once
+    // this long has passed since it last did, so a producer sharing that
+    // CPU (a serving connection thread, say) waits for it about this long,
+    // not for the rest of a scheduler time slice. With nothing else
+    // runnable the yield returns at once.
+    const YIELD_EVERY: Duration = Duration::from_micros(250);
+    let mut last_yield = Instant::now();
+    let mut pause = || {
+        if last_yield.elapsed() >= YIELD_EVERY {
+            std::thread::yield_now();
+            last_yield = Instant::now();
+        }
+    };
     // Single-shard workers can block on recv (no other queue to starve).
     if let [rx] = receivers {
         while let Ok(env) = rx.recv() {
@@ -508,6 +521,8 @@ fn worker_loop(
                     Err(_) => break,
                 }
             }
+            drop((_batch, _req));
+            pause();
         }
         return;
     }
@@ -560,6 +575,8 @@ fn worker_loop(
                             }
                         }
                     }
+                    drop((_batch, _req));
+                    pause();
                 }
                 Err(TryRecvError::Empty) => {}
                 Err(TryRecvError::Disconnected) => {

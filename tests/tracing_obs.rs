@@ -17,6 +17,9 @@
 //! 4. **Verification spans**: Theorem 12's `verify` opens one root span
 //!    with its refinement, truth-table and product stages and the
 //!    emptiness check of the product nested directly beneath it.
+//! 5. **Serving spans**: a server opens one `serve.decode` span per frame
+//!    it reads (frame bytes to command), so the decode's share of a served
+//!    request is read from production telemetry.
 
 use rega_core::spec::parse_spec;
 use rega_data::{Database, Schema, Value};
@@ -306,4 +309,68 @@ fn verify_spans_nest_refine_truth_product_and_emptiness() {
     assert!(root.children["emptiness.check"]
         .children
         .contains_key("emptiness.on_the_fly.search"));
+}
+
+#[test]
+fn every_served_frame_opens_one_decode_span() {
+    use rega_serve::proto::{read_frame, write_frame, Framing};
+    use rega_serve::{Server, ServerConfig};
+    use serde_json::json;
+    use std::io::{BufReader, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let (sink, guard) = rega_obs::install_memory();
+    let server = Server::bind(ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&shutdown);
+    let running = std::thread::spawn(move || server.run(flag));
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let batch = json!({"cmd": "event-batch", "tenant": "t", "spec": "s", "events": [
+        {"session": "x", "state": "p", "regs": [1u64]},
+        {"session": "x", "end": true},
+    ]});
+    let requests = [
+        json!({"cmd": "hello", "tenant": "t"}),
+        json!({"cmd": "load-spec", "tenant": "t", "name": "s", "spec": spec_text()}),
+        json!({"cmd": "open-session", "tenant": "t", "spec": "s", "session": "x"}),
+        batch.clone(),
+        batch,
+        json!({"cmd": "health"}),
+    ];
+    let mut frames = 0;
+    for (i, doc) in requests.iter().enumerate() {
+        let framing = [Framing::Jsonl, Framing::Binary][i % 2];
+        write_frame(&mut writer, framing, doc).unwrap();
+        read_frame(&mut reader).unwrap().unwrap();
+        frames += 1;
+    }
+    // A frame that is not JSON is decoded (and rejected) too.
+    writer.write_all(b"{not json\n").unwrap();
+    let (_, reply) = read_frame(&mut reader).unwrap().unwrap();
+    assert_eq!(reply["error"]["code"], json!("bad-json"));
+    frames += 1;
+    shutdown.store(true, Ordering::SeqCst);
+    drop((writer, reader));
+    running.join().unwrap();
+    drop(guard);
+
+    let events = sink.events();
+    let starts = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::SpanStart && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    let decodes = starts("serve.decode");
+    assert_eq!(decodes.len(), frames, "one serve.decode per served frame");
+    // Decoding is the connection thread's work, outside the request span
+    // (the request id is only known once the frame is decoded).
+    let requests = starts("serve.request");
+    assert_eq!(requests.len(), frames - 1);
+    assert!(decodes
+        .iter()
+        .all(|d| d.thread == requests[0].thread && d.parent.is_none()));
 }

@@ -1,21 +1,24 @@
 //! The event wire contract, pinned across every ingest path.
 //!
-//! An event reaches the monitor through one of four decoders: the batch
+//! An event reaches the monitor through one of five decoders: the batch
 //! monitor's line parser (`parse_event`), the server's `event` /
 //! `event-batch` payloads as a JSONL string or as a JSON object
-//! (`TenantRegistry::ingest`), and the cluster's JSON event decoder
-//! (`event_from_json`). Each must accept or reject every line exactly as
-//! `parse_event` does, with the same error. Past the cluster's ingress,
-//! events travel to workers as binary batch records, so every accepted
-//! event must also come back from that codec unchanged. The table holds the edge
-//! cases: numbers that re-serialise as integers (`1.0`, `1e0`), `-0`, the
-//! ends of the `u64` range, escaped session names, duplicate keys, an
-//! extra field and `"end": false`.
+//! (`TenantRegistry::ingest`), the server's frame decoder, which reads an
+//! `event-batch` request straight from its text (`decode_event_batch`),
+//! and the cluster's JSON event decoder (`event_from_json`). Each must
+//! accept or reject every line exactly as `parse_event` does, with the
+//! same error. Past the cluster's ingress, events travel to workers as
+//! binary batch records, so every accepted event must also come back from
+//! that codec unchanged. The table holds the edge cases: numbers that
+//! re-serialise as integers (`1.0`, `1e0`), `-0`, the ends of the `u64`
+//! range, escaped session names, duplicate keys, an extra field and
+//! `"end": false`.
 
 use rega_cluster::batch::{decode_batch, encode_batch};
 use rega_cluster::proc::event_from_json;
 use rega_data::BudgetSpec;
 use rega_obs::Registry;
+use rega_serve::proto::{decode_event_batch, Command};
 use rega_serve::tenant::{IngestError, TenantQuotas, TenantRegistry};
 use rega_stream::{parse_event, EngineConfig, Event, EventError};
 use serde_json::Value as Json;
@@ -56,9 +59,9 @@ const EDGE_LINES: &[(&str, bool)] = &[
     (r#"{"session": "s1", "end": false}"#, false),
 ];
 
-/// Ingests one payload into a fresh server-side registry with the line's
-/// session open, so the only possible rejection is the decoder's.
-fn ingest(session: &str, payload: Json) -> Result<(), EventError> {
+/// A fresh server-side registry with `session` open, so the only possible
+/// rejection of an event for it is the decoder's.
+fn registry(session: &str) -> TenantRegistry {
     let reg = TenantRegistry::new(
         1,
         TenantQuotas {
@@ -79,11 +82,23 @@ fn ingest(session: &str, payload: Json) -> Result<(), EventError> {
     reg.hello("t").unwrap();
     reg.load_spec("t", "spec", SPEC, None).unwrap();
     reg.open_session("t", "spec", session).unwrap();
-    let result = match reg.ingest("t", "spec", &[payload]) {
+    reg
+}
+
+/// The decoder's verdict on a one-event ingest.
+fn verdict(outcome: Result<u64, (u64, IngestError)>) -> Result<(), EventError> {
+    match outcome {
         Ok(1) => Ok(()),
         Err((0, IngestError::Event { index: 0, error })) => Err(error),
         other => panic!("unexpected ingest outcome {other:?}"),
-    };
+    }
+}
+
+/// Ingests one payload into a fresh server-side registry with the line's
+/// session open, so the only possible rejection is the decoder's.
+fn ingest(session: &str, payload: Json) -> Result<(), EventError> {
+    let reg = registry(session);
+    let result = verdict(reg.ingest("t", "spec", &[payload]));
     reg.close_tenant("t").unwrap();
     result
 }
@@ -150,5 +165,38 @@ fn integral_floats_are_not_register_values() {
         let doc: Json = serde_json::from_str(line).unwrap();
         assert_eq!(ingest("s1", doc.clone()), want.map(|_| ()));
         assert!(event_from_json(&doc).is_err());
+    }
+}
+
+#[test]
+fn the_frame_decoder_agrees_with_the_line_parser() {
+    // Each line inside an `event-batch` frame, verbatim as an object
+    // payload and escaped as a string payload, read by the server's frame
+    // decoder straight from the text.
+    for &(line, _) in EDGE_LINES {
+        let parsed = parse_event(line);
+        let session = parsed.as_ref().map_or("s1", Event::session).to_string();
+        for payload in [
+            line.to_string(),
+            serde_json::to_string(&Json::from(line)).unwrap(),
+        ] {
+            let text = format!(
+                r#"{{"cmd": "event-batch", "tenant": "t", "spec": "spec", "events": [{payload}]}}"#
+            );
+            let request = decode_event_batch(&text)
+                .unwrap_or_else(|| panic!("the frame decoder must take {text}"));
+            let Ok(Command::EventBatch { events, .. }) = request.command else {
+                panic!("{text} decoded to {:?}", request.command);
+            };
+            assert_eq!(
+                events,
+                std::slice::from_ref(&parsed),
+                "frame decoder on {text}"
+            );
+            let reg = registry(&session);
+            let served = verdict(reg.ingest_events("t", "spec", events));
+            reg.close_tenant("t").unwrap();
+            assert_eq!(served, parsed.clone().map(|_| ()), "served {text}");
+        }
     }
 }

@@ -23,8 +23,10 @@
 //! every refined type), `verify.product` and `emptiness.check` beneath it.
 
 use crate::emptiness::{check_emptiness_governed, EmptinessOptions, EmptinessVerdict, Witness};
+use rega_automata::Frontier;
 use rega_core::transform::complete_extended_for_atoms_governed;
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
+use rega_data::fxhash::FxSeed;
 use rega_data::{Literal, SatCache, Term};
 use rega_logic::translate::ltl_to_automaton;
 use rega_logic::LtlFo;
@@ -162,27 +164,20 @@ pub fn verify(
         let n_sets = 1 + m;
         let ra = ext.ra();
         let mut product = RegisterAutomaton::new(ra.k(), ra.schema().clone());
-        let mut index: std::collections::HashMap<(StateId, usize, usize), StateId> =
-            Default::default();
-        let mut states: Vec<(StateId, usize, usize)> = Vec::new();
-        fn intern_state(
-            ra: &RegisterAutomaton,
-            index: &mut std::collections::HashMap<(StateId, usize, usize), StateId>,
-            states: &mut Vec<(StateId, usize, usize)>,
-            product: &mut RegisterAutomaton,
-            q: StateId,
-            a: usize,
-            c: usize,
-        ) -> StateId {
-            *index.entry((q, a, c)).or_insert_with(|| {
-                let id = product.add_state(&format!("{}|a{}|c{}", ra.state_name(q), a, c));
-                states.push((q, a, c));
-                id
-            })
-        }
+        let mut states: Frontier<(StateId, usize, usize), FxSeed> = Frontier::new();
+        // Each product state joins `product` when discovered (a transition
+        // needs its target).
+        let intern = |states: &mut Frontier<_, _>, product: &mut RegisterAutomaton, key| {
+            let (id, new) = states.intern(key);
+            if new {
+                let (q, a, c) = key;
+                product.add_state(&format!("{}|a{}|c{}", ra.state_name(q), a, c));
+            }
+            StateId(id as u32)
+        };
         for q in ra.states().filter(|&q| ra.is_initial(q)) {
             for &a0 in &auto.inits {
-                let id = intern_state(ra, &mut index, &mut states, &mut product, q, a0, 0);
+                let id = intern(&mut states, &mut product, (q, a0, 0));
                 product.set_initial(id);
             }
         }
@@ -193,11 +188,9 @@ pub fn verify(
                 auto.acc[set - 1][a]
             }
         };
-        let mut done = 0usize;
-        while done < states.len() {
-            let (q, a, c) = states[done];
-            let sid = index[&(q, a, c)];
-            done += 1;
+        while let Some(id) = states.pop() {
+            let (q, a, c) = states[id];
+            let sid = StateId(id as u32);
             if c == 0 && in_set(q, a, 0) {
                 product.set_accepting(sid);
             }
@@ -208,15 +201,14 @@ pub fn verify(
                 }
                 let tr = ra.transition(t);
                 for &a2 in &auto.succ[a] {
-                    let tid =
-                        intern_state(ra, &mut index, &mut states, &mut product, tr.to, a2, c2);
+                    let tid = intern(&mut states, &mut product, (tr.to, a2, c2));
                     product.add_transition_interned(sid, tr.ty.clone(), tid, &cache)?;
                 }
             }
         }
 
         // Lift the global constraints through the projection to q.
-        let state_of: Vec<StateId> = states.iter().map(|&(q, _, _)| q).collect();
+        let state_of: Vec<StateId> = states.keys().iter().map(|&(q, _, _)| q).collect();
         let mut product_ext = ExtendedAutomaton::new(product);
         for con in ext.constraints() {
             product_ext.add_lifted_constraint(con, |s| state_of[s.idx()])?;

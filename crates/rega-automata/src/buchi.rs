@@ -6,6 +6,7 @@
 //! Theorem 12 manipulates Büchi automata for control traces and for LTL
 //! formulas.
 
+use crate::frontier::Frontier;
 use crate::lasso::Lasso;
 use crate::Letter;
 use std::collections::HashMap;
@@ -183,45 +184,22 @@ impl<L: Letter> Nba<L> {
     /// with two acceptance sets (one per operand), then degeneralized.
     pub fn intersect(&self, other: &Nba<L>) -> Nba<L> {
         assert_eq!(self.alphabet, other.alphabet, "alphabet mismatch");
-        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut pairs: Frontier<(usize, usize)> = Frontier::new();
         let mut ngba = Ngba::new(self.alphabet.clone(), 0, 2);
-        let mut get =
-            |a: usize, b: usize, ngba: &mut Ngba<L>, pairs: &mut Vec<(usize, usize)>| -> usize {
-                *index.entry((a, b)).or_insert_with(|| {
-                    let s = ngba.add_state();
-                    pairs.push((a, b));
-                    s
-                })
-            };
-        let mut work = Vec::new();
         for &a in &self.inits {
             for &b in &other.inits {
-                let s = get(a, b, &mut ngba, &mut pairs);
-                ngba.set_init(s);
-                work.push(s);
+                ngba.set_init(pairs.intern((a, b)).0);
             }
         }
-        let mut processed = vec![false; work.len()];
-        while let Some(s) = work.pop() {
-            if s < processed.len() && processed[s] {
-                continue;
-            }
-            if s >= processed.len() {
-                processed.resize(s + 1, false);
-            }
-            processed[s] = true;
+        while let Some(s) = pairs.pop() {
             let (a, b) = pairs[s];
+            ngba.add_state(); // state `s`: ids pop in order
             ngba.set_in_acc_set(s, 0, self.accepting[a]);
             ngba.set_in_acc_set(s, 1, other.accepting[b]);
             for (li, succs) in self.trans.row(a) {
                 for &ta in succs {
                     for &tb in other.trans.get(b, li) {
-                        let t = get(ta, tb, &mut ngba, &mut pairs);
-                        ngba.add_transition_idx(s, li, t);
-                        if t >= processed.len() || !processed[t] {
-                            work.push(t);
-                        }
+                        ngba.add_transition_idx(s, li, pairs.intern((ta, tb)).0);
                     }
                 }
             }
@@ -386,11 +364,6 @@ impl<L: Letter> Ngba<L> {
         self.trans.len()
     }
 
-    /// Number of acceptance sets.
-    pub fn num_acc_sets(&self) -> usize {
-        self.acc.len()
-    }
-
     /// Marks a state initial.
     pub fn set_init(&mut self, s: usize) {
         if !self.inits.contains(&s) {
@@ -547,5 +520,44 @@ mod tests {
         g.add_transition(0, &0, 0);
         let nba = g.degeneralize();
         assert!(nba.accepts_lasso(&Lasso::periodic(vec![0])));
+    }
+
+    /// Pins `intersect` by language and size: every lasso over {0, 1}
+    /// with a prefix of at most 2 letters and a cycle of 1 to 3 letters is
+    /// accepted iff both operands accept it. (State ids follow the
+    /// exploration order, which the language does not see.)
+    #[test]
+    fn intersect_language_is_pinned() {
+        // Finitely many 1s, with a nondeterministic guess of the last one.
+        let mut fin_ones = Nba::new(vec![0u8, 1], 2);
+        fin_ones.set_init(0);
+        fin_ones.set_accepting(1, true);
+        fin_ones.add_transition(0, &0, 0);
+        fin_ones.add_transition(0, &1, 0);
+        fin_ones.add_transition(0, &0, 1);
+        fin_ones.add_transition(1, &0, 1);
+        let words = |len: usize| -> Vec<Vec<u8>> {
+            (0..1u32 << len)
+                .map(|bits| (0..len).map(|i| (bits >> i & 1) as u8).collect())
+                .collect()
+        };
+        for (a, b) in [
+            (inf_ones(), inf_zeros()),
+            (inf_zeros(), fin_ones.clone()),
+            (fin_ones.clone(), inf_ones()),
+        ] {
+            let i = a.intersect(&b);
+            assert_eq!(i.num_states(), 6);
+            for prefix in (0..=2).flat_map(words) {
+                for cycle in (1..=3).flat_map(words) {
+                    let w = Lasso::new(prefix.clone(), cycle);
+                    assert_eq!(
+                        i.accepts_lasso(&w),
+                        a.accepts_lasso(&w) && b.accepts_lasso(&w),
+                        "{w:?}"
+                    );
+                }
+            }
+        }
     }
 }

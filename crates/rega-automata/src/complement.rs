@@ -9,8 +9,8 @@
 
 use crate::buchi::Nba;
 use crate::emptiness;
+use crate::frontier::Frontier;
 use crate::Letter;
-use std::collections::HashMap;
 
 /// A level ranking: `rank[q] = Some(r)` with `r <= 2n`, or `None` (⊥).
 type Ranking = Vec<Option<u8>>;
@@ -30,20 +30,8 @@ pub fn complement<L: Letter>(nba: &Nba<L>) -> Nba<L> {
     let max_rank = (2 * n) as u8;
     let alphabet: Vec<L> = nba.alphabet().to_vec();
 
-    let mut index: HashMap<KvState, usize> = HashMap::new();
-    let mut states: Vec<KvState> = Vec::new();
+    let mut states: Frontier<KvState> = Frontier::new();
     let mut out = Nba::new(alphabet.clone(), 0);
-
-    let mut intern = |st: KvState, out: &mut Nba<L>, states: &mut Vec<KvState>| -> usize {
-        if let Some(&id) = index.get(&st) {
-            return id;
-        }
-        let id = out.add_state();
-        out.set_accepting(id, st.owe.iter().all(|&o| !o));
-        index.insert(st.clone(), id);
-        states.push(st);
-        id
-    };
 
     // Initial state: rank 2n on initial states of A, ⊥ elsewhere; O = ∅.
     let mut init_rank: Ranking = vec![None; n];
@@ -54,14 +42,12 @@ pub fn complement<L: Letter>(nba: &Nba<L>) -> Nba<L> {
         rank: init_rank,
         owe: vec![false; n],
     };
-    let init_id = intern(init, &mut out, &mut states);
-    out.set_init(init_id);
+    out.set_init(states.intern(init).0);
 
-    let mut processed = 0usize;
-    while processed < states.len() {
-        let st = states[processed].clone();
-        let sid = processed;
-        processed += 1;
+    while let Some(sid) = states.pop() {
+        let st = states[sid].clone();
+        out.add_state(); // state `sid`: ids pop in order
+        out.set_accepting(sid, st.owe.iter().all(|&o| !o));
 
         for (li, letter) in alphabet.iter().enumerate() {
             // Upper bound on the rank of each successor state.
@@ -118,8 +104,7 @@ pub fn complement<L: Letter>(nba: &Nba<L>) -> Nba<L> {
                         }
                     }
                 }
-                let target = KvState { rank: g, owe };
-                let tid = intern(target, &mut out, &mut states);
+                let tid = states.intern(KvState { rank: g, owe }).0;
                 out.add_transition(sid, letter, tid);
             }
         }
@@ -212,5 +197,37 @@ mod tests {
     fn equivalence_is_reflexive() {
         assert!(omega_equivalent(&inf_ones(), &inf_ones()));
         assert!(!omega_equivalent(&inf_ones(), &fin_ones()));
+    }
+
+    /// Pins the rank construction's exact output on a one-state NBA
+    /// (`0^ω` over {0, 1}): level rankings numbered in discovery order,
+    /// with every transition in row order.
+    #[test]
+    fn complement_shape_is_pinned() {
+        let mut a = Nba::new(vec![0u8, 1], 1);
+        a.set_init(0);
+        a.set_accepting(0, true);
+        a.add_transition(0, &0, 0);
+        let c = complement(&a);
+        assert_eq!(c.num_states(), 4);
+        assert_eq!(c.inits(), [0]);
+        let acc: Vec<bool> = (0..4).map(|s| c.is_accepting(s)).collect();
+        assert_eq!(acc, [true, false, false, true]);
+        let trans: Vec<(usize, usize, usize)> = c.transitions().collect();
+        assert_eq!(
+            trans,
+            [
+                (0, 0, 1),
+                (0, 0, 2),
+                (0, 1, 3),
+                (1, 0, 1),
+                (1, 1, 3),
+                (2, 0, 1),
+                (2, 0, 2),
+                (2, 1, 3),
+                (3, 0, 3),
+                (3, 1, 3)
+            ]
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! compiled to DFAs over the automaton's state set, and run incrementally
 //! along symbolic and concrete traces.
 
+use crate::frontier::Frontier;
 use crate::nfa::Nfa;
 use crate::regex::Regex;
 use crate::Letter;
@@ -134,26 +135,18 @@ impl<L: Letter> Dfa<L> {
     /// `combine` (e.g. `&&` for intersection, `||` for union).
     pub fn product(&self, other: &Dfa<L>, combine: impl Fn(bool, bool) -> bool) -> Dfa<L> {
         assert_eq!(self.alphabet, other.alphabet, "alphabet mismatch");
-        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut pairs: Vec<(usize, usize)> = vec![(self.init, other.init)];
-        index.insert((self.init, other.init), 0);
+        let mut pairs: Frontier<(usize, usize)> = Frontier::new();
+        pairs.intern((self.init, other.init));
         let mut trans: Vec<Vec<usize>> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let (a, b) = pairs[i];
-            i += 1;
-            let mut row = Vec::with_capacity(self.alphabet.len());
-            for li in 0..self.alphabet.len() {
-                let next = (self.trans[a][li], other.trans[b][li]);
-                let id = *index.entry(next).or_insert_with(|| {
-                    pairs.push(next);
-                    pairs.len() - 1
-                });
-                row.push(id);
-            }
+        while let Some(s) = pairs.pop() {
+            let (a, b) = pairs[s];
+            let row = (0..self.alphabet.len())
+                .map(|li| pairs.intern((self.trans[a][li], other.trans[b][li])).0)
+                .collect();
             trans.push(row);
         }
         let accepting = pairs
+            .keys()
             .iter()
             .map(|&(a, b)| combine(self.accepting[a], other.accepting[b]))
             .collect();
@@ -294,22 +287,6 @@ impl<L: Letter> Dfa<L> {
         dfa
     }
 
-    /// All states reachable from the initial state.
-    pub fn reachable_states(&self) -> Vec<usize> {
-        let mut reach = vec![false; self.num_states()];
-        let mut stack = vec![self.init];
-        reach[self.init] = true;
-        while let Some(s) = stack.pop() {
-            for &t in &self.trans[s] {
-                if !reach[t] {
-                    reach[t] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        (0..self.num_states()).filter(|&s| reach[s]).collect()
-    }
-
     /// Whether some accepting state is reachable from `s`.
     pub fn can_accept_from(&self, s: usize) -> bool {
         let mut seen = vec![false; self.num_states()];
@@ -433,5 +410,23 @@ mod tests {
         assert!(d.can_accept_from(d.init()));
         let dead = d.step(d.init(), &3);
         assert!(!d.can_accept_from(dead));
+    }
+
+    /// Pins the product's exact output: pairs numbered in discovery order
+    /// (breadth-first, alphabet order), one row per pair.
+    #[test]
+    fn product_shape_is_pinned() {
+        let p = dfa("p1* p2").product(&dfa("(p1 p1)* p2"), |a, b| a && !b);
+        assert_eq!(p.num_states(), 5);
+        assert_eq!(p.init(), 0);
+        let rows: Vec<Vec<usize>> = (0..5)
+            .map(|s| (0..3).map(|li| p.step_idx(s, li)).collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [[1, 2, 3], [0, 4, 3], [3, 3, 3], [3, 3, 3], [3, 3, 3]]
+        );
+        let acc: Vec<bool> = (0..5).map(|s| p.is_accepting(s)).collect();
+        assert_eq!(acc, [false, false, false, false, true]);
     }
 }

@@ -13,6 +13,9 @@
 //!   emptiness;
 //! * tests use Büchi complementation to check ω-language containment.
 //!
+//! All of these constructions explore their automaton from the initial
+//! states through one [`Frontier`], which decides the state numbering.
+//!
 //! Everything here is generic over the letter type `L` (a [`Letter`]), which
 //! downstream crates instantiate with state or transition identifiers.
 
@@ -21,6 +24,7 @@ pub mod buchi;
 pub mod complement;
 pub mod dfa;
 pub mod emptiness;
+pub mod frontier;
 pub mod lasso;
 pub mod nfa;
 pub mod regex;
@@ -28,6 +32,7 @@ pub mod regex;
 pub use arena::{EdgeArena, NbaSource, SuccessorSource};
 pub use buchi::{Nba, Ngba};
 pub use dfa::Dfa;
+pub use frontier::Frontier;
 pub use lasso::Lasso;
 pub use nfa::Nfa;
 pub use regex::{Regex, RegexParseError};

@@ -3,9 +3,10 @@
 //! construction.
 
 use crate::dfa::Dfa;
+use crate::frontier::Frontier;
 use crate::regex::Regex;
 use crate::Letter;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A nondeterministic finite automaton over letters `L` with ε-transitions.
 #[derive(Clone, Debug)]
@@ -157,31 +158,19 @@ impl<L: Letter> Nfa<L> {
     /// the NFA outside the alphabet are ignored; letters of the alphabet not
     /// used by the NFA lead towards the (implicit) dead state.
     pub fn determinize(&self, alphabet: &[L]) -> Dfa<L> {
-        let init = self.epsilon_closure(&self.inits);
-        let mut index: HashMap<BTreeSet<usize>, usize> = HashMap::new();
-        let mut subsets: Vec<BTreeSet<usize>> = Vec::new();
-        index.insert(init.clone(), 0);
-        subsets.push(init);
+        let mut subsets: Frontier<BTreeSet<usize>> = Frontier::new();
+        subsets.intern(self.epsilon_closure(&self.inits));
         let mut trans: Vec<Vec<usize>> = Vec::new();
-        let mut next_unprocessed = 0usize;
-        // Every discovered subset is processed exactly once, in id order, so
-        // `trans[s]` is the row of subset `s`.
-        while next_unprocessed < subsets.len() {
-            let s = next_unprocessed;
-            next_unprocessed += 1;
+        while let Some(s) = subsets.pop() {
             let subset = subsets[s].clone();
-            let mut row = Vec::with_capacity(alphabet.len());
-            for letter in alphabet {
-                let next = self.step(&subset, letter);
-                let id = *index.entry(next.clone()).or_insert_with(|| {
-                    subsets.push(next);
-                    subsets.len() - 1
-                });
-                row.push(id);
-            }
+            let row = alphabet
+                .iter()
+                .map(|letter| subsets.intern(self.step(&subset, letter)).0)
+                .collect();
             trans.push(row);
         }
         let accepting: Vec<bool> = subsets
+            .keys()
             .iter()
             .map(|sub| sub.iter().any(|&s| self.accepting[s]))
             .collect();
@@ -265,5 +254,25 @@ mod tests {
         assert!(nfa.accepts(&[]));
         assert!(nfa.accepts(&[1, 2, 1, 2]));
         assert!(!nfa.accepts(&[1, 2, 1]));
+    }
+
+    /// Pins the subset construction's exact output: states numbered in
+    /// discovery order (breadth-first, alphabet order), the dead subset
+    /// included, one row per state.
+    #[test]
+    fn determinize_shape_is_pinned() {
+        let r = Regex::parse("(p1|p2)* p1 p2", resolve).unwrap();
+        let dfa = Nfa::from_regex(&r).determinize(&[1, 2, 3]);
+        assert_eq!(dfa.num_states(), 5);
+        assert_eq!(dfa.init(), 0);
+        let rows: Vec<Vec<usize>> = (0..5)
+            .map(|s| (0..3).map(|li| dfa.step_idx(s, li)).collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [[1, 2, 3], [1, 4, 3], [1, 2, 3], [3, 3, 3], [1, 2, 3]]
+        );
+        let acc: Vec<bool> = (0..5).map(|s| dfa.is_accepting(s)).collect();
+        assert_eq!(acc, [false, false, false, false, true]);
     }
 }

@@ -65,6 +65,17 @@ impl<L: Letter> Regex<L> {
         out
     }
 
+    /// Number of nodes of the syntax tree.
+    fn size(&self) -> usize {
+        match self {
+            Regex::Empty | Regex::Epsilon | Regex::Sym(_) => 1,
+            Regex::Concat(parts) | Regex::Alt(parts) => {
+                1 + parts.iter().map(Regex::size).sum::<usize>()
+            }
+            Regex::Star(inner) => 1 + inner.size(),
+        }
+    }
+
     fn collect_letters(&self, out: &mut Vec<L>) {
         match self {
             Regex::Empty | Regex::Epsilon => {}
@@ -179,6 +190,10 @@ fn tokenize(input: &str) -> Result<Vec<Token>, RegexParseError> {
 struct Parser<'a, L, F> {
     tokens: &'a [Token],
     pos: usize,
+    /// Groups open around the cursor.
+    depth: usize,
+    /// Syntax-tree nodes `+` has copied so far.
+    copied: usize,
     resolve: F,
     _marker: std::marker::PhantomData<L>,
 }
@@ -196,65 +211,82 @@ impl<'a, L: Letter, F: Fn(&str) -> Option<L>> Parser<'a, L, F> {
         t
     }
 
+    // Every rule returns its expression with its nesting: the most groups
+    // and postfix operators on one path down its syntax tree. The parser
+    // and every later walk of the tree recurse once per level, so
+    // `postfix` and `atom` stop at `MAX_NESTING`.
+
     // alternation := concat ('|' concat)*
-    fn alternation(&mut self) -> Result<Regex<L>, RegexParseError> {
-        let mut parts = vec![self.concat()?];
+    fn alternation(&mut self) -> Result<(Regex<L>, usize), RegexParseError> {
+        let (first, mut nesting) = self.concat()?;
+        let mut parts = vec![first];
         while self.peek() == Some(&Token::Pipe) {
             self.next();
-            parts.push(self.concat()?);
+            let (part, n) = self.concat()?;
+            nesting = nesting.max(n);
+            parts.push(part);
         }
         Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
+            (parts.pop().expect("non-empty"), nesting)
         } else {
-            Regex::Alt(parts)
+            (Regex::Alt(parts), nesting)
         })
     }
 
     // concat := postfix+  (empty concat = epsilon)
-    fn concat(&mut self) -> Result<Regex<L>, RegexParseError> {
-        let mut parts = Vec::new();
+    fn concat(&mut self) -> Result<(Regex<L>, usize), RegexParseError> {
+        let (mut parts, mut nesting) = (Vec::new(), 0);
         while matches!(self.peek(), Some(Token::Ident(_)) | Some(Token::LParen)) {
-            parts.push(self.postfix()?);
+            let (part, n) = self.postfix()?;
+            nesting = nesting.max(n);
+            parts.push(part);
         }
-        Ok(match parts.len() {
+        let r = match parts.len() {
             0 => Regex::Epsilon,
             1 => parts.pop().expect("non-empty"),
             _ => Regex::Concat(parts),
-        })
+        };
+        Ok((r, nesting))
     }
 
     // postfix := atom ('*' | '+' | '?')*
-    fn postfix(&mut self) -> Result<Regex<L>, RegexParseError> {
-        let mut r = self.atom()?;
+    fn postfix(&mut self) -> Result<(Regex<L>, usize), RegexParseError> {
+        let (mut r, mut nesting) = self.atom()?;
         loop {
             match self.peek() {
-                Some(Token::Star) => {
-                    self.next();
-                    r = Regex::Star(Box::new(r));
-                }
+                Some(Token::Star) => r = Regex::Star(Box::new(r)),
                 Some(Token::Plus) => {
-                    self.next();
+                    // `r+` is `r r*`, a copy of `r`: a chain of `+` doubles
+                    // the tree at each step.
+                    self.copied += r.size();
+                    if self.copied > MAX_COPIED {
+                        return Err(RegexParseError::Syntax(format!(
+                            "`+` copies more than {MAX_COPIED} nodes"
+                        )));
+                    }
                     r = Regex::plus(r);
                 }
-                Some(Token::Question) => {
-                    self.next();
-                    r = Regex::opt(r);
-                }
+                Some(Token::Question) => r = Regex::opt(r),
                 _ => break,
             }
+            self.next();
+            nesting = nested(nesting)?;
         }
-        Ok(r)
+        Ok((r, nesting))
     }
 
-    fn atom(&mut self) -> Result<Regex<L>, RegexParseError> {
+    fn atom(&mut self) -> Result<(Regex<L>, usize), RegexParseError> {
         match self.next().cloned() {
             Some(Token::Ident(name)) => (self.resolve)(&name)
-                .map(Regex::Sym)
+                .map(|l| (Regex::Sym(l), 0))
                 .ok_or(RegexParseError::UnknownSymbol(name)),
             Some(Token::LParen) => {
-                let inner = self.alternation()?;
+                // Checked before descending: the group's parse recurses.
+                self.depth = nested(self.depth)?;
+                let (inner, n) = self.alternation()?;
+                self.depth -= 1;
                 match self.next() {
-                    Some(Token::RParen) => Ok(inner),
+                    Some(Token::RParen) => Ok((inner, nested(n)?)),
                     _ => Err(RegexParseError::Syntax("expected `)`".into())),
                 }
             }
@@ -263,6 +295,23 @@ impl<'a, L: Letter, F: Fn(&str) -> Option<L>> Parser<'a, L, F> {
             ))),
         }
     }
+}
+
+/// The deepest nesting of groups and postfix operators [`Regex::parse`]
+/// accepts.
+const MAX_NESTING: usize = 128;
+
+/// The most syntax-tree nodes the `+` operators of one expression copy.
+const MAX_COPIED: usize = 1 << 16;
+
+/// One level deeper than `nesting`, or an error past [`MAX_NESTING`].
+fn nested(nesting: usize) -> Result<usize, RegexParseError> {
+    if nesting == MAX_NESTING {
+        return Err(RegexParseError::Syntax(format!(
+            "nesting deeper than {MAX_NESTING}"
+        )));
+    }
+    Ok(nesting + 1)
 }
 
 impl<L: Letter> Regex<L> {
@@ -279,10 +328,12 @@ impl<L: Letter> Regex<L> {
         let mut p = Parser {
             tokens: &tokens,
             pos: 0,
+            depth: 0,
+            copied: 0,
             resolve,
             _marker: std::marker::PhantomData,
         };
-        let r = p.alternation()?;
+        let (r, _) = p.alternation()?;
         if p.pos != tokens.len() {
             return Err(RegexParseError::Syntax("trailing input".into()));
         }
@@ -432,5 +483,34 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains('*'));
         assert!(s.contains('|'));
+    }
+
+    #[test]
+    fn nesting_stops_at_the_cap() {
+        let groups = |n: usize| "(".repeat(n) + "p1" + &")".repeat(n);
+        assert!(Regex::parse(&groups(MAX_NESTING), resolve).is_ok());
+        assert!(Regex::parse(&("p1".to_string() + &"*".repeat(MAX_NESTING)), resolve).is_ok());
+        let too_deep = Err(RegexParseError::Syntax(format!(
+            "nesting deeper than {MAX_NESTING}"
+        )));
+        assert_eq!(Regex::parse(&groups(MAX_NESTING + 1), resolve), too_deep);
+        let stars = "p1".to_string() + &"*".repeat(MAX_NESTING + 1);
+        assert_eq!(Regex::parse(&stars, resolve), too_deep);
+        // Groups and postfix operators on one path add up.
+        let mixed = "(p1*)*".to_string() + &"?".repeat(MAX_NESTING - 2);
+        assert_eq!(Regex::parse(&mixed, resolve), too_deep);
+        assert_eq!(Regex::parse(&"(".repeat(20_000), resolve), too_deep);
+    }
+
+    #[test]
+    fn plus_chains_stop_before_the_tree_explodes() {
+        assert!(Regex::parse("(p1 | p2 p3*)+ p1+", resolve).is_ok());
+        let chain = "p1".to_string() + &"+".repeat(64);
+        assert_eq!(
+            Regex::parse(&chain, resolve),
+            Err(RegexParseError::Syntax(format!(
+                "`+` copies more than {MAX_COPIED} nodes"
+            )))
+        );
     }
 }

@@ -41,11 +41,15 @@
 use rega_automata::Dfa;
 use rega_core::extended::ConstraintKind;
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::fxhash::FxMap;
+use rega_data::fxhash::FxSeed;
 use rega_data::{RegIdx, SatCache, Term};
 
 /// A set of registers: bit `r` is set iff register `r` is in the set.
 pub(crate) type RegMask = u64;
+
+/// The exploration frontier of this crate's constructions, keyed by small
+/// integer runs and hashed with the seeded Fx hasher.
+pub(crate) type Frontier<K> = rega_automata::Frontier<K, FxSeed>;
 
 /// The most registers a `FlowTable` tracks, one bit each in a
 /// `RegMask`. Completion enumerates Bell(2k) saturated types per
@@ -214,12 +218,12 @@ impl FlowTable {
         // tracked value — or `DEAD`, in discovery order.
         const START: (u32, RegMask) = (u32::MAX - 1, 0);
         const DEAD: (u32, RegMask) = (u32::MAX, 0);
-        let mut index: FxMap<(u32, RegMask), usize> = FxMap::default();
-        let mut keys = vec![START];
+        let mut states: Frontier<(u32, RegMask)> = Frontier::new();
+        states.intern(START);
         budget.tick(PHASE)?;
         let mut trans: Vec<Vec<usize>> = Vec::new();
-        while trans.len() < keys.len() {
-            let (prev, set) = keys[trans.len()];
+        while let Some(id) = states.pop() {
+            let (prev, set) = states[id];
             // The set pushed across `prev`'s transition is the same for
             // every next letter.
             let pushed = match (prev, set) {
@@ -233,21 +237,19 @@ impl FlowTable {
                     DEAD => 0,
                     _ => self.close_x(q, pushed),
                 };
-                let key = if next == 0 { DEAD } else { (q.0, next) };
-                let id = match index.get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        budget.tick(PHASE)?;
-                        index.insert(key, keys.len());
-                        keys.push(key);
-                        keys.len() - 1
-                    }
-                };
-                row.push(id);
+                let (target, new) = states.intern(if next == 0 { DEAD } else { (q.0, next) });
+                if new {
+                    budget.tick(PHASE)?;
+                }
+                row.push(target);
             }
             trans.push(row);
         }
-        let accepting: Vec<bool> = keys.iter().map(|&(_, set)| (set >> j.0) & 1 == 1).collect();
+        let accepting: Vec<bool> = states
+            .keys()
+            .iter()
+            .map(|&(_, set)| (set >> j.0) & 1 == 1)
+            .collect();
         Ok(Dfa::from_parts(self.alphabet.clone(), 0, accepting, trans).minimize())
     }
 
@@ -265,20 +267,20 @@ impl FlowTable {
         // A subset of the NFA `{Start} ∪ P1(q, S) ∪ P2(q, T)` is keyed
         // `[q, S, T₁ < T₂ < …]` (`S = 0` when no `P1` state is in it); the
         // empty subset — the dead state — is `[]`. The start subset `{Start}`
-        // is id 0 and has no key: no letter leads back to it.
-        let mut index: FxMap<Box<[RegMask]>, usize> = FxMap::default();
-        let mut keys: Vec<Box<[RegMask]>> = vec![Box::new([])];
+        // is id 0, keyed `[0]`, the one key of length 1: no letter leads
+        // back to it.
+        let mut states: Frontier<Box<[RegMask]>> = Frontier::new();
+        states.intern(Box::new([0]));
         budget.tick(PHASE)?;
         let mut trans: Vec<Vec<usize>> = Vec::new();
         let mut pushed_p2: Vec<RegMask> = Vec::new();
         let mut p2: Vec<RegMask> = Vec::new();
         let mut next: Vec<RegMask> = Vec::new();
-        while trans.len() < keys.len() {
-            let id = trans.len();
+        while let Some(id) = states.pop() {
             // Everything that crosses the previous letter's transition is
             // independent of the next letter: the pushed P1 set, the x-y
             // switch targets, and each pushed P2 set.
-            let (prev, p1) = match *keys[id] {
+            let (prev, p1) = match *states[id] {
                 [prev, p1, ..] => (Some(StateId(prev as u32)), p1),
                 _ => (None, 0),
             };
@@ -288,7 +290,7 @@ impl FlowTable {
             };
             pushed_p2.clear();
             if let Some(prev) = prev {
-                pushed_p2.extend(keys[id][2..].iter().map(|&t| self.push_y(prev, t)));
+                pushed_p2.extend(states[id][2..].iter().map(|&t| self.push_y(prev, t)));
             }
             let mut row = Vec::with_capacity(self.alphabet.len());
             for &q in &self.alphabet {
@@ -322,23 +324,18 @@ impl FlowTable {
                     next.extend([RegMask::from(q.0), s1]);
                     next.extend_from_slice(&p2);
                 }
-                let target = match index.get(next.as_slice()) {
-                    Some(&target) => target,
-                    None => {
-                        budget.tick(PHASE)?;
-                        index.insert(next.as_slice().into(), keys.len());
-                        keys.push(next.as_slice().into());
-                        keys.len() - 1
-                    }
-                };
+                let (target, new) = states.intern_ref(next.as_slice());
+                if new {
+                    budget.tick(PHASE)?;
+                }
                 row.push(target);
             }
             trans.push(row);
         }
-        let accepting: Vec<bool> = keys
+        let accepting: Vec<bool> = states
+            .keys()
             .iter()
-            .enumerate()
-            .map(|(id, key)| id != 0 && key.iter().skip(2).any(|&t| (t >> j.0) & 1 == 1))
+            .map(|key| key.iter().skip(2).any(|&t| (t >> j.0) & 1 == 1))
             .collect();
         Ok(Dfa::from_parts(self.alphabet.clone(), 0, accepting, trans).minimize())
     }

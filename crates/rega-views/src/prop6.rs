@@ -13,6 +13,7 @@
 //! The result has only inequality constraints (lifted through the state
 //! projection) and satisfies `Reg(D, 𝒜) = Π_k(Reg(D, ℬ))` for every `D`.
 
+use crate::lemma21::Frontier;
 use rega_core::extended::ConstraintKind;
 use rega_core::{CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
 use rega_data::{Literal, RegIdx, Term};
@@ -80,46 +81,33 @@ pub fn eliminate_global_equalities(ext: &ExtendedAutomaton) -> Result<Prop6Resul
     // Lazy product construction over (original state, active-state vector).
     type Active = Vec<BTreeSet<usize>>;
     let mut out = RegisterAutomaton::new(new_k, ra.schema().clone());
-    let mut index: HashMap<(StateId, Active), StateId> = HashMap::new();
-    let mut states: Vec<(StateId, Active)> = Vec::new();
+    let mut states: Frontier<(StateId, Active)> = Frontier::new();
+    // Each product state joins `out` when discovered (a transition needs
+    // its target); only initial states with the empty active vector are
+    // initial.
+    let intern = |states: &mut Frontier<(StateId, Active)>, out: &mut RegisterAutomaton, key| {
+        let (id, new) = states.intern(key);
+        let sid = StateId(id as u32);
+        if new {
+            let (q, act) = &states[id];
+            out.add_state(&format!("{}_{id}", ra.state_name(*q)));
+            if ra.is_initial(*q) && act.iter().all(|a| a.is_empty()) {
+                out.set_initial(sid);
+            }
+            if ra.is_accepting(*q) {
+                out.set_accepting(sid);
+            }
+        }
+        sid
+    };
     let empty_active: Active = eq_constraints.iter().map(|_| BTreeSet::new()).collect();
-    fn intern(
-        ra: &RegisterAutomaton,
-        index: &mut HashMap<(StateId, Vec<BTreeSet<usize>>), StateId>,
-        q: StateId,
-        act: Vec<BTreeSet<usize>>,
-        out: &mut RegisterAutomaton,
-        states: &mut Vec<(StateId, Vec<BTreeSet<usize>>)>,
-    ) -> StateId {
-        *index.entry((q, act.clone())).or_insert_with(|| {
-            let name = format!("{}_{}", ra.state_name(q), states.len());
-            let id = out.add_state(&name);
-            if ra.is_initial(q) && act.iter().all(|a| a.is_empty()) {
-                out.set_initial(id);
-            }
-            if ra.is_accepting(q) {
-                out.set_accepting(id);
-            }
-            states.push((q, act));
-            id
-        })
-    }
     for q in ra.states().filter(|&q| ra.is_initial(q)) {
-        intern(
-            ra,
-            &mut index,
-            q,
-            empty_active.clone(),
-            &mut out,
-            &mut states,
-        );
+        intern(&mut states, &mut out, (q, empty_active.clone()));
     }
 
-    let mut done = 0usize;
-    while done < states.len() {
-        let (q, act) = states[done].clone();
-        let sid = index[&(q, act.clone())];
-        done += 1;
+    while let Some(id) = states.pop() {
+        let (q, act) = states[id].clone();
+        let sid = StateId(id as u32);
         for &t in ra.outgoing(q) {
             let tr = ra.transition(t);
             let mut ty = tr.ty.with_k(new_k);
@@ -180,14 +168,13 @@ pub fn eliminate_global_equalities(ext: &ExtendedAutomaton) -> Result<Prop6Resul
             if !ok {
                 continue;
             }
-            let tid = intern(ra, &mut index, tr.to, next_act, &mut out, &mut states);
+            let tid = intern(&mut states, &mut out, (tr.to, next_act));
             out.add_transition(sid, ty, tid)?;
         }
     }
 
-    // Only initial product states with the empty active vector are initial:
-    // enforced in `intern`. Lift the inequality constraints.
-    let state_map: Vec<StateId> = states.iter().map(|&(q, _)| q).collect();
+    // Lift the inequality constraints.
+    let state_map: Vec<StateId> = states.keys().iter().map(|&(q, _)| q).collect();
     let mut out = ExtendedAutomaton::new(out);
     for c in ext.constraints() {
         if c.kind == ConstraintKind::NotEqual {

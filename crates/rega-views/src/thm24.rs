@@ -45,7 +45,7 @@
 //!   examples). Finiteness constraints are vacuous on ultimately periodic
 //!   runs either way — see `rega_core::enhanced`.
 
-use crate::lemma21::{self, FlowTable, RegMask};
+use crate::lemma21::{self, FlowTable, Frontier, RegMask};
 use rega_automata::{Dfa, Nba};
 use rega_core::enhanced::{
     EnhancedAutomaton, FinitenessConstraint, PositionSelector, TupleInequality,
@@ -55,7 +55,6 @@ use rega_core::transform::{
 };
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::fxhash::FxMap;
 use rega_data::{Literal, RegIdx, SatCache, Term, TypeId};
 
 /// Budgets and limits for the construction.
@@ -371,35 +370,17 @@ fn adom_selector(
             Found,
         }
         let mut nba = Nba::new(states.clone(), 0);
-        let mut index: FxMap<St, usize> = FxMap::default();
-        let mut work: Vec<St> = Vec::new();
-        let intern = |s: St,
-                      nba: &mut Nba<StateId>,
-                      work: &mut Vec<St>,
-                      index: &mut FxMap<St, usize>|
-         -> usize {
-            if let Some(&id) = index.get(&s) {
-                return id;
-            }
-            let id = nba.add_state();
-            index.insert(s.clone(), id);
-            work.push(s);
-            id
-        };
-        let start = intern(St::Start, &mut nba, &mut work, &mut index);
-        nba.set_init(start);
-        let mut done = 0;
-        while done < work.len() {
+        let mut work: Frontier<St> = Frontier::new();
+        nba.set_init(work.intern(St::Start).0);
+        while let Some(sid) = work.pop() {
             budget.tick("views.thm24.adom_selector")?;
-            let st = work[done].clone();
-            let sid = index[&st];
-            done += 1;
+            nba.add_state(); // state `sid`: ids pop in order
+            let st = work[sid].clone();
             match &st {
                 St::Found => {
                     nba.set_accepting(sid, true);
                     for &q in &states {
-                        let t = intern(St::Found, &mut nba, &mut work, &mut index);
-                        nba.add_transition(sid, &q, t);
+                        nba.add_transition(sid, &q, sid);
                     }
                 }
                 St::Start => {
@@ -412,8 +393,7 @@ fn adom_selector(
                         } else {
                             St::Track(q, s0)
                         };
-                        let t = intern(next, &mut nba, &mut work, &mut index);
-                        nba.add_transition(sid, &q, t);
+                        nba.add_transition(sid, &q, work.intern(next).0);
                     }
                 }
                 St::Track(prev, set) => {
@@ -426,8 +406,7 @@ fn adom_selector(
                         } else {
                             St::Track(q, s2)
                         };
-                        let t = intern(next, &mut nba, &mut work, &mut index);
-                        nba.add_transition(sid, &q, t);
+                        nba.add_transition(sid, &q, work.intern(next).0);
                     }
                 }
             }
@@ -445,36 +424,21 @@ fn adom_selector(
         let before = {
             #[derive(Clone, PartialEq, Eq, Hash)]
             struct St(RegMask);
-            let mut index: FxMap<St, usize> = FxMap::default();
-            let mut sts: Vec<St> = Vec::new();
+            let mut sts: Frontier<St> = Frontier::new();
+            sts.intern(St(0));
             let mut trans: Vec<Vec<usize>> = Vec::new();
-            let init = St(0);
-            index.insert(init.clone(), 0);
-            sts.push(init);
-            let mut done = 0;
-            while done < sts.len() {
+            while let Some(id) = sts.pop() {
                 budget.tick("views.thm24.adom_selector")?;
-                let st = sts[done].clone();
-                done += 1;
+                let st = sts[id].clone();
                 let mut row = Vec::with_capacity(states.len());
                 for &q in &states {
                     // Arriving taint closed at q, plus q's x-positives.
                     let cur = flow.close_x(q, st.0) | flow.close_x(q, xpos[q.idx()]);
-                    let key = St(flow.push_y(q, cur) | ypos[q.idx()]);
-                    let id = match index.get(&key) {
-                        Some(&id) => id,
-                        None => {
-                            let id = sts.len();
-                            index.insert(key.clone(), id);
-                            sts.push(key);
-                            id
-                        }
-                    };
-                    row.push(id);
+                    row.push(sts.intern(St(flow.push_y(q, cur) | ypos[q.idx()])).0);
                 }
                 trans.push(row);
             }
-            let accepting: Vec<bool> = sts.iter().map(|s| (s.0 >> r) & 1 == 1).collect();
+            let accepting: Vec<bool> = sts.keys().iter().map(|s| (s.0 >> r) & 1 == 1).collect();
             Dfa::from_parts(states.clone(), 0, accepting, trans).minimize()
         };
 
@@ -487,35 +451,17 @@ fn adom_selector(
                 Found,
             }
             let mut nba = Nba::new(states.clone(), 0);
-            let mut index: FxMap<St, usize> = FxMap::default();
-            let mut work: Vec<St> = Vec::new();
-            let intern = |s: St,
-                          nba: &mut Nba<StateId>,
-                          work: &mut Vec<St>,
-                          index: &mut FxMap<St, usize>|
-             -> usize {
-                if let Some(&id) = index.get(&s) {
-                    return id;
-                }
-                let id = nba.add_state();
-                index.insert(s.clone(), id);
-                work.push(s);
-                id
-            };
-            let start = intern(St::Start, &mut nba, &mut work, &mut index);
-            nba.set_init(start);
-            let mut done = 0;
-            while done < work.len() {
+            let mut work: Frontier<St> = Frontier::new();
+            nba.set_init(work.intern(St::Start).0);
+            while let Some(sid) = work.pop() {
                 budget.tick("views.thm24.adom_selector")?;
-                let st = work[done].clone();
-                let sid = index[&st];
-                done += 1;
+                nba.add_state(); // state `sid`: ids pop in order
+                let st = work[sid].clone();
                 match &st {
                     St::Found => {
                         nba.set_accepting(sid, true);
                         for &q in &states {
-                            let t = intern(St::Found, &mut nba, &mut work, &mut index);
-                            nba.add_transition(sid, &q, t);
+                            nba.add_transition(sid, &q, sid);
                         }
                     }
                     St::Start => {
@@ -530,8 +476,7 @@ fn adom_selector(
                             } else {
                                 St::Track(q, s1, s2)
                             };
-                            let t = intern(next, &mut nba, &mut work, &mut index);
-                            nba.add_transition(sid, &q, t);
+                            nba.add_transition(sid, &q, work.intern(next).0);
                         }
                     }
                     St::Track(prev, a, b) => {
@@ -546,8 +491,7 @@ fn adom_selector(
                             } else {
                                 St::Track(q, a2, b2)
                             };
-                            let t = intern(next, &mut nba, &mut work, &mut index);
-                            nba.add_transition(sid, &q, t);
+                            nba.add_transition(sid, &q, work.intern(next).0);
                         }
                     }
                 }
@@ -660,31 +604,15 @@ fn tuple_selector(
     };
 
     let mut nba = Nba::new(alphabet.clone(), 0);
-    let mut index: FxMap<Sel, usize> = FxMap::default();
-    let mut work: Vec<Sel> = Vec::new();
-    let intern = |s: Sel,
-                  nba: &mut Nba<(StateId, u32)>,
-                  work: &mut Vec<Sel>,
-                  index: &mut FxMap<Sel, usize>|
-     -> usize {
-        if let Some(&id) = index.get(&s) {
-            return id;
-        }
-        let id = nba.add_state();
-        index.insert(s.clone(), id);
-        work.push(s);
-        id
-    };
-    let start = intern(init, &mut nba, &mut work, &mut index);
-    nba.set_init(start);
+    let mut work: Frontier<Sel> = Frontier::new();
+    nba.set_init(work.intern(init).0);
 
     let full_marks = (1u32 << (2 * l)) - 1;
     // Per connection: how many endpoint events fire at the current
     // position, and the registers of the first two.
     let mut per_conn: Vec<(usize, [u16; 2])> = vec![(0, [0; 2]); n_conns];
 
-    let mut done = 0usize;
-    while done < work.len() {
+    while let Some(sid) = work.pop() {
         budget.tick("views.thm24.tuple_selector")?;
         if work.len() > opts.max_selector_states {
             return Err(CoreError::BudgetExceeded(format!(
@@ -692,16 +620,14 @@ fn tuple_selector(
                 opts.max_selector_states
             )));
         }
-        let st = work[done].clone();
-        let sid = done;
-        done += 1;
+        nba.add_state(); // state `sid`: ids pop in order
+        let st = work[sid].clone();
 
         if st.accept {
             nba.set_accepting(sid, true);
             // Sink: loop on unmarked letters only.
             for &q in states {
-                let t = intern(st.clone(), &mut nba, &mut work, &mut index);
-                nba.add_transition(sid, &(q, 0), t);
+                nba.add_transition(sid, &(q, 0), sid);
             }
             continue;
         }
@@ -907,7 +833,7 @@ fn tuple_selector(
                         },
                         accept: complete,
                     };
-                    let t = intern(next, &mut nba, &mut work, &mut index);
+                    let t = work.intern(next).0;
                     nba.add_transition(sid, &(q, mark), t);
                 }
             }

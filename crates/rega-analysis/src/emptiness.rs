@@ -26,10 +26,12 @@
 //! carries the prefix run plus the consistent symbolic structure.)
 
 use crate::classes::{ClassOptions, ClassStructure};
-use rega_automata::{emptiness as nba_emptiness, Lasso};
+use rega_automata::{emptiness as nba_emptiness, Lasso, Sccs};
 use rega_core::run::{Config, FiniteRun, LassoRun};
 use rega_core::symbolic::{scontrol_nba_governed, SControlSource};
-use rega_core::{Budget, CoreError, ExtendedAutomaton, GovernError, TransId};
+use rega_core::{
+    Budget, CoreError, ExtendedAutomaton, GovernError, RegisterAutomaton, StateId, TransId,
+};
 use rega_data::{Database, Literal, SatCache, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,8 +81,10 @@ pub struct Witness {
 /// The verdict of the emptiness check.
 #[derive(Clone, Debug)]
 pub enum EmptinessVerdict {
-    /// No run was found within the search budget. Exact for the paper's
-    /// examples; in general "empty up to the configured budgets".
+    /// No run exists, or none was found within the search budgets. When
+    /// the `emptiness.verdict` event reports `settled = "scc"`, no
+    /// accepting cycle exists at all and the verdict is exact; when it
+    /// reports `"search"`, the verdict holds up to the configured budgets.
     Empty,
     /// A run exists; see the witness.
     NonEmpty(Box<Witness>),
@@ -122,6 +126,14 @@ pub fn check_emptiness(
 /// automaton up front; the differential suite pins the two against each
 /// other.
 ///
+/// Before any of that, one component pass over `A`'s transition graph
+/// (types ignored, span `emptiness.scc`) settles the checks whose accepting
+/// states lie on no reachable cycle: `SControl` is then empty, so the
+/// verdict is an exact `Empty` and no `SControl` state is built. The pass
+/// is linear in the automaton and ticks no budget. The reference twin has
+/// no such pass, so the differential suite checks each of these verdicts
+/// against a complete search.
+///
 /// Governance: successor wiring ticks `emptiness.on_the_fly.expand` (with a
 /// type-count memory ceiling), the search loop ticks
 /// `emptiness.on_the_fly.search` per DFS expansion, and every per-lasso
@@ -135,7 +147,17 @@ pub fn check_emptiness_governed(
     budget: &Budget,
 ) -> Result<EmptinessVerdict, CoreError> {
     let _check = rega_obs::span!("emptiness.check", max_lassos = opts.max_lassos);
+    let no_accepting_cycle = {
+        let _phase = rega_obs::span!("emptiness.scc");
+        !has_accepting_cycle(ext.ra())
+    };
+    // Settled by a component pass: the pre-pass, or a search that ran to
+    // its end without meeting a live pivot.
+    let mut by_scc = no_accepting_cycle;
     let verdict = (|| {
+        if no_accepting_cycle {
+            return Ok(EmptinessVerdict::Empty);
+        }
         let mut src = SControlSource::new(ext.ra(), cache, budget);
         let trip = src.trip_handle();
         let mut search_trip: Option<GovernError> = None;
@@ -196,11 +218,49 @@ pub fn check_emptiness_governed(
         if let Some(e) = witness_err {
             return Err(e);
         }
+        by_scc = no_live_pivot(opts, lassos.len());
         match found {
             Some(w) => Ok(EmptinessVerdict::NonEmpty(Box::new(w))),
             None => Ok(EmptinessVerdict::Empty),
         }
     })();
+    emit_verdict(cache, &verdict, by_scc);
+    verdict
+}
+
+/// Whether some accepting state reachable from an initial state lies on a
+/// cycle of `ra`'s transition graph, types ignored.
+///
+/// Every `SControl(A)` state but the start is "transition `t` just
+/// fired" and accepts iff `from(t) ∈ F`, and consecutive letters `u t`
+/// have `to(u) = from(t)`. So an accepting `SControl` cycle through `t`
+/// projects onto a cycle of `A` through `from(t)`, reachable from an
+/// initial state of `A`. Without one, `SControl(A)` is empty, and so is
+/// the extended automaton, whose global constraints only remove runs.
+fn has_accepting_cycle(ra: &RegisterAutomaton) -> bool {
+    let sccs = Sccs::new(
+        ra.num_states(),
+        ra.initial_states().map(StateId::idx),
+        |q, i| {
+            let &t = ra.outgoing(StateId(q as u32)).get(i)?;
+            Some(ra.transition(t).to.idx())
+        },
+    );
+    ra.accepting_states().any(|q| sccs.on_cycle(q.idx()))
+}
+
+/// Whether a lasso search that ran to its end with `candidates` lassos met
+/// no live pivot. The engine's first phase yields a lasso for every live
+/// pivot while `max_lassos` allows one, so none found means its component
+/// pass saw no reachable accepting cycle.
+fn no_live_pivot(opts: &EmptinessOptions, candidates: usize) -> bool {
+    candidates == 0 && opts.max_lassos > 0
+}
+
+/// The closing events of an emptiness check: the cache's statistics, and
+/// the verdict with how it was settled — `"scc"` when no accepting cycle
+/// exists (an exact `Empty`), `"search"` when a lasso search ran.
+fn emit_verdict(cache: &SatCache, verdict: &Result<EmptinessVerdict, CoreError>, by_scc: bool) {
     let stats = cache.stats();
     rega_obs::event!(
         "satcache.stats",
@@ -210,9 +270,9 @@ pub fn check_emptiness_governed(
     );
     rega_obs::event!(
         "emptiness.verdict",
-        nonempty = matches!(verdict, Ok(ref v) if v.is_nonempty())
+        nonempty = matches!(verdict, Ok(ref v) if v.is_nonempty()),
+        settled = if by_scc { "scc" } else { "search" }
     );
-    verdict
 }
 
 /// The pre-kernel emptiness pipeline, retained verbatim as the pinned
@@ -262,6 +322,7 @@ pub fn check_emptiness_reference_governed(
         rega_obs::event!("emptiness.lassos", candidates = lassos.len());
         lassos
     };
+    let by_scc = no_live_pivot(opts, lassos.len());
     let verdict = (|| {
         for (i, control) in lassos.iter().enumerate() {
             let _phase = rega_obs::span!("emptiness.witness", lasso = i);
@@ -274,17 +335,7 @@ pub fn check_emptiness_reference_governed(
         }
         Ok(EmptinessVerdict::Empty)
     })();
-    let stats = cache.stats();
-    rega_obs::event!(
-        "satcache.stats",
-        hits = stats.hits,
-        misses = stats.misses,
-        distinct = stats.distinct_types
-    );
-    rega_obs::event!(
-        "emptiness.verdict",
-        nonempty = matches!(verdict, Ok(ref v) if v.is_nonempty())
-    );
+    emit_verdict(cache, &verdict, by_scc);
     verdict
 }
 

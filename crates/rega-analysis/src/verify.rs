@@ -27,7 +27,7 @@ use rega_automata::Frontier;
 use rega_core::transform::complete_extended_for_atoms_governed;
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
 use rega_data::fxhash::FxSeed;
-use rega_data::{Literal, SatCache, Term};
+use rega_data::{Literal, SatCache, Term, TypeId};
 use rega_logic::translate::ltl_to_automaton;
 use rega_logic::LtlFo;
 use std::borrow::Cow;
@@ -166,15 +166,22 @@ pub fn verify(
         let mut product = RegisterAutomaton::new(ra.k(), ra.schema().clone());
         let mut states: Frontier<(StateId, usize, usize), FxSeed> = Frontier::new();
         // Each product state joins `product` when discovered (a transition
-        // needs its target).
+        // needs its target). It is named after its automaton state; its
+        // full key `(q, atom, counter)` stays in `states`.
         let intern = |states: &mut Frontier<_, _>, product: &mut RegisterAutomaton, key| {
             let (id, new) = states.intern(key);
             if new {
-                let (q, a, c) = key;
-                product.add_state(&format!("{}|a{}|c{}", ra.state_name(q), a, c));
+                let (q, _, _) = key;
+                product.add_state(ra.state_name(q));
             }
             StateId(id as u32)
         };
+        // The refinement interned every type it kept, so each product
+        // transition shares its type by id: no copy, no second hash.
+        let type_of: Vec<TypeId> = ra
+            .transition_ids()
+            .map(|t| cache.intern(&ra.transition(t).ty))
+            .collect();
         for q in ra.states().filter(|&q| ra.is_initial(q)) {
             for &a0 in &auto.inits {
                 let id = intern(&mut states, &mut product, (q, a0, 0));
@@ -202,7 +209,7 @@ pub fn verify(
                 let tr = ra.transition(t);
                 for &a2 in &auto.succ[a] {
                     let tid = intern(&mut states, &mut product, (tr.to, a2, c2));
-                    product.add_transition_interned(sid, tr.ty.clone(), tid, &cache)?;
+                    product.add_transition_interned_id(sid, type_of[t.idx()], tid, &cache)?;
                 }
             }
         }

@@ -8,6 +8,7 @@
 
 use crate::frontier::Frontier;
 use crate::lasso::Lasso;
+use crate::scc::Sccs;
 use crate::Letter;
 use std::collections::HashMap;
 
@@ -234,91 +235,15 @@ impl<L: Letter> Nba<L> {
         let Some(lis) = lis else {
             return false;
         };
-        let node = |s: usize, ph: usize| s * c + ph;
-        let n_nodes = self.num_states() * c;
-        // Reachable nodes from the post-prefix states at phase 0.
-        let mut reach = vec![false; n_nodes];
-        let mut stack: Vec<usize> = Vec::new();
-        for s in 0..self.num_states() {
-            if cur[s] {
-                reach[node(s, 0)] = true;
-                stack.push(node(s, 0));
-            }
-        }
-        while let Some(u) = stack.pop() {
+        // Accepting run exists iff some accepting node reachable from the
+        // post-prefix states at phase 0 lies on a (phase-respecting) cycle.
+        let roots = (0..self.num_states()).filter(|&s| cur[s]).map(|s| s * c);
+        let sccs = Sccs::new(self.num_states() * c, roots, |u, i| {
             let (s, ph) = (u / c, u % c);
-            for &t in self.trans.get(s, lis[ph]) {
-                let v = node(t, (ph + 1) % c);
-                if !reach[v] {
-                    reach[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        // Accepting run exists iff some reachable accepting node lies on a
-        // (phase-respecting) cycle — equivalently, in a non-trivial SCC or
-        // on a self-loop. One iterative Tarjan pass over the product graph.
-        let succ = |u: usize| -> Vec<usize> {
-            let (s, ph) = (u / c, u % c);
-            self.trans
-                .get(s, lis[ph])
-                .iter()
-                .map(|&t| node(t, (ph + 1) % c))
-                .collect()
-        };
-        let mut index_of = vec![usize::MAX; n_nodes];
-        let mut lowlink = vec![0usize; n_nodes];
-        let mut on_stack = vec![false; n_nodes];
-        let mut scc_stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        for root in 0..n_nodes {
-            if !reach[root] || index_of[root] != usize::MAX {
-                continue;
-            }
-            // Iterative Tarjan: (node, children, child-iteration position).
-            let mut call: Vec<(usize, Vec<usize>, usize)> = vec![(root, succ(root), 0)];
-            while let Some(&mut (u, ref children, ref mut ci)) = call.last_mut() {
-                if *ci == 0 {
-                    index_of[u] = next_index;
-                    lowlink[u] = next_index;
-                    next_index += 1;
-                    scc_stack.push(u);
-                    on_stack[u] = true;
-                }
-                if *ci < children.len() {
-                    let v = children[*ci];
-                    *ci += 1;
-                    if index_of[v] == usize::MAX {
-                        call.push((v, succ(v), 0));
-                    } else if on_stack[v] {
-                        lowlink[u] = lowlink[u].min(index_of[v]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _, _)) = call.last() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[u]);
-                    }
-                    if lowlink[u] == index_of[u] {
-                        // Pop one SCC and examine it.
-                        let mut comp = Vec::new();
-                        loop {
-                            let v = scc_stack.pop().expect("non-empty");
-                            on_stack[v] = false;
-                            comp.push(v);
-                            if v == u {
-                                break;
-                            }
-                        }
-                        let nontrivial =
-                            comp.len() > 1 || comp.iter().any(|&v| succ(v).contains(&v));
-                        if nontrivial && comp.iter().any(|&v| self.accepting[v / c]) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
+            let t = *self.trans.get(s, lis[ph]).get(i)?;
+            Some(t * c + (ph + 1) % c)
+        });
+        (0..self.num_states() * c).any(|u| self.accepting[u / c] && sccs.on_cycle(u))
     }
 }
 

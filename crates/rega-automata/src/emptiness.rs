@@ -15,8 +15,38 @@
 use crate::arena::{NbaSource, SuccessorSource};
 use crate::buchi::Nba;
 use crate::lasso::Lasso;
+use crate::scc::Sccs;
 use crate::Letter;
 use std::collections::VecDeque;
+
+/// What every search needs before its first pivot: the breadth-first tree
+/// from the initial states, recording `(parent_state, letter_index)` for
+/// prefix reconstruction, and the strongly connected components of the
+/// reachable states.
+///
+/// The components are computed over the edges the breadth-first search
+/// has just expanded, so they expand no state anew. A pivot is *live* when
+/// it is accepting and on a cycle ([`Sccs::on_cycle`]); a cycle through it
+/// never leaves its component, because a state outside it cannot return.
+struct Reach {
+    parent: Vec<Option<(usize, usize)>>,
+    sccs: Sccs,
+}
+
+impl Reach {
+    fn new<S: SuccessorSource>(src: &mut S) -> Reach {
+        let inits = src.inits().to_vec();
+        let parent = bfs(src, &inits);
+        let sccs = Sccs::new(src.num_states(), inits, |u, i| {
+            src.edges(u).get(i).map(|&(_, t)| t as usize)
+        });
+        Reach { parent, sccs }
+    }
+
+    fn is_live<S: SuccessorSource>(&self, src: &S, f: usize) -> bool {
+        src.is_accepting(f) && self.sccs.on_cycle(f)
+    }
+}
 
 /// Breadth-first search from `sources` over the automaton's transition
 /// graph, recording `(parent_state, letter_index)` for path reconstruction.
@@ -61,14 +91,18 @@ fn path_letters<L: Letter>(
     out
 }
 
-/// Finds a cycle through `pivot` (of length >= 1), returning its letters,
-/// or `None` if `pivot` is not on a cycle.
+/// The shortest cycle through the live pivot `pivot`, as letters. The
+/// breadth-first search from its successors enqueues only states of its
+/// component: every state that can return to `pivot` is one, and each of
+/// them is discovered from one, so the cycle found is the one an
+/// unrestricted search finds. `None` only when a lazy source stopped
+/// revealing edges (a budget trip, which the caller's abort hook reports).
 fn cycle_through<S: SuccessorSource>(
     src: &mut S,
     letters: &[S::L],
+    sccs: &Sccs,
     pivot: usize,
 ) -> Option<Vec<S::L>> {
-    // BFS from the *successors* of pivot back to pivot.
     let mut parent: Vec<Option<(usize, usize)>> = vec![None; src.num_states()];
     let mut queue = VecDeque::new();
     for &(li, t) in src.edges(pivot) {
@@ -76,7 +110,7 @@ fn cycle_through<S: SuccessorSource>(
         if t == pivot {
             return Some(vec![letters[li].clone()]);
         }
-        if parent[t].is_none() {
+        if parent[t].is_none() && sccs.same_component(t, pivot) {
             parent[t] = Some((pivot, li));
             queue.push_back(t);
         }
@@ -98,7 +132,7 @@ fn cycle_through<S: SuccessorSource>(
                 out.reverse();
                 return Some(out);
             }
-            if parent[t].is_none() {
+            if parent[t].is_none() && sccs.same_component(t, pivot) {
                 parent[t] = Some((s, li));
                 queue.push_back(t);
             }
@@ -107,22 +141,15 @@ fn cycle_through<S: SuccessorSource>(
     None
 }
 
-/// [`find_accepting_lasso`] over any [`SuccessorSource`]. Lazy sources are
-/// only expanded along the frontier the search actually reaches.
+/// [`find_accepting_lasso`] over any [`SuccessorSource`]: the shortest
+/// cycle through the first live pivot, after the shortest prefix to it.
+/// Lazy sources are only expanded along the frontier the search reaches.
 pub fn find_accepting_lasso_in<S: SuccessorSource>(src: &mut S) -> Option<Lasso<S::L>> {
     let letters = src.alphabet().to_vec();
-    let inits = src.inits().to_vec();
-    let from_init = bfs(src, &inits);
-    for f in 0..src.num_states() {
-        if !src.is_accepting(f) || from_init[f].is_none() {
-            continue;
-        }
-        if let Some(cycle) = cycle_through(src, &letters, f) {
-            let prefix = path_letters(&letters, &from_init, f);
-            return Some(Lasso::new(prefix, cycle));
-        }
-    }
-    None
+    let reach = Reach::new(src);
+    let f = (0..src.num_states()).find(|&f| reach.is_live(src, f))?;
+    let cycle = cycle_through(src, &letters, &reach.sccs, f)?;
+    Some(Lasso::new(path_letters(&letters, &reach.parent, f), cycle))
 }
 
 /// Decides emptiness of the NBA. Returns an accepting lasso if the language
@@ -137,8 +164,8 @@ pub fn is_empty<L: Letter>(nba: &Nba<L>) -> bool {
 }
 
 /// Enumerates up to `max_lassos` *distinct* accepting lassos: for each
-/// reachable accepting state, simple cycles through it (length ≤
-/// `max_cycle_len`) are enumerated by DFS, each paired with a shortest
+/// reachable accepting state on a cycle, simple cycles through it (length
+/// ≤ `max_cycle_len`) are enumerated by DFS, each paired with a shortest
 /// prefix from the initial states.
 ///
 /// The decision procedures of `rega-analysis` search this family (plus
@@ -168,11 +195,11 @@ pub fn enumerate_accepting_lassos_budgeted<L: Letter>(
 }
 
 /// [`enumerate_accepting_lassos_budgeted`] with an external abort hook,
-/// polled once per accepting pivot and once per DFS expansion. When `abort`
-/// returns `true` the search stops immediately and the lassos found so far
-/// are returned. This is how higher layers (which this crate cannot see)
-/// plug deadline/cancellation governance into the search: the hook calls
-/// their budget's tick and reports whether it tripped.
+/// polled once per state in each pivot loop and once per DFS expansion.
+/// When `abort` returns `true` the search stops immediately and the lassos
+/// found so far are returned. This is how higher layers (which this crate
+/// cannot see) plug deadline/cancellation governance into the search: the
+/// hook calls their budget's tick and reports whether it tripped.
 pub fn enumerate_accepting_lassos_abortable<L: Letter>(
     nba: &Nba<L>,
     max_lassos: usize,
@@ -203,6 +230,14 @@ pub fn enumerate_accepting_lassos_abortable<L: Letter>(
 /// check (e.g. a witness-run construction) as soon as a candidate appears
 /// and stop on first success, instead of materializing the automaton and
 /// the full candidate list first.
+///
+/// Only live pivots (accepting states in a cyclic component, see
+/// [`Sccs`]) are searched, and no search leaves the pivot's component.
+/// What that prunes could never close a cycle, so the lassos and their
+/// order are those of an unpruned search; only its wasted DFS steps are
+/// gone, so `max_steps` is reached later, never sooner. Phase 1 yields a
+/// lasso for every live pivot, so with `max_lassos > 0` and no abort an
+/// empty result proves that no accepting cycle is reachable.
 pub fn for_each_accepting_lasso<S: SuccessorSource>(
     src: &mut S,
     max_lassos: usize,
@@ -212,41 +247,42 @@ pub fn for_each_accepting_lasso<S: SuccessorSource>(
     sink: &mut dyn FnMut(&Lasso<S::L>) -> bool,
 ) -> Vec<Lasso<S::L>> {
     let letters = src.alphabet().to_vec();
-    let inits = src.inits().to_vec();
-    let from_init = bfs(src, &inits);
+    let reach = Reach::new(src);
     let mut out: Vec<Lasso<S::L>> = Vec::new();
-    // Phase 1: the shortest cycle through each reachable accepting state.
-    // Cheap (one BFS per accepting state) and diverse, this guarantees
-    // dense automata still yield candidates before the budget is consumed.
+    // Phase 1: the shortest cycle through each live pivot. Cheap (one BFS
+    // per pivot) and diverse, this guarantees dense automata still yield
+    // candidates before the budget is consumed.
     for f in 0..src.num_states() {
         if out.len() >= max_lassos || abort() {
             return out;
         }
-        if !src.is_accepting(f) || from_init[f].is_none() {
+        if !reach.is_live(src, f) {
             continue;
         }
-        if let Some(cycle) = cycle_through(src, &letters, f) {
-            let lasso = Lasso::new(path_letters(&letters, &from_init, f), cycle);
-            if !out.iter().any(|l| l.same_word(&lasso)) {
-                let stop = sink(&lasso);
-                out.push(lasso);
-                if stop {
-                    return out;
-                }
+        let Some(cycle) = cycle_through(src, &letters, &reach.sccs, f) else {
+            continue;
+        };
+        let lasso = Lasso::new(path_letters(&letters, &reach.parent, f), cycle);
+        if !out.iter().any(|l| l.same_word(&lasso)) {
+            let stop = sink(&lasso);
+            out.push(lasso);
+            if stop {
+                return out;
             }
         }
     }
     // Phase 2: exhaustive simple-cycle enumeration under the step budget
-    // (complete for small automata, best-effort for large ones).
+    // (complete for small automata, best-effort for large ones). A path
+    // that leaves the pivot's component never returns, so none is queued.
     let mut steps = 0usize;
     for f in 0..src.num_states() {
         if out.len() >= max_lassos || steps >= max_steps || abort() {
             break;
         }
-        if !src.is_accepting(f) || from_init[f].is_none() {
+        if !reach.is_live(src, f) {
             continue;
         }
-        let prefix = path_letters(&letters, &from_init, f);
+        let prefix = path_letters(&letters, &reach.parent, f);
         // BFS (shortest-first) over simple paths from f back to f.
         // Queue entries: (current state, letters so far, visited set).
         let mut stack: VecDeque<(usize, Vec<S::L>, Vec<bool>)> = VecDeque::new();
@@ -260,13 +296,17 @@ pub fn for_each_accepting_lasso<S: SuccessorSource>(
             steps += 1;
             for &(li, t) in src.edges(s) {
                 let (li, t) = (li as usize, t as usize);
-                let mut cycle = cur.clone();
-                cycle.push(letters[li].clone());
+                let extend = || {
+                    let mut cycle = Vec::with_capacity(cur.len() + 1);
+                    cycle.extend_from_slice(&cur);
+                    cycle.push(letters[li].clone());
+                    cycle
+                };
                 if t == f {
                     if out.len() >= max_lassos {
                         continue;
                     }
-                    let lasso = Lasso::new(prefix.clone(), cycle);
+                    let lasso = Lasso::new(prefix.clone(), extend());
                     if !out.iter().any(|l| l.same_word(&lasso)) {
                         let stop = sink(&lasso);
                         out.push(lasso);
@@ -274,10 +314,13 @@ pub fn for_each_accepting_lasso<S: SuccessorSource>(
                             return out;
                         }
                     }
-                } else if !visited[t] && cycle.len() < max_cycle_len {
+                } else if !visited[t]
+                    && cur.len() + 1 < max_cycle_len
+                    && reach.sccs.same_component(t, f)
+                {
                     let mut v2 = visited.clone();
                     v2[t] = true;
-                    stack.push_back((t, cycle, v2));
+                    stack.push_back((t, extend(), v2));
                 }
             }
         }

@@ -14,7 +14,9 @@
 //! * tests use Büchi complementation to check ω-language containment.
 //!
 //! All of these constructions explore their automaton from the initial
-//! states through one [`Frontier`], which decides the state numbering.
+//! states through one [`Frontier`], which decides the state numbering, and
+//! every question about accepting cycles is answered by one strongly
+//! connected component pass, [`Sccs`].
 //!
 //! Everything here is generic over the letter type `L` (a [`Letter`]), which
 //! downstream crates instantiate with state or transition identifiers.
@@ -28,6 +30,7 @@ pub mod frontier;
 pub mod lasso;
 pub mod nfa;
 pub mod regex;
+pub mod scc;
 
 pub use arena::{EdgeArena, NbaSource, SuccessorSource};
 pub use buchi::{Nba, Ngba};
@@ -36,6 +39,7 @@ pub use frontier::Frontier;
 pub use lasso::Lasso;
 pub use nfa::Nfa;
 pub use regex::{Regex, RegexParseError};
+pub use scc::Sccs;
 
 /// Bound required of automaton letters. Blanket-implemented.
 pub trait Letter: Clone + Eq + std::hash::Hash + Ord + std::fmt::Debug {}

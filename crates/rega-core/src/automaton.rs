@@ -7,7 +7,7 @@
 //! transition fires, possibly querying the database.
 
 use crate::error::CoreError;
-use rega_data::{Schema, SigmaType};
+use rega_data::{Schema, SigmaType, TypeId};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -157,24 +157,10 @@ impl RegisterAutomaton {
         ty: SigmaType,
         to: StateId,
     ) -> Result<TransId, CoreError> {
-        if from.idx() >= self.num_states() {
-            return Err(CoreError::UnknownState(from.0));
-        }
-        if to.idx() >= self.num_states() {
-            return Err(CoreError::UnknownState(to.0));
-        }
-        if ty.k() != self.k {
-            return Err(CoreError::RegisterCountMismatch {
-                expected: self.k,
-                got: ty.k(),
-            });
-        }
+        self.check_transition(from, &ty, to)?;
         ty.validate(&self.schema)?;
         ty.analyze(&self.schema)?; // must be satisfiable
-        let id = TransId(self.transitions.len() as u32);
-        self.out[from.idx()].push(id);
-        self.transitions.push(Transition { from, ty, to });
-        Ok(id)
+        Ok(self.push_transition(from, ty, to))
     }
 
     /// Adds a transition like [`RegisterAutomaton::add_transition`], but
@@ -190,6 +176,38 @@ impl RegisterAutomaton {
         to: StateId,
         cache: &rega_data::SatCache,
     ) -> Result<TransId, CoreError> {
+        self.check_transition(from, &ty, to)?;
+        // `analyze` re-validates term ranges and arities internally, so the
+        // cached result covers both checks of the direct path.
+        cache.analyze(&ty)?; // must be satisfiable
+        Ok(self.push_transition(from, ty, to))
+    }
+
+    /// [`RegisterAutomaton::add_transition_interned`] for a type `cache`
+    /// has already interned as `ty`: the type is not hashed again, and the
+    /// transition shares its literals with the interned type instead of
+    /// copying them.
+    pub fn add_transition_interned_id(
+        &mut self,
+        from: StateId,
+        ty: TypeId,
+        to: StateId,
+        cache: &rega_data::SatCache,
+    ) -> Result<TransId, CoreError> {
+        let sigma = SigmaType::clone(&cache.resolve(ty));
+        self.check_transition(from, &sigma, to)?;
+        cache.analyze_id(ty)?; // must be satisfiable
+        Ok(self.push_transition(from, sigma, to))
+    }
+
+    /// The checks every transition passes before its type is analyzed:
+    /// both ends exist and the type speaks about `k` registers.
+    fn check_transition(
+        &self,
+        from: StateId,
+        ty: &SigmaType,
+        to: StateId,
+    ) -> Result<(), CoreError> {
         if from.idx() >= self.num_states() {
             return Err(CoreError::UnknownState(from.0));
         }
@@ -202,13 +220,14 @@ impl RegisterAutomaton {
                 got: ty.k(),
             });
         }
-        // `analyze` re-validates term ranges and arities internally, so the
-        // cached result covers both checks of the direct path.
-        cache.analyze(&ty)?; // must be satisfiable
+        Ok(())
+    }
+
+    fn push_transition(&mut self, from: StateId, ty: SigmaType, to: StateId) -> TransId {
         let id = TransId(self.transitions.len() as u32);
         self.out[from.idx()].push(id);
         self.transitions.push(Transition { from, ty, to });
-        Ok(id)
+        id
     }
 
     /// Number of transitions.

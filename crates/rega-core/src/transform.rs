@@ -75,7 +75,7 @@ fn complete_impl(
         let id = ops.intern(&tr.ty);
         for cid in ops.completions_id_governed(id, budget)? {
             budget.tick_mem("transform.complete", || cache.stats().distinct_types)?;
-            out.add_transition_interned(tr.from, (*ops.resolve(cid)).clone(), tr.to, cache)?;
+            out.add_transition_interned_id(tr.from, cid, tr.to, cache)?;
         }
     }
     rega_obs::event!(
@@ -160,7 +160,7 @@ pub fn state_driven_governed(
         for (to_xi, _) in types_of[tr.to.idx()].iter().enumerate() {
             budget.tick("transform.state_driven")?;
             let to2 = pair_id[tr.to.idx()][to_xi];
-            out.add_transition_interned(from2, tr.ty.clone(), to2, cache)
+            out.add_transition_interned_id(from2, tid[t.idx()], to2, cache)
                 .expect("type already validated");
         }
     }

@@ -23,30 +23,32 @@ use crate::term::Term;
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A σ-type: a conjunction of [`Literal`]s over `x̄ ∪ ȳ ∪ c̄` for a
 /// `k`-register automaton. The literal set is kept canonical (deduplicated,
 /// ordered), so equal types compare equal structurally.
+///
+/// The set is shared between clones and copied on the first write, so a
+/// construction that gives many transitions one type (a product, a
+/// completion) clones it in constant time.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SigmaType {
     k: u16,
-    literals: BTreeSet<Literal>,
+    literals: Arc<BTreeSet<Literal>>,
 }
 
 impl SigmaType {
     /// The empty (always-true) type over `k` registers.
     pub fn empty(k: u16) -> Self {
-        SigmaType {
-            k,
-            literals: BTreeSet::new(),
-        }
+        SigmaType::new(k, [])
     }
 
     /// A type from a list of literals.
     pub fn new(k: u16, literals: impl IntoIterator<Item = Literal>) -> Self {
         SigmaType {
             k,
-            literals: literals.into_iter().collect(),
+            literals: Arc::new(literals.into_iter().collect()),
         }
     }
 
@@ -77,7 +79,10 @@ impl SigmaType {
 
     /// Adds a literal.
     pub fn add(&mut self, lit: Literal) {
-        self.literals.insert(lit);
+        // A shared set is copied only when the literal is new to it.
+        if Arc::get_mut(&mut self.literals).is_some() || !self.literals.contains(&lit) {
+            Arc::make_mut(&mut self.literals).insert(lit);
+        }
     }
 
     /// Returns this type extended with a literal.
@@ -90,18 +95,17 @@ impl SigmaType {
     /// Conjunction of two types over the same `k`.
     pub fn conjoin(&self, other: &SigmaType) -> SigmaType {
         debug_assert_eq!(self.k, other.k);
-        let mut lits = self.literals.clone();
-        lits.extend(other.literals.iter().cloned());
-        SigmaType {
-            k: self.k,
-            literals: lits,
+        let mut t = self.clone();
+        for lit in other.literals() {
+            t.add(lit.clone());
         }
+        t
     }
 
     /// Validates that all terms are within range for `k` registers and the
     /// schema's symbols, and that relation arities match.
     pub fn validate(&self, schema: &Schema) -> Result<(), DataError> {
-        for lit in &self.literals {
+        for lit in self.literals() {
             if let Literal::Rel { rel, args, .. } = lit {
                 if rel.0 as usize >= schema.num_relations() {
                     return Err(DataError::UnknownRelation(format!("R{}", rel.0)));
@@ -180,11 +184,10 @@ impl SigmaType {
     ) -> Result<SigmaType, DataError> {
         let sat = self.saturate(schema)?;
         let literals = sat
-            .literals
-            .into_iter()
+            .literals()
             .filter(|l| l.terms().into_iter().all(&keep))
-            .collect();
-        Ok(SigmaType { k: new_k, literals })
+            .cloned();
+        Ok(SigmaType::new(new_k, literals))
     }
 
     /// `δ|m` — restriction to the first `m` registers (both `x` and `y`),
@@ -202,18 +205,14 @@ impl SigmaType {
     /// (canonicalized) at arity `m`.
     pub fn restrict_eq_registers(&self, schema: &Schema, m: u16) -> Result<SigmaType, DataError> {
         let sat = self.saturate(schema)?;
-        let keep: Vec<Literal> = sat
-            .literals
-            .into_iter()
-            .filter(|l| {
-                matches!(l, Literal::Eq(..) | Literal::Neq(..))
-                    && l.terms().into_iter().all(|t| match t {
-                        Term::X(i) | Term::Y(i) => i.0 < m,
-                        Term::Const(_) => false,
-                    })
-            })
-            .collect();
-        Ok(SigmaType::new(m, keep))
+        let keep = sat.literals().filter(|l| {
+            matches!(l, Literal::Eq(..) | Literal::Neq(..))
+                && l.terms().into_iter().all(|t| match t {
+                    Term::X(i) | Term::Y(i) => i.0 < m,
+                    Term::Const(_) => false,
+                })
+        });
+        Ok(SigmaType::new(m, keep.cloned()))
     }
 
     /// `π₁(δ)` — the type induced on `x̄` (and constants): the saturated
@@ -228,15 +227,8 @@ impl SigmaType {
     /// traces compares this with the successor's [`SigmaType::pre_type`].
     pub fn post_type_as_pre(&self, schema: &Schema) -> Result<SigmaType, DataError> {
         let restricted = self.restrict(schema, self.k, |t| !t.is_x())?;
-        let literals = restricted
-            .literals
-            .into_iter()
-            .map(|l| l.map_terms(Term::y_to_x))
-            .collect();
-        Ok(SigmaType {
-            k: self.k,
-            literals,
-        })
+        let literals = restricted.literals().map(|l| l.map_terms(Term::y_to_x));
+        Ok(SigmaType::new(self.k, literals))
     }
 
     /// Condition (iii) of symbolic control traces: `δ|ȳ ≅ δ′|x̄` under
@@ -366,10 +358,7 @@ impl SigmaType {
 
     /// Applies a term substitution to every literal.
     pub fn map_terms(&self, f: impl Fn(Term) -> Term) -> SigmaType {
-        SigmaType {
-            k: self.k,
-            literals: self.literals.iter().map(|l| l.map_terms(&f)).collect(),
-        }
+        SigmaType::new(self.k, self.literals().map(|l| l.map_terms(&f)))
     }
 
     /// Returns the same literals viewed as a type over `new_k` registers
@@ -377,7 +366,7 @@ impl SigmaType {
     pub fn with_k(&self, new_k: u16) -> SigmaType {
         SigmaType {
             k: new_k,
-            literals: self.literals.clone(),
+            literals: Arc::clone(&self.literals),
         }
     }
 }
@@ -637,7 +626,7 @@ impl TypeAnalysis {
         expand(&self.neg_facts, false, &mut literals);
         SigmaType {
             k: self.k,
-            literals,
+            literals: Arc::new(literals),
         }
     }
 }

@@ -311,6 +311,64 @@ fn verify_spans_nest_refine_truth_product_and_emptiness() {
         .contains_key("emptiness.on_the_fly.search"));
 }
 
+/// How each `verify` settles its emptiness check. On a frozen automaton
+/// (every step keeps register 1) `G stable` holds and the product has no
+/// accepting cycle: the `emptiness.scc` pre-pass inside `emptiness.check`
+/// settles it, no lasso search runs, and the verdict event says `"scc"`.
+/// On a thawed one (every step changes it) the search finds a
+/// counterexample, and the verdict event says `"search"`.
+#[test]
+fn verify_verdicts_say_how_emptiness_was_settled() {
+    use rega_analysis::verify::{verify, VerifyOptions};
+    use rega_core::{ExtendedAutomaton, RegisterAutomaton};
+    use rega_data::{Literal, Qf, QfTerm, SigmaType, Term};
+    use rega_logic::LtlFo;
+    use rega_obs::trace::FieldValue;
+
+    let phi = LtlFo::new("G stable", [("stable", Qf::Eq(QfTerm::x(0), QfTerm::y(0)))]).unwrap();
+    for (lit, holds, settled) in [
+        (Literal::eq(Term::x(0), Term::y(0)), true, "scc"),
+        (Literal::neq(Term::x(0), Term::y(0)), false, "search"),
+    ] {
+        let mut ra = RegisterAutomaton::new(1, Schema::empty());
+        let q = ra.add_state("q");
+        ra.set_initial(q);
+        ra.set_accepting(q);
+        ra.add_transition(q, SigmaType::new(1, [lit]), q).unwrap();
+        let ext = ExtendedAutomaton::new(ra);
+
+        let (sink, guard) = rega_obs::install_memory();
+        let v = verify(&ext, &phi, &VerifyOptions::default()).unwrap();
+        drop(guard);
+        assert_eq!(v.holds(), holds);
+
+        let verdicts: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "emptiness.verdict")
+            .collect();
+        assert_eq!(verdicts.len(), 1);
+        let field = |name: &str| verdicts[0].fields.iter().find(|(k, _)| *k == name).cloned();
+        assert_eq!(
+            field("settled"),
+            Some(("settled", FieldValue::Str(settled.into())))
+        );
+        assert_eq!(
+            field("nonempty"),
+            Some(("nonempty", FieldValue::Bool(!holds)))
+        );
+
+        let summary = summarize(&sink);
+        let check = &summary.tree.children["verify"].children["emptiness.check"];
+        assert_eq!(check.children["emptiness.scc"].count, 1);
+        assert_eq!(
+            check.children.contains_key("emptiness.on_the_fly.search"),
+            !holds,
+            "{settled}: a lasso search runs exactly when the pre-pass cannot settle"
+        );
+    }
+}
+
 #[test]
 fn every_served_frame_opens_one_decode_span() {
     use rega_serve::proto::{read_frame, write_frame, Framing};

@@ -114,11 +114,13 @@ pub fn check_emptiness(
 /// monitoring startup) can keep the cache warm across calls.
 ///
 /// This runs the **on-the-fly kernel**: the `SControl` Büchi automaton is
-/// never materialized. A lazy [`SControlSource`] wires successors into its
-/// edge arena only for states the lasso search actually reaches, and each
-/// candidate lasso is handed to witness construction *as it is discovered*
-/// — on satisfiable instances the search stops at the first witness with
-/// most of the automaton never built.
+/// never materialized whole. A lazy [`SControlSource`] wires successors
+/// into its edge arena only for states reachable from the initial ones —
+/// the search's breadth-first pass expands every such state (its component
+/// pass reuses those edges) before the first candidate lasso, so only
+/// unreachable states stay unbuilt — and each candidate lasso is handed to
+/// witness construction *as it is discovered*: on satisfiable instances
+/// the search stops at the first witness.
 ///
 /// The traversal (and therefore the candidate order, the verdict, and the
 /// returned witness) is byte-identical to the retained

@@ -65,17 +65,7 @@ pub fn add_global_registers(
 ) -> Result<ExtendedAutomaton, CoreError> {
     let ra = ext.ra();
     let k = ra.k();
-    let mut out = RegisterAutomaton::new(k + nz, ra.schema().clone());
-    for s in ra.states() {
-        let s2 = out.add_state(ra.state_name(s));
-        debug_assert_eq!(s, s2);
-        if ra.is_initial(s) {
-            out.set_initial(s);
-        }
-        if ra.is_accepting(s) {
-            out.set_accepting(s);
-        }
-    }
+    let mut out = RegisterAutomaton::with_states_of(ra, k + nz, ra.schema().clone());
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
         let mut ty = tr.ty.with_k(k + nz);

@@ -6,9 +6,12 @@
 //!
 //! The search engine is generic over a [`SuccessorSource`], so it runs
 //! identically over a materialized [`Nba`] (via [`NbaSource`]) and over lazy
-//! sources that wire transitions on demand — the on-the-fly symbolic-control
-//! search of `rega-analysis` never materializes the full automaton on
-//! satisfiable instances. The source contract fixes edge order, so the
+//! sources that wire transitions on demand. A lazy source builds only the
+//! states reachable from its initial states, but all of them: the
+//! breadth-first search of `Reach` expands every reachable state (its
+//! component pass reuses those edges) before the first lasso is handed
+//! over, so what stays unbuilt is the unreachable part. The source
+//! contract fixes edge order, so the
 //! traversal, the dedup decisions, and every extracted lasso are the same
 //! whichever backing is used.
 

@@ -74,6 +74,22 @@ impl RegisterAutomaton {
         }
     }
 
+    /// An automaton with `k` registers over `schema` and the states of
+    /// `other` (same ids, names, initial and accepting marks), with no
+    /// transitions: the start of every construction that keeps the states
+    /// and rewrites the transitions.
+    pub fn with_states_of(other: &RegisterAutomaton, k: u16, schema: Schema) -> Self {
+        RegisterAutomaton {
+            k,
+            schema,
+            state_names: other.state_names.clone(),
+            initial: other.initial.clone(),
+            accepting: other.accepting.clone(),
+            transitions: Vec::new(),
+            out: vec![Vec::new(); other.num_states()],
+        }
+    }
+
     /// Number of registers `k`.
     pub fn k(&self) -> u16 {
         self.k
@@ -163,30 +179,16 @@ impl RegisterAutomaton {
         Ok(self.push_transition(from, ty, to))
     }
 
-    /// Adds a transition like [`RegisterAutomaton::add_transition`], but
-    /// runs the satisfiability validation through a shared
-    /// [`SatCache`](rega_data::SatCache) (tied to this automaton's schema),
-    /// so constructions that duplicate the same type across many
-    /// transitions — completion, the state-driven normal form, the
-    /// projection skeletons — analyze each distinct type once.
-    pub fn add_transition_interned(
-        &mut self,
-        from: StateId,
-        ty: SigmaType,
-        to: StateId,
-        cache: &rega_data::SatCache,
-    ) -> Result<TransId, CoreError> {
-        self.check_transition(from, &ty, to)?;
-        // `analyze` re-validates term ranges and arities internally, so the
-        // cached result covers both checks of the direct path.
-        cache.analyze(&ty)?; // must be satisfiable
-        Ok(self.push_transition(from, ty, to))
-    }
-
-    /// [`RegisterAutomaton::add_transition_interned`] for a type `cache`
-    /// has already interned as `ty`: the type is not hashed again, and the
-    /// transition shares its literals with the interned type instead of
-    /// copying them.
+    /// Adds a transition like [`RegisterAutomaton::add_transition`] for a
+    /// type a shared [`SatCache`](rega_data::SatCache) (tied to this
+    /// automaton's schema) has interned as `ty`. The satisfiability check
+    /// runs through the cache, so constructions that duplicate the same
+    /// type across many transitions — completion, the state-driven normal
+    /// form, the projection skeletons — analyze each distinct type once
+    /// (`analyze` re-validates term ranges and arities internally, so the
+    /// cached result covers both checks of the direct path). The type is
+    /// not hashed again, and the transition shares its literals with the
+    /// interned type instead of copying them.
     pub fn add_transition_interned_id(
         &mut self,
         from: StateId,
@@ -198,6 +200,19 @@ impl RegisterAutomaton {
         self.check_transition(from, &sigma, to)?;
         cache.analyze_id(ty)?; // must be satisfiable
         Ok(self.push_transition(from, sigma, to))
+    }
+
+    /// Adds a transition whose type the caller has already validated
+    /// against this automaton's schema (a construction wiring one validated
+    /// type to many successors checks it once, not per pair).
+    pub(crate) fn add_validated_transition(
+        &mut self,
+        from: StateId,
+        ty: SigmaType,
+        to: StateId,
+    ) -> Result<TransId, CoreError> {
+        self.check_transition(from, &ty, to)?;
+        Ok(self.push_transition(from, ty, to))
     }
 
     /// The checks every transition passes before its type is analyzed:

@@ -10,9 +10,8 @@
 
 use crate::automaton::{RegisterAutomaton, StateId};
 use crate::error::CoreError;
-use crate::extended::{ExtendedAutomaton, GlobalConstraint};
+use crate::extended::ExtendedAutomaton;
 use crate::typeops::{TypeOps, TypePath};
-use rega_automata::Regex;
 use rega_data::{Budget, SatCache, SigmaType, TypeId};
 
 /// Replaces every transition type by all of its complete extensions.
@@ -34,48 +33,27 @@ pub fn complete_governed(
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<RegisterAutomaton, CoreError> {
-    complete_impl(ra, &TypeOps::new(cache, ra.k(), TypePath::Fast), budget)
+    complete_impl(ra, &TypeOps::new(cache, ra.k(), TypePath::Fast), budget).map(|(out, _)| out)
 }
 
-/// [`complete_governed`] pinned to the memoized `SigmaType` reference path.
-/// The fast kernel path is differentially tested against this; both produce
-/// identical automata.
-pub fn complete_reference_governed(
-    ra: &RegisterAutomaton,
-    cache: &SatCache,
-    budget: &Budget,
-) -> Result<RegisterAutomaton, CoreError> {
-    complete_impl(
-        ra,
-        &TypeOps::new(cache, ra.k(), TypePath::Reference),
-        budget,
-    )
-}
-
+/// The completion, with the interned type of every transition it added (in
+/// transition order), so the state-driven step need not hash them again.
 fn complete_impl(
     ra: &RegisterAutomaton,
     ops: &TypeOps,
     budget: &Budget,
-) -> Result<RegisterAutomaton, CoreError> {
+) -> Result<(RegisterAutomaton, Vec<TypeId>), CoreError> {
     let _span = rega_obs::span!("transform.complete", states = ra.num_states());
     let cache = ops.cache();
-    let mut out = RegisterAutomaton::new(ra.k(), ra.schema().clone());
-    for s in ra.states() {
-        let s2 = out.add_state(ra.state_name(s));
-        debug_assert_eq!(s, s2);
-        if ra.is_initial(s) {
-            out.set_initial(s);
-        }
-        if ra.is_accepting(s) {
-            out.set_accepting(s);
-        }
-    }
+    let mut out = RegisterAutomaton::with_states_of(ra, ra.k(), ra.schema().clone());
+    let mut tids = Vec::new();
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
         let id = ops.intern(&tr.ty);
         for cid in ops.completions_id_governed(id, budget)? {
             budget.tick_mem("transform.complete", || cache.stats().distinct_types)?;
             out.add_transition_interned_id(tr.from, cid, tr.to, cache)?;
+            tids.push(cid);
         }
     }
     rega_obs::event!(
@@ -83,7 +61,7 @@ fn complete_impl(
         transitions_in = ra.num_transitions(),
         transitions_out = out.num_transitions()
     );
-    Ok(out)
+    Ok((out, tids))
 }
 
 /// The result of the state-driven construction: the new automaton plus the
@@ -94,6 +72,10 @@ pub struct StateDriven {
     pub automaton: RegisterAutomaton,
     /// `state_map[s′] = α(s′)` — the original state of each new state.
     pub state_map: Vec<StateId>,
+    /// `state_types[s′]` — the interned [`RegisterAutomaton::state_type`]
+    /// of each new state: the type of all its outgoing transitions, `None`
+    /// when it has none.
+    pub state_types: Vec<Option<TypeId>>,
 }
 
 /// Converts to state-driven form: new states are the pairs `(q, δ)` where
@@ -109,11 +91,50 @@ pub fn state_driven(ra: &RegisterAutomaton) -> StateDriven {
 
 /// [`state_driven`] with transition validation memoized in `cache`, under
 /// a [`Budget`]. The construction duplicates each type once per successor
-/// pair, so the cache reduces the quadratic re-analysis to one analysis per
-/// distinct type, and the wiring ticks per pair, so a hostile automaton with
-/// a dense successor structure is interruptible.
+/// pair; each distinct source type is validated once, and the wiring ticks
+/// per pair, so a hostile automaton with a dense successor structure is
+/// interruptible.
 pub fn state_driven_governed(
     ra: &RegisterAutomaton,
+    cache: &SatCache,
+    budget: &Budget,
+) -> Result<StateDriven, CoreError> {
+    state_driven_impl(ra, None, cache, budget)
+}
+
+/// How [`normalize_with`] completes the transition types.
+#[derive(Clone, Copy, Debug)]
+pub enum Completion<'a> {
+    /// Full completion ([`complete_governed`]).
+    Full,
+    /// Completion on the given atoms only ([`complete_for_atoms_governed`]).
+    Atoms(&'a [rega_data::Literal]),
+}
+
+/// The complete (or atom-complete), state-driven normal form the
+/// projections start from, with every σ-type operation served by `ops`.
+/// The completion hands the interned type of each transition it adds to
+/// the state-driven step, which therefore hashes no type again, and the
+/// result carries each new state's type id. The automaton is the one
+/// [`state_driven_governed`] builds from the completion.
+pub fn normalize_with(
+    ra: &RegisterAutomaton,
+    completion: Completion<'_>,
+    ops: &TypeOps,
+    budget: &Budget,
+) -> Result<StateDriven, CoreError> {
+    let (completed, tids) = match completion {
+        Completion::Full => complete_impl(ra, ops, budget)?,
+        Completion::Atoms(atoms) => complete_for_atoms_impl(ra, atoms, ops, budget)?,
+    };
+    state_driven_impl(&completed, Some(&tids), ops.cache(), budget)
+}
+
+/// The state-driven construction. `known[t]`, when given, is the interned
+/// type of transition `t`; otherwise each type is interned here.
+fn state_driven_impl(
+    ra: &RegisterAutomaton,
+    known: Option<&[TypeId]>,
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<StateDriven, CoreError> {
@@ -125,7 +146,10 @@ pub fn state_driven_governed(
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
         budget.tick("transform.state_driven")?;
-        let id = cache.intern(&tr.ty);
+        let id = match known {
+            Some(ids) => ids[t.idx()],
+            None => cache.intern(&tr.ty),
+        };
         tid.push(id);
         if !types_of[tr.from.idx()].contains(&id) {
             types_of[tr.from.idx()].push(id);
@@ -133,14 +157,16 @@ pub fn state_driven_governed(
     }
     let mut out = RegisterAutomaton::new(ra.k(), ra.schema().clone());
     let mut state_map = Vec::new();
+    let mut pair_type = Vec::new();
     // pair_id[q][type_index] = new state
     let mut pair_id: Vec<Vec<StateId>> = vec![Vec::new(); ra.num_states()];
     for q in ra.states() {
-        for (xi, _) in types_of[q.idx()].iter().enumerate() {
+        for (xi, &ty) in types_of[q.idx()].iter().enumerate() {
             let name = format!("{}_{}", ra.state_name(q), xi);
             let id = out.add_state(&name);
             pair_id[q.idx()].push(id);
             state_map.push(q);
+            pair_type.push(ty);
             if ra.is_initial(q) {
                 out.set_initial(id);
             }
@@ -150,6 +176,9 @@ pub fn state_driven_governed(
         }
     }
     // Transitions: ((p,δ), δ, (q,δ′)) for (p,δ,q) ∈ Δ and δ′ outgoing at q.
+    // Every pair `(p, δ)` wires only `δ`, so its type is validated once,
+    // before its first pair.
+    let mut validated = vec![false; out.num_states()];
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
         let xi = types_of[tr.from.idx()]
@@ -157,16 +186,24 @@ pub fn state_driven_governed(
             .position(|&ty| ty == tid[t.idx()])
             .expect("type recorded");
         let from2 = pair_id[tr.from.idx()][xi];
-        for (to_xi, _) in types_of[tr.to.idx()].iter().enumerate() {
+        for &to2 in &pair_id[tr.to.idx()] {
             budget.tick("transform.state_driven")?;
-            let to2 = pair_id[tr.to.idx()][to_xi];
-            out.add_transition_interned_id(from2, tid[t.idx()], to2, cache)
-                .expect("type already validated");
+            if !validated[from2.idx()] {
+                cache.analyze_id(tid[t.idx()])?;
+                validated[from2.idx()] = true;
+            }
+            out.add_validated_transition(from2, tr.ty.clone(), to2)?;
         }
     }
+    let state_types = out
+        .states()
+        .zip(pair_type)
+        .map(|(s, ty)| (!out.outgoing(s).is_empty()).then_some(ty))
+        .collect();
     Ok(StateDriven {
         automaton: out,
         state_map,
+        state_types,
     })
 }
 
@@ -248,10 +285,12 @@ pub fn complete_for_atoms_governed(
         &TypeOps::new(cache, ra.k(), TypePath::Fast),
         budget,
     )
+    .map(|(out, _)| out)
 }
 
 /// [`complete_for_atoms_governed`] pinned to the memoized `SigmaType`
-/// reference path (see [`complete_reference_governed`]).
+/// reference path. The fast kernel path is differentially tested against
+/// this; both produce identical automata.
 pub fn complete_for_atoms_reference_governed(
     ra: &RegisterAutomaton,
     atoms: &[rega_data::Literal],
@@ -264,31 +303,25 @@ pub fn complete_for_atoms_reference_governed(
         &TypeOps::new(cache, ra.k(), TypePath::Reference),
         budget,
     )
+    .map(|(out, _)| out)
 }
 
+/// The atom completion, with the interned type of every transition it
+/// added (see [`complete_impl`]).
 fn complete_for_atoms_impl(
     ra: &RegisterAutomaton,
     atoms: &[rega_data::Literal],
     ops: &TypeOps,
     budget: &Budget,
-) -> Result<RegisterAutomaton, CoreError> {
+) -> Result<(RegisterAutomaton, Vec<TypeId>), CoreError> {
     let cache = ops.cache();
-    let mut out = RegisterAutomaton::new(ra.k(), ra.schema().clone());
-    for s in ra.states() {
-        let s2 = out.add_state(ra.state_name(s));
-        debug_assert_eq!(s, s2);
-        if ra.is_initial(s) {
-            out.set_initial(s);
-        }
-        if ra.is_accepting(s) {
-            out.set_accepting(s);
-        }
-    }
+    let mut out = RegisterAutomaton::with_states_of(ra, ra.k(), ra.schema().clone());
     // Word-level refinement is eligible when the fragment has a bitset
     // space and every refinement atom fits it; per-transition the type must
     // additionally encode. Both loops produce the same sorted variant set
     // (`SigmaType` canonicalizes literal sets, and bit-level consistency
     // agrees with the analysis), so the fallback is per transition.
+    let mut tids = Vec::new();
     let bit_space = ops.space().filter(|sp| {
         atoms
             .iter()
@@ -342,10 +375,12 @@ fn complete_for_atoms_impl(
         variants.sort();
         variants.dedup();
         for v in variants {
-            out.add_transition_interned(tr.from, v, tr.to, cache)?;
+            let id = cache.intern_owned(v);
+            out.add_transition_interned_id(tr.from, id, tr.to, cache)?;
+            tids.push(id);
         }
     }
-    Ok(out)
+    Ok((out, tids))
 }
 
 /// [`complete_for_atoms`] for extended automata (constraints carry over).
@@ -371,27 +406,6 @@ pub fn complete_extended_for_atoms_governed(
         out.add_lifted_constraint(c, |s| s)?;
     }
     Ok(out)
-}
-
-/// Lifts a regex over original states to one over refined states via the
-/// preimage sets.
-pub fn lift_regex(regex: &Regex<StateId>, preimages: &[Vec<StateId>]) -> Regex<StateId> {
-    match regex {
-        Regex::Empty => Regex::Empty,
-        Regex::Epsilon => Regex::Epsilon,
-        Regex::Sym(s) => Regex::any_of(preimages[s.idx()].iter().copied()),
-        Regex::Concat(parts) => {
-            Regex::Concat(parts.iter().map(|p| lift_regex(p, preimages)).collect())
-        }
-        Regex::Alt(parts) => Regex::Alt(parts.iter().map(|p| lift_regex(p, preimages)).collect()),
-        Regex::Star(inner) => Regex::Star(Box::new(lift_regex(inner, preimages))),
-    }
-}
-
-/// Convenience accessor used by several constructions: the constraints of an
-/// extended automaton (re-exported to avoid leaking monitor internals).
-pub fn constraints(ext: &ExtendedAutomaton) -> &[GlobalConstraint] {
-    ext.constraints()
 }
 
 #[cfg(test)]
@@ -516,17 +530,7 @@ pub fn permute_registers(ra: &RegisterAutomaton, perm: &[u16]) -> RegisterAutoma
     for (new, &old) in perm.iter().enumerate() {
         inverse[old as usize] = new as u16;
     }
-    let mut out = RegisterAutomaton::new(ra.k(), ra.schema().clone());
-    for s in ra.states() {
-        let s2 = out.add_state(ra.state_name(s));
-        debug_assert_eq!(s, s2);
-        if ra.is_initial(s) {
-            out.set_initial(s);
-        }
-        if ra.is_accepting(s) {
-            out.set_accepting(s);
-        }
-    }
+    let mut out = RegisterAutomaton::with_states_of(ra, ra.k(), ra.schema().clone());
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
         let ty = tr

@@ -20,9 +20,9 @@
 //! happens. [`TypeOps::joint_stats`] exposes the request/compute split so
 //! tests can pin the dedupe.
 
+use rega_data::fxhash::FxMap;
 use rega_data::{Budget, DataError, SatCache, SigmaType, TypeBits, TypeBitsSpace, TypeId};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which implementation serves the σ-type operations.
@@ -47,8 +47,8 @@ pub struct TypeOps<'a> {
     space: Option<Arc<TypeBitsSpace>>,
     /// `space`, additionally supporting the `3k + C` joint universe.
     joint_space: Option<Arc<TypeBitsSpace>>,
-    bits: RefCell<HashMap<TypeId, Option<TypeBits>>>,
-    joint_memo: RefCell<HashMap<(TypeId, TypeId), bool>>,
+    bits: RefCell<FxMap<TypeId, Option<TypeBits>>>,
+    joint_memo: RefCell<FxMap<(TypeId, TypeId), bool>>,
     joint_requests: Cell<u64>,
     joint_computed: Cell<u64>,
     fast_ctr: rega_obs::Counter,
@@ -76,8 +76,8 @@ impl<'a> TypeOps<'a> {
             path,
             space,
             joint_space,
-            bits: RefCell::new(HashMap::new()),
-            joint_memo: RefCell::new(HashMap::new()),
+            bits: RefCell::default(),
+            joint_memo: RefCell::default(),
             joint_requests: Cell::new(0),
             joint_computed: Cell::new(0),
             fast_ctr: registry.counter("typebits.proj_fast"),

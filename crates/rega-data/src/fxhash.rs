@@ -16,8 +16,9 @@ use std::hash::{BuildHasher, Hasher};
 /// crafted to collide.
 pub struct FxHasher(u64);
 
-/// Builds [`FxHasher`]s from one random seed.
-#[derive(Debug)]
+/// Builds [`FxHasher`]s from one random seed. A clone keeps the seed, as a
+/// cloned table must.
+#[derive(Clone, Debug)]
 pub struct FxSeed(u64);
 
 impl Default for FxSeed {

@@ -16,12 +16,13 @@
 
 use crate::database::Database;
 use crate::error::DataError;
+use crate::fxhash::FxMap;
 use crate::govern::Budget;
 use crate::literal::Literal;
 use crate::schema::{ConstSym, RelSym, Schema};
 use crate::term::Term;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -396,7 +397,7 @@ pub struct TypeAnalysis {
     k: u16,
     /// The equivalence classes (each a sorted list of terms).
     classes: Vec<Vec<Term>>,
-    class_of: HashMap<Term, usize>,
+    class_of: FxMap<Term, usize>,
     /// Class pairs `(a, b)` with `a <= b` related by `≠`.
     neq: BTreeSet<(usize, usize)>,
     /// Positive relational facts at class level.
@@ -409,8 +410,7 @@ impl TypeAnalysis {
     fn build(ty: &SigmaType, schema: &Schema) -> Result<TypeAnalysis, DataError> {
         ty.validate(schema)?;
         let universe = ty.universe(schema);
-        let index: HashMap<Term, usize> =
-            universe.iter().enumerate().map(|(i, t)| (*t, i)).collect();
+        let index: FxMap<Term, usize> = universe.iter().enumerate().map(|(i, t)| (*t, i)).collect();
 
         // Union-find over the universe.
         let mut parent: Vec<usize> = (0..universe.len()).collect();
@@ -432,9 +432,9 @@ impl TypeAnalysis {
         }
 
         // Dense class ids ordered by least member.
-        let mut root_to_class: HashMap<usize, usize> = HashMap::new();
+        let mut root_to_class: FxMap<usize, usize> = FxMap::default();
         let mut classes: Vec<Vec<Term>> = Vec::new();
-        let mut class_of: HashMap<Term, usize> = HashMap::new();
+        let mut class_of: FxMap<Term, usize> = FxMap::default();
         for (i, t) in universe.iter().enumerate() {
             let r = find(&mut parent, i);
             let cid = *root_to_class.entry(r).or_insert_with(|| {

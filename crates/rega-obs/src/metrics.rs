@@ -205,7 +205,7 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -232,37 +232,39 @@ impl Registry {
 
     /// The counter registered under `name` (created on first use).
     pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.metric(name, || Metric::Counter(Counter::new())) {
+            Metric::Counter(c) => c,
             other => panic!("metric `{name}` is already registered as {other:?}, not a counter"),
         }
     }
 
     /// The gauge registered under `name` (created on first use).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.metric(name, || Metric::Gauge(Gauge::new())) {
+            Metric::Gauge(g) => g,
             other => panic!("metric `{name}` is already registered as {other:?}, not a gauge"),
         }
     }
 
     /// The histogram registered under `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
+        match self.metric(name, || Metric::Histogram(Histogram::new())) {
+            Metric::Histogram(h) => h,
             other => panic!("metric `{name}` is already registered as {other:?}, not a histogram"),
+        }
+    }
+
+    /// A handle on the metric under `name`, which `create` registers on
+    /// first use. The name is looked up as `&str`, so only a first
+    /// registration allocates its key.
+    fn metric(&self, name: &str, create: impl FnOnce() -> Metric) -> Metric {
+        let mut metrics = self.metrics.lock().unwrap();
+        match metrics.get(name) {
+            Some(metric) => metric.clone(),
+            None => metrics
+                .entry(name.to_string())
+                .or_insert_with(create)
+                .clone(),
         }
     }
 
@@ -388,6 +390,18 @@ mod tests {
         assert_eq!(g.get(), 0);
         g.set(7);
         assert_eq!((g.get(), g.peak()), (7, 7));
+    }
+
+    /// A repeat lookup returns the handle the first one registered, for
+    /// every kind, and registers nothing new.
+    #[test]
+    fn repeat_lookup_returns_the_registered_handle() {
+        let r = Registry::new();
+        let (c, g, h) = (r.counter("a.c"), r.gauge("a.g"), r.histogram("a.h"));
+        assert!(Arc::ptr_eq(&c.0, &r.counter("a.c").0));
+        assert!(Arc::ptr_eq(&g.0, &r.gauge("a.g").0));
+        assert!(Arc::ptr_eq(&h.0, &r.histogram("a.h").0));
+        assert_eq!(r.metrics.lock().unwrap().len(), 3);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use rega_automata::Dfa;
 use rega_core::extended::ConstraintKind;
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
 use rega_data::fxhash::FxSeed;
-use rega_data::{RegIdx, SatCache, Term};
+use rega_data::{RegIdx, SatCache, Term, TypeId};
 
 /// A set of registers: bit `r` is set iff register `r` is in the set.
 pub(crate) type RegMask = u64;
@@ -91,16 +91,26 @@ impl FlowTable {
     /// responsibility (the `e≠` characterization needs it; `e=` is correct
     /// regardless).
     pub(crate) fn new(ra: &RegisterAutomaton) -> Result<Self, CoreError> {
-        Self::with_cache(ra, &SatCache::new(ra.schema().clone()))
-    }
-
-    /// [`FlowTable::new`] reading each state type's analysis from a
-    /// caller-supplied σ-type cache (the one the projection interned the
-    /// normalized automaton's types into).
-    pub(crate) fn with_cache(ra: &RegisterAutomaton, cache: &SatCache) -> Result<Self, CoreError> {
         if !ra.is_state_driven() {
             return Err(CoreError::NotStateDriven);
         }
+        let cache = SatCache::new(ra.schema().clone());
+        let state_types: Vec<Option<TypeId>> = ra
+            .states()
+            .map(|q| ra.state_type(q).map(|ty| cache.intern(ty)))
+            .collect();
+        Self::from_state_types(ra, &state_types, &cache)
+    }
+
+    /// [`FlowTable::new`] for a state-driven automaton whose state types
+    /// `cache` has already interned (`state_types[q]` is
+    /// [`RegisterAutomaton::state_type`] of `q`, as the normalization
+    /// returns it): each state's analysis is read by id.
+    pub(crate) fn from_state_types(
+        ra: &RegisterAutomaton,
+        state_types: &[Option<TypeId>],
+        cache: &SatCache,
+    ) -> Result<Self, CoreError> {
         if ra.k() > MAX_FLOW_REGISTERS {
             return Err(CoreError::UnsupportedProjection(format!(
                 "value-flow tables track at most {MAX_FLOW_REGISTERS} registers, \
@@ -119,10 +129,10 @@ impl FlowTable {
             x_y_neq: vec![0; n * k],
         };
         for q in ra.states() {
-            let Some(ty) = ra.state_type(q) else {
+            let Some(ty) = state_types[q.idx()] else {
                 continue;
             };
-            let a = cache.analyze(ty)?;
+            let a = cache.analyze_id(ty)?;
             let x: Vec<usize> = (0..ra.k()).map(|r| a.class_of(Term::x(r))).collect();
             let y: Vec<usize> = (0..ra.k()).map(|r| a.class_of(Term::y(r))).collect();
             let base = q.idx() * k;

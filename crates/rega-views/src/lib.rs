@@ -30,6 +30,7 @@
 //! * [`counterexamples`] — executable versions of the paper's separating
 //!   examples (4, 7, 8, 16, 17, 23), used by the experiment suite.
 
+mod assemble;
 pub mod counterexamples;
 pub mod lemma21;
 pub mod observer;

@@ -14,11 +14,12 @@
 //! (with vertex covers bounded by `k`), which the tests verify through the
 //! Theorem 18 checker.
 
+use crate::assemble::assemble_view;
 use crate::lemma21::{self, FlowTable};
-use rega_core::transform::{complete_governed, complete_reference_governed, state_driven_governed};
+use rega_core::transform::{normalize_with, Completion};
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton};
-use rega_data::{SatCache, TypeId};
+use rega_data::SatCache;
 
 /// A projection view of a register automaton.
 #[derive(Clone, Debug)]
@@ -83,63 +84,22 @@ fn project_impl(
         )));
     }
     let _span = rega_obs::span!("views.prop20", keep = m, states = ra.num_states());
-    let completed = match path {
-        TypePath::Fast => complete_governed(ra, cache, budget)?,
-        TypePath::Reference => complete_reference_governed(ra, cache, budget)?,
-    };
-    let normalized = state_driven_governed(&completed, cache, budget)?.automaton;
     let ops = TypeOps::new(cache, ra.k(), path);
-    // One interned handle per transition / per successor state type, so the
-    // joint-satisfiability pruning below dedupes repeated (δ, δ′) pairs.
-    let tids: Vec<TypeId> = normalized
-        .transition_ids()
-        .map(|t| ops.intern(&normalized.transition(t).ty))
-        .collect();
-    let state_tid: Vec<Option<TypeId>> = normalized
-        .states()
-        .map(|s| normalized.state_type(s).map(|ty| ops.intern(ty)))
-        .collect();
-
+    let normalized = normalize_with(ra, Completion::Full, &ops, budget)?;
     // The view: same states, types restricted to the first m registers.
-    let mut view = RegisterAutomaton::new(m, ra.schema().clone());
-    for s in normalized.states() {
-        let s2 = view.add_state(normalized.state_name(s));
-        debug_assert_eq!(s, s2);
-        if normalized.is_initial(s) {
-            view.set_initial(s);
-        }
-        if normalized.is_accepting(s) {
-            view.set_accepting(s);
-        }
-    }
-    for t in normalized.transition_ids() {
-        budget.tick("views.prop20.restrict")?;
-        let tr = normalized.transition(t);
-        // Drop successions whose types conflict on *hidden* registers: the
-        // restriction would hide the conflict and admit traces the original
-        // automaton cannot produce. (The state-driven construction wires
-        // every (q, δ) to every (q', δ'); only jointly satisfiable pairs
-        // occur in real runs.)
-        if let Some(next_tid) = state_tid[tr.to.idx()] {
-            if !ops.jointly_satisfiable_ids(tids[t.idx()], next_tid) {
-                continue;
-            }
-        }
-        let restricted = ops.resolve(ops.restrict_registers_id(tids[t.idx()], m)?);
-        // Distinct completions may restrict identically; the automaton
-        // dedupes nothing itself, so skip exact duplicates.
-        let dup = view
-            .outgoing(tr.from)
-            .iter()
-            .any(|&u| view.transition(u).to == tr.to && view.transition(u).ty == *restricted);
-        if !dup {
-            view.add_transition(tr.from, (*restricted).clone(), tr.to)?;
-        }
-    }
-
+    let view = assemble_view(
+        &normalized,
+        m,
+        ra.schema().clone(),
+        |ty| ops.restrict_registers_id(ty, m),
+        &ops,
+        budget,
+        "views.prop20.restrict",
+    )?;
     let mut view = ExtendedAutomaton::new(view);
     if m > 0 {
-        let flow = FlowTable::with_cache(&normalized, cache)?;
+        let flow =
+            FlowTable::from_state_types(&normalized.automaton, &normalized.state_types, cache)?;
         lemma21::add_view_constraints(&mut view, &flow, m, budget, "views.prop20.lemma21")?;
     }
     rega_obs::event!(
@@ -150,7 +110,7 @@ fn project_impl(
     );
     Ok(Projection {
         view,
-        normalized,
+        normalized: normalized.automaton,
         m,
     })
 }

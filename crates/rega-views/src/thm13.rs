@@ -26,12 +26,13 @@
 //! covers every projection of a plain register automaton — the case the
 //! paper's Theorem 19 revolves around.
 
+use crate::assemble::assemble_view;
 use crate::lemma21::{self, FlowTable};
 use crate::prop6::eliminate_global_equalities;
-use rega_core::transform::{complete_governed, complete_reference_governed, state_driven_governed};
+use rega_core::transform::{normalize_with, Completion};
 use rega_core::typeops::{TypeOps, TypePath};
-use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::{SatCache, TypeId};
+use rega_core::{Budget, CoreError, ExtendedAutomaton};
+use rega_data::SatCache;
 
 /// The result of projecting an extended automaton.
 #[derive(Clone, Debug)]
@@ -116,68 +117,29 @@ fn project_impl(
 
     // 2. Normalize. (Completion is exponential in the register count; the
     // k added by Proposition 6 is the price of generality here.)
-    let completed = match path {
-        TypePath::Fast => complete_governed(inter.ra(), cache, budget)?,
-        TypePath::Reference => complete_reference_governed(inter.ra(), cache, budget)?,
-    };
-    let sd = state_driven_governed(&completed, cache, budget)?;
-    let normalized = sd.automaton;
-    let norm_map: Vec<StateId> = sd.state_map; // normalized -> intermediate states
     let ops = TypeOps::new(cache, intermediate_k, path);
-    // One interned handle per transition / per successor state type, so the
-    // joint-satisfiability pruning below dedupes repeated (δ, δ′) pairs.
-    let tids: Vec<TypeId> = normalized
-        .transition_ids()
-        .map(|t| ops.intern(&normalized.transition(t).ty))
-        .collect();
-    let state_tid: Vec<Option<TypeId>> = normalized
-        .states()
-        .map(|s| normalized.state_type(s).map(|ty| ops.intern(ty)))
-        .collect();
+    let normalized = normalize_with(inter.ra(), Completion::Full, &ops, budget)?;
 
     // 3. Assemble the view.
-    let mut view = RegisterAutomaton::new(m, ext.ra().schema().clone());
-    for s in normalized.states() {
-        let s2 = view.add_state(normalized.state_name(s));
-        debug_assert_eq!(s, s2);
-        if normalized.is_initial(s) {
-            view.set_initial(s);
-        }
-        if normalized.is_accepting(s) {
-            view.set_accepting(s);
-        }
-    }
-    for t in normalized.transition_ids() {
-        budget.tick("views.thm13.restrict")?;
-        let tr = normalized.transition(t);
-        // Drop successions whose types conflict on *hidden* registers: the
-        // restriction would hide the conflict and admit traces the original
-        // automaton cannot produce. (The state-driven construction wires
-        // every (q, δ) to every (q', δ'); only jointly satisfiable pairs
-        // occur in real runs.)
-        if let Some(next_tid) = state_tid[tr.to.idx()] {
-            if !ops.jointly_satisfiable_ids(tids[t.idx()], next_tid) {
-                continue;
-            }
-        }
-        let restricted = ops.resolve(ops.restrict_registers_id(tids[t.idx()], m)?);
-        let dup = view
-            .outgoing(tr.from)
-            .iter()
-            .any(|&u| view.transition(u).to == tr.to && view.transition(u).ty == *restricted);
-        if !dup {
-            view.add_transition(tr.from, (*restricted).clone(), tr.to)?;
-        }
-    }
+    let view = assemble_view(
+        &normalized,
+        m,
+        ext.ra().schema().clone(),
+        |ty| ops.restrict_registers_id(ty, m),
+        &ops,
+        budget,
+        "views.thm13.restrict",
+    )?;
     let mut view = ExtendedAutomaton::new(view);
     if m > 0 {
-        let flow = FlowTable::with_cache(&normalized, cache)?;
+        let flow =
+            FlowTable::from_state_types(&normalized.automaton, &normalized.state_types, cache)?;
         lemma21::add_view_constraints(&mut view, &flow, m, budget, "views.thm13.lemma21")?;
     }
     // Lift the surviving inequality constraints from the intermediate
     // automaton through the normalization map.
     for c in inter.constraints() {
-        view.add_lifted_constraint(c, |s| norm_map[s.idx()])?;
+        view.add_lifted_constraint(c, |s| normalized.state_map[s.idx()])?;
     }
     rega_obs::event!(
         "views.thm13_built",

@@ -45,17 +45,16 @@
 //!   examples). Finiteness constraints are vacuous on ultimately periodic
 //!   runs either way — see `rega_core::enhanced`.
 
+use crate::assemble::assemble_view;
 use crate::lemma21::{self, FlowTable, Frontier, RegMask};
 use rega_automata::{Dfa, Nba};
 use rega_core::enhanced::{
     EnhancedAutomaton, FinitenessConstraint, PositionSelector, TupleInequality,
 };
-use rega_core::transform::{
-    complete_for_atoms_governed, complete_for_atoms_reference_governed, state_driven_governed,
-};
+use rega_core::transform::{normalize_with, Completion};
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, RegisterAutomaton, StateId};
-use rega_data::{Literal, RegIdx, SatCache, Term, TypeId};
+use rega_data::{Literal, RegIdx, SatCache, Term};
 
 /// Budgets and limits for the construction.
 #[derive(Clone, Copy, Debug)]
@@ -178,58 +177,25 @@ fn project_impl(
 
     // 1. Equality completion + state-driven normal form.
     let atoms = equality_atoms(ra.k());
-    let completed = match path {
-        TypePath::Fast => complete_for_atoms_governed(ra, &atoms, cache, budget)?,
-        TypePath::Reference => complete_for_atoms_reference_governed(ra, &atoms, cache, budget)?,
-    };
-    let normalized = state_driven_governed(&completed, cache, budget)?.automaton;
     let ops = TypeOps::new(cache, ra.k(), path);
-    // One interned handle per transition / per successor state type, so the
-    // joint-satisfiability pruning below dedupes repeated (δ, δ′) pairs.
-    let tids: Vec<TypeId> = normalized
-        .transition_ids()
-        .map(|t| ops.intern(&normalized.transition(t).ty))
-        .collect();
-    let state_tid: Vec<Option<TypeId>> = normalized
-        .states()
-        .map(|s| normalized.state_type(s).map(|ty| ops.intern(ty)))
-        .collect();
+    let sd = normalize_with(ra, Completion::Atoms(&atoms), &ops, budget)?;
 
     // 2. The view skeleton: empty schema, equality literals on visible
     // registers, wiring filtered by joint satisfiability.
-    let empty = rega_data::Schema::empty();
-    let mut view = RegisterAutomaton::new(m, empty.clone());
-    for s in normalized.states() {
-        let s2 = view.add_state(normalized.state_name(s));
-        debug_assert_eq!(s, s2);
-        if normalized.is_initial(s) {
-            view.set_initial(s);
-        }
-        if normalized.is_accepting(s) {
-            view.set_accepting(s);
-        }
-    }
-    for t in normalized.transition_ids() {
-        budget.tick("views.thm24.restrict")?;
-        let tr = normalized.transition(t);
-        if let Some(next_tid) = state_tid[tr.to.idx()] {
-            if !ops.jointly_satisfiable_ids(tids[t.idx()], next_tid) {
-                continue;
-            }
-        }
-        let restricted = ops.resolve(ops.restrict_eq_registers_id(tids[t.idx()], m)?);
-        let dup = view
-            .outgoing(tr.from)
-            .iter()
-            .any(|&u| view.transition(u).to == tr.to && view.transition(u).ty == *restricted);
-        if !dup {
-            view.add_transition(tr.from, (*restricted).clone(), tr.to)?;
-        }
-    }
+    let view = assemble_view(
+        &sd,
+        m,
+        rega_data::Schema::empty(),
+        |ty| ops.restrict_eq_registers_id(ty, m),
+        &ops,
+        budget,
+        "views.thm24.restrict",
+    )?;
 
     // 3. Lemma 21 constraints on the visible registers. One flow table
     // serves them and every selector below.
-    let flow = FlowTable::with_cache(&normalized, cache)?;
+    let flow = FlowTable::from_state_types(&sd.automaton, &sd.state_types, cache)?;
+    let normalized = sd.automaton;
     let mut ext = ExtendedAutomaton::new(view);
     lemma21::add_view_constraints(&mut ext, &flow, m, budget, "views.thm24.lemma21")?;
     let mut enhanced = EnhancedAutomaton::new(ext);

@@ -10,10 +10,10 @@
 //!    JSONL schema reconstructs the per-phase wall-time tree (NBA build /
 //!    lasso search / witness) and the SatCache hit ratio through
 //!    `rega_obs::report` — the same pipeline `rega trace-report` runs.
-//! 3. **Projection spans**: the Lemma 21 DFA builds and the Theorem 24
-//!    selector worklists each open their own span, nested under the
-//!    projection that runs them, so their share of a projection is read
-//!    from production telemetry.
+//! 3. **Projection spans**: the view assembly, the Lemma 21 DFA builds and
+//!    the Theorem 24 selector worklists each open their own span, nested
+//!    under the projection that runs them, so their share of a projection
+//!    is read from production telemetry.
 //! 4. **Verification spans**: Theorem 12's `verify` opens one root span
 //!    with its refinement, truth-table and product stages and the
 //!    emptiness check of the product nested directly beneath it.
@@ -262,6 +262,66 @@ fn projection_spans_nest_lemma21_and_selectors() {
         !selectors.children.contains_key("views.lemma21.eq"),
         "the selectors run after the Lemma 21 builds, not inside them"
     );
+}
+
+/// Each projection assembles its view in exactly one `views.assemble`
+/// span, a direct child of the projection's span, and the
+/// `views.assembled` event inside it carries the view's transition count.
+#[test]
+fn each_projection_assembles_its_view_in_one_span() {
+    use rega_obs::trace::FieldValue;
+    use rega_views::thm24::{project_hiding_database, Thm24Options};
+    use rega_views::{project_extended, project_register_automaton};
+
+    let (sink, guard) = rega_obs::install_memory();
+    let (ra, _) = rega_core::paper::example1();
+    let prop20 = project_register_automaton(&ra, 1).unwrap();
+    let thm13 = project_extended(&rega_core::ExtendedAutomaton::new(ra), 1).unwrap();
+    let thm24 =
+        project_hiding_database(&rega_core::paper::example23(), 1, &Thm24Options::default())
+            .unwrap();
+    drop(guard);
+
+    let events = sink.events();
+    let starts = |name: &str| -> Vec<&TraceEvent> {
+        events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::SpanStart && e.name == name)
+            .collect()
+    };
+    let assembles = starts("views.assemble");
+    assert_eq!(assembles.len(), 3, "one assembly per projection");
+    for (projection, transitions) in [
+        ("views.prop20", prop20.view.ra().num_transitions()),
+        ("views.thm13", thm13.view.ra().num_transitions()),
+        ("views.thm24", thm24.view.ext().ra().num_transitions()),
+    ] {
+        let outer = starts(projection);
+        assert_eq!(outer.len(), 1, "{projection}: one span");
+        let inner: Vec<_> = assembles
+            .iter()
+            .filter(|a| a.parent == outer[0].span)
+            .collect();
+        assert_eq!(
+            inner.len(),
+            1,
+            "{projection}: one direct views.assemble child"
+        );
+        let assembled: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "views.assembled" && e.span == inner[0].span)
+            .collect();
+        assert_eq!(
+            assembled.len(),
+            1,
+            "{projection}: one views.assembled event"
+        );
+        assert_eq!(
+            assembled[0].fields.first(),
+            Some(&("transitions", FieldValue::U64(transitions as u64))),
+            "{projection}: the view's transition count"
+        );
+    }
 }
 
 #[test]

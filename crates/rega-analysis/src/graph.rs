@@ -48,11 +48,6 @@ impl Graph {
         }
     }
 
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(|s| s.len()).sum::<usize>() / 2
-    }
-
     /// Maximum clique size, via Bron–Kerbosch with pivoting. Exponential in
     /// the worst case; the graphs here are small and sparse.
     pub fn max_clique(&self) -> usize {

@@ -139,9 +139,11 @@ pub fn scontrol_nba_with(
 /// start, state `1 + t.idx()` = "transition `t` just fired", accepting iff
 /// `from(t) ∈ F`), and edges are produced in ascending letter order — so the
 /// generic emptiness engine traverses precisely the automaton the eager
-/// builder would produce, but only wires the states the search reaches. On
-/// satisfiable instances with an early witness this skips most of the
-/// quadratic wiring loop.
+/// builder would produce, but only wires the states reachable from the
+/// start. The engine's breadth-first search expands every reachable state
+/// (its component pass reuses those edges) before the first lasso is handed
+/// over, so what stays unwired is the unreachable part, satisfiable
+/// instances included.
 ///
 /// Joint-satisfiability of consecutive types — the per-edge test — runs on
 /// the [`TypeBits`] word-level kernel when the schema/register fragment

@@ -255,11 +255,6 @@ impl SatCache {
         self.analyze(ty).is_ok()
     }
 
-    /// Memoized satisfiability by handle.
-    pub fn is_consistent_id(&self, id: TypeId) -> bool {
-        self.analyze_id(id).is_ok()
-    }
-
     /// Memoized [`SigmaType::saturate`]; the result is interned too.
     pub fn saturate(&self, ty: &SigmaType) -> Result<Arc<SigmaType>, DataError> {
         let id = self.intern(ty);

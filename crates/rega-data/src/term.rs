@@ -64,11 +64,6 @@ impl Term {
         matches!(self, Term::Y(_))
     }
 
-    /// Is this a constant?
-    pub fn is_const(&self) -> bool {
-        matches!(self, Term::Const(_))
-    }
-
     /// Renames `y_i → x_i`, leaving other terms unchanged. This is the
     /// isomorphism used when comparing `δ|ȳ` with `δ′|x̄` in the definition
     /// of symbolic control traces.

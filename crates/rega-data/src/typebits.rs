@@ -246,11 +246,6 @@ impl TypeBitsSpace {
         self.k
     }
 
-    /// The universe size `2k + C`.
-    pub fn num_terms(&self) -> usize {
-        self.n
-    }
-
     /// The schema the space is relative to.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -66,19 +66,6 @@ pub fn refute_view_candidate(
     Ok(false)
 }
 
-/// The legal projected traces of Example 1 at a given prefix length — the
-/// reference language for E1.
-pub fn example1_projection_traces(
-    len: usize,
-    pool: &[Value],
-    limits: SearchLimits,
-) -> std::collections::BTreeSet<Vec<Vec<Value>>> {
-    let db = Database::new(Schema::empty());
-    let (ra, _) = paper::example1();
-    let original = ExtendedAutomaton::new(ra);
-    simulate::projected_settled_traces(&original, &db, len, 1, pool, limits)
-}
-
 /// **Example 7/17's argument**: all-distinct register traces exist as
 /// prefixes of every length, but no lasso run exists. Returns the pair
 /// (longest all-distinct prefix found, whether a lasso run exists within

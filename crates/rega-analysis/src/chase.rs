@@ -15,7 +15,7 @@
 //!   of another component (they mention none of its values).
 
 use crate::emptiness::{check_emptiness, EmptinessOptions, EmptinessVerdict, Witness};
-use rega_core::symbolic::{scontrol_nba_governed, scontrol_nba_with};
+use rega_core::symbolic::scontrol_nba_with;
 use rega_core::typeops::{TypeOps, TypePath};
 use rega_core::{Budget, CoreError, ExtendedAutomaton, GovernError};
 use rega_data::{Database, SatCache, Value};
@@ -58,7 +58,7 @@ pub fn universal_witness_database_governed(
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<UniversalWitness, CoreError> {
-    universal_witness_impl(ext, opts, cache, budget, true)
+    universal_witness_impl(ext, opts, cache, budget, TypePath::Fast)
 }
 
 /// [`universal_witness_database_governed`] pinned to the memoized
@@ -71,7 +71,7 @@ pub fn universal_witness_database_reference_governed(
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<UniversalWitness, CoreError> {
-    universal_witness_impl(ext, opts, cache, budget, false)
+    universal_witness_impl(ext, opts, cache, budget, TypePath::Reference)
 }
 
 fn universal_witness_impl(
@@ -79,7 +79,7 @@ fn universal_witness_impl(
     opts: &EmptinessOptions,
     cache: &SatCache,
     budget: &Budget,
-    fast: bool,
+    path: TypePath,
 ) -> Result<UniversalWitness, CoreError> {
     // Enumerate realizable lassos one at a time by running the emptiness
     // search repeatedly with the already-used control lassos excluded is
@@ -91,14 +91,7 @@ fn universal_witness_impl(
     // One `SatCache` serves the `SControl` construction and every
     // per-lasso structure build below.
     let _span = rega_obs::span!("chase.universal_witness");
-    let nba = if fast {
-        let ops = TypeOps::new(cache, ext.ra().k(), TypePath::Fast);
-        scontrol_nba_with(ext.ra(), cache, budget, |u, t| {
-            ops.jointly_satisfiable_ids(u, t)
-        })?
-    } else {
-        scontrol_nba_governed(ext.ra(), cache, budget)?
-    };
+    let nba = scontrol_nba_with(ext.ra(), &TypeOps::new(cache, ext.ra().k(), path), budget)?;
     let mut tripped: Option<GovernError> = None;
     let lassos = rega_automata::emptiness::enumerate_accepting_lassos_abortable(
         &nba,

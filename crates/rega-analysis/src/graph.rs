@@ -1,128 +1,15 @@
-//! The inequality graphs of the paper and the combinatorics on them:
+//! The LR inequality graph `G^w_h` (Definition 15) and its maximum
+//! matching: vertices are classes entirely left or right of position `h`,
+//! edges the `≠_w` pairs across; LR-boundedness asks for a uniform bound
+//! on its vertex covers. `G^w_h` is bipartite, so by König's theorem the
+//! minimum vertex cover equals the maximum matching, which Kuhn's
+//! augmenting paths compute.
 //!
-//! * `G_w` (Theorem 9): vertices are the active-domain classes of `∼_w`,
-//!   edges are the `≠_w` pairs; the trace is realizable over a finite
-//!   database iff the cliques of `G_w` are bounded.
-//! * `G^w_h` (Definition 15): vertices are classes entirely left or right
-//!   of position `h`, edges the `≠_w` pairs across; LR-boundedness asks for
-//!   a uniform bound on its vertex covers. `G^w_h` is bipartite, so by
-//!   König's theorem the minimum vertex cover equals the maximum matching.
-//!
-//! Algorithms: Bron–Kerbosch (with pivoting) for maximum clique, Kuhn's
-//! augmenting paths for maximum bipartite matching, and greedy coloring
-//! (the executable stand-in for the χ-boundedness argument of Theorem 9).
+//! Theorem 9's clique graph `G_w` has no counterpart here: emptiness
+//! realizes a lasso by periodic collapse instead (DESIGN.md §3).
 
 use crate::classes::ClassStructure;
-use std::collections::{HashMap, HashSet};
-
-/// An undirected graph on `n` vertices given by adjacency sets.
-#[derive(Clone, Debug)]
-pub struct Graph {
-    /// Adjacency sets.
-    pub adj: Vec<HashSet<usize>>,
-}
-
-impl Graph {
-    /// An empty graph on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        Graph {
-            adj: vec![HashSet::new(); n],
-        }
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Whether the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Adds an undirected edge.
-    pub fn add_edge(&mut self, a: usize, b: usize) {
-        if a != b {
-            self.adj[a].insert(b);
-            self.adj[b].insert(a);
-        }
-    }
-
-    /// Maximum clique size, via Bron–Kerbosch with pivoting. Exponential in
-    /// the worst case; the graphs here are small and sparse.
-    pub fn max_clique(&self) -> usize {
-        let mut best = 0usize;
-        let p: HashSet<usize> = (0..self.len())
-            .filter(|&v| !self.adj[v].is_empty())
-            .collect();
-        if p.is_empty() {
-            return usize::from(!self.is_empty());
-        }
-        self.bk(&mut Vec::new(), p, HashSet::new(), &mut best);
-        best.max(1)
-    }
-
-    fn bk(
-        &self,
-        r: &mut Vec<usize>,
-        mut p: HashSet<usize>,
-        mut x: HashSet<usize>,
-        best: &mut usize,
-    ) {
-        if p.is_empty() && x.is_empty() {
-            *best = (*best).max(r.len());
-            return;
-        }
-        if r.len() + p.len() <= *best {
-            return; // cannot beat the best
-        }
-        // Pivot: vertex of P ∪ X with most neighbors in P.
-        let pivot = p
-            .iter()
-            .chain(x.iter())
-            .copied()
-            .max_by_key(|&u| self.adj[u].intersection(&p).count());
-        let candidates: Vec<usize> = match pivot {
-            Some(u) => p
-                .iter()
-                .copied()
-                .filter(|v| !self.adj[u].contains(v))
-                .collect(),
-            None => p.iter().copied().collect(),
-        };
-        for v in candidates {
-            r.push(v);
-            let p2: HashSet<usize> = p.intersection(&self.adj[v]).copied().collect();
-            let x2: HashSet<usize> = x.intersection(&self.adj[v]).copied().collect();
-            self.bk(r, p2, x2, best);
-            r.pop();
-            p.remove(&v);
-            x.insert(v);
-        }
-    }
-
-    /// Greedy coloring; returns the color of each vertex (adjacent vertices
-    /// get different colors). The number of colors is at most `Δ + 1`.
-    pub fn greedy_coloring(&self) -> Vec<usize> {
-        let mut color = vec![usize::MAX; self.len()];
-        // Color in order of decreasing degree (helps quality slightly).
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(self.adj[v].len()));
-        for v in order {
-            let used: HashSet<usize> = self.adj[v]
-                .iter()
-                .map(|&u| color[u])
-                .filter(|&c| c != usize::MAX)
-                .collect();
-            let mut c = 0;
-            while used.contains(&c) {
-                c += 1;
-            }
-            color[v] = c;
-        }
-        color
-    }
-}
+use std::collections::HashMap;
 
 /// A bipartite graph `L × R` given by edge lists from the left side.
 #[derive(Clone, Debug)]
@@ -172,21 +59,6 @@ impl Bipartite {
     }
 }
 
-/// Builds `G_w` (Theorem 9): the inequality graph on the active-domain
-/// classes of the structure. Returns the graph plus the class ids of its
-/// vertices.
-pub fn inequality_graph(s: &ClassStructure) -> (Graph, Vec<usize>) {
-    let verts = s.adom_classes();
-    let index: HashMap<usize, usize> = verts.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut g = Graph::new(verts.len());
-    for &(a, b) in &s.neq {
-        if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-            g.add_edge(ia, ib);
-        }
-    }
-    (g, verts)
-}
-
 /// Builds `G^w_h` (Definition 15): classes entirely at positions `<= h` on
 /// the left, entirely `> h` on the right, edges the `≠_w` pairs. Classes
 /// containing constants straddle every position and are excluded (as are
@@ -233,62 +105,6 @@ pub fn lr_graph(s: &ClassStructure, h: usize) -> Bipartite {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clique_of_triangle() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(0, 2);
-        g.add_edge(2, 3);
-        assert_eq!(g.max_clique(), 3);
-    }
-
-    #[test]
-    fn clique_of_edgeless_graph() {
-        let g = Graph::new(5);
-        assert_eq!(g.max_clique(), 1);
-        let empty = Graph::new(0);
-        assert_eq!(empty.max_clique(), 0);
-    }
-
-    #[test]
-    fn clique_of_complete_graph() {
-        let mut g = Graph::new(6);
-        for a in 0..6 {
-            for b in (a + 1)..6 {
-                g.add_edge(a, b);
-            }
-        }
-        assert_eq!(g.max_clique(), 6);
-    }
-
-    #[test]
-    fn clique_of_bipartite_is_two() {
-        let mut g = Graph::new(6);
-        for a in 0..3 {
-            for b in 3..6 {
-                g.add_edge(a, b);
-            }
-        }
-        assert_eq!(g.max_clique(), 2);
-    }
-
-    #[test]
-    fn coloring_is_proper() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 0);
-        g.add_edge(3, 4);
-        let colors = g.greedy_coloring();
-        for v in 0..5 {
-            for &u in &g.adj[v] {
-                assert_ne!(colors[v], colors[u]);
-            }
-        }
-        assert!(colors.iter().max().unwrap() >= &2); // triangle needs 3 colors
-    }
 
     #[test]
     fn matching_simple() {

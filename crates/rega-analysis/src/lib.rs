@@ -6,8 +6,8 @@
 //! * [`classes`] — the equivalence relation `∼_w` over (position, register)
 //!   pairs of a symbolic control trace, its inequality relation `≠_w`, and
 //!   the active-domain classes (the machinery behind Theorem 9);
-//! * [`graph`] — the inequality graphs `G_w` (Theorem 9) and `G^w_h`
-//!   (Definition 15) with maximum-clique and maximum-matching computations;
+//! * [`graph`] — the LR inequality graph `G^w_h` (Definition 15) and its
+//!   maximum matching;
 //! * [`emptiness`] — Corollary 10: emptiness of extended automata, with
 //!   witness construction (a finite database plus a concrete run);
 //! * [`lr`] — Theorem 18: deciding LR-boundedness;

@@ -45,10 +45,11 @@ use crate::control::ControlConfig;
 use crate::error::ClusterError;
 use crate::node::{Applied, NodeAgent};
 use crate::supervisor::{Supervisor, Transport};
+use rega_obs::{MonotonicClock, ObsClock};
 use rega_serve::proto::{read_frame, write_frame, Framing};
 use rega_stream::event::{decode_event, Event};
 use rega_stream::snapshot::{outcome_from_json, outcome_to_json};
-use rega_stream::{Clock, CompiledSpec, EngineConfig, SessionOutcome, SystemClock};
+use rega_stream::{CompiledSpec, EngineConfig, SessionOutcome};
 use serde_json::{json, Value as Json};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -358,7 +359,7 @@ pub struct ProcTransport {
     /// restored: a file left by an earlier run describes a journal this
     /// supervisor never had.
     saved: Vec<bool>,
-    clock: SystemClock,
+    clock: MonotonicClock,
 }
 
 /// The multi-process cluster: the shipping supervisor over
@@ -393,7 +394,7 @@ impl Supervisor<ProcTransport> {
             workers: (0..nodes).map(|_| None).collect(),
             snapshot_dir,
             saved: vec![false; nodes],
-            clock: SystemClock::new(),
+            clock: MonotonicClock::new(),
         };
         Supervisor::start(transport, nodes, config, seed, checkpoint_every)
     }
@@ -432,7 +433,7 @@ impl ProcTransport {
 }
 
 impl Transport for ProcTransport {
-    fn clock(&self) -> &dyn Clock {
+    fn clock(&self) -> &dyn ObsClock {
         &self.clock
     }
 

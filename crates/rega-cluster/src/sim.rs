@@ -3,7 +3,7 @@
 //! single-process baseline.
 //!
 //! [`SimTransport`] holds N [`NodeAgent`]s in one process on a
-//! [`SimClock`] (1 ms per submitted event), serves the worker protocol
+//! [`ManualClock`] (1 ms per submitted event), serves the worker protocol
 //! through the same dispatch table worker processes run, and injects a
 //! [`ClusterFaultPlan`] at the transport boundary: worker crashes right
 //! after an apply, lost acks (a redelivery the sequence watermark must
@@ -22,7 +22,8 @@ use crate::proc::{dispatch, dispatch_batch, reply_result};
 use crate::supervisor::{Supervisor, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rega_stream::{Clock, CompiledSpec, EngineConfig, FaultPlan, SessionOutcome, SimClock};
+use rega_obs::{ManualClock, ObsClock};
+use rega_stream::{CompiledSpec, EngineConfig, FaultPlan, SessionOutcome};
 use serde_json::{json, Value as Json};
 use std::sync::Arc;
 
@@ -83,7 +84,7 @@ pub struct SimTransport {
     config: EngineConfig,
     plan: ClusterFaultPlan,
     rng: StdRng,
-    clock: SimClock,
+    clock: ManualClock,
     nodes: Vec<SimNode>,
     submits: u64,
 }
@@ -112,7 +113,7 @@ impl Supervisor<SimTransport> {
             config,
             rng: StdRng::seed_from_u64(plan.seed),
             plan,
-            clock: SimClock::new(),
+            clock: ManualClock::new(),
             nodes: (0..nodes)
                 .map(|_| SimNode {
                     agent: None,
@@ -134,7 +135,7 @@ impl Supervisor<SimTransport> {
 }
 
 impl Transport for SimTransport {
-    fn clock(&self) -> &dyn Clock {
+    fn clock(&self) -> &dyn ObsClock {
         &self.clock
     }
 

@@ -54,8 +54,9 @@ use crate::control::{ControlConfig, ControlPlane, WorkerState};
 use crate::error::ClusterError;
 use crate::metrics::ClusterMetrics;
 use crate::node::{filter_bundle, seqs_from_json};
+use rega_obs::ObsClock;
 use rega_stream::event::Event;
-use rega_stream::{Clock, SessionOutcome};
+use rega_stream::SessionOutcome;
 use serde_json::{json, Value as Json};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,7 +78,7 @@ const POLL_MS: u64 = 5;
 /// [`running`]: Transport::running
 pub trait Transport {
     /// The time source of deadlines, backoff, waits and ack latency.
-    fn clock(&self) -> &dyn Clock;
+    fn clock(&self) -> &dyn ObsClock;
 
     /// Called once per submitted event, before reconcile; returns an
     /// operator rebalance (`vshards`, target node) when one is due now.

@@ -11,14 +11,19 @@
 //! the result of Koutsos–Vianu that `Control(A) = SControl(A)` for register
 //! automata; the executable counterpart (turning a symbolic lasso into a
 //! concrete database and run) lives in `rega-analysis`.
+//!
+//! Both builders — the eager [`scontrol_nba_with`] and the lazy
+//! [`SControlSource`] — answer condition (iii) through a
+//! [`TypeOps`], which picks the kernel or the reference per type pair,
+//! answers each distinct ordered pair once, and counts the split.
 
 use crate::automaton::{RegisterAutomaton, TransId};
 use crate::error::CoreError;
+use crate::typeops::{TypeOps, TypePath};
 use rega_automata::{EdgeArena, Lasso, Nba, SuccessorSource};
-use rega_data::{Budget, GovernError, SatCache, TypeBits, TypeBitsSpace, TypeId};
+use rega_data::{Budget, GovernError, SatCache, TypeId};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Builds the Büchi automaton recognizing `SControl(A)` over the alphabet of
 /// transition ids, with a private, throwaway [`SatCache`]. Prefer
@@ -36,10 +41,11 @@ pub fn scontrol_nba(ra: &RegisterAutomaton) -> Result<Nba<TransId>, CoreError> {
 /// `2k`-register encoding) ticks per pair, and the interned-type ceiling is
 /// enforced against `cache`.
 ///
-/// Every pair is answered by [`SatCache::jointly_satisfiable_ids`]; this is
-/// the retained reference the differential suites compare the kernel-backed
-/// build ([`scontrol_nba_with`] over a fast [`crate::typeops::TypeOps`])
-/// against.
+/// Every pair is answered on the reference path (a [`TypePath::Reference`]
+/// [`TypeOps`], so by [`SatCache::jointly_satisfiable_ids`] once per
+/// distinct type pair); this is the retained reference the differential
+/// suites compare the kernel-backed build ([`scontrol_nba_with`] over a
+/// fast [`TypeOps`]) against.
 ///
 /// NBA states: a fresh start state, plus one state per transition meaning
 /// "this transition just fired". A letter `t` can follow `u` iff
@@ -67,25 +73,23 @@ pub fn scontrol_nba_governed(
     cache: &SatCache,
     budget: &Budget,
 ) -> Result<Nba<TransId>, CoreError> {
-    scontrol_nba_with(ra, cache, budget, |u, t| {
-        cache.jointly_satisfiable_ids(u, t)
-    })
+    let ops = TypeOps::new(cache, ra.k(), TypePath::Reference);
+    scontrol_nba_with(ra, &ops, budget)
 }
 
-/// The `SControl(A)` wiring loop of [`scontrol_nba_governed`], with the
-/// per-pair joint-satisfiability test supplied by the caller as `joint`
-/// over the interned transition types. The chase passes a fast
-/// [`crate::typeops::TypeOps`] (the [`TypeBits`] kernel with the usual
-/// [`SatCache`] fallback and per-pair dedupe); since only the
-/// satisfiability backend changes, the NBA is identical — same states,
-/// acceptance, edges in the same order.
+/// The `SControl(A)` wiring loop of [`scontrol_nba_governed`], with each
+/// pair's joint satisfiability answered by `ops` over the interned
+/// transition types (interned in `ops`' cache). The chase passes a
+/// [`TypePath::Fast`] dispatcher; since only the satisfiability backend
+/// changes, the NBA is identical — same states, acceptance, edges in the
+/// same order.
 pub fn scontrol_nba_with(
     ra: &RegisterAutomaton,
-    cache: &SatCache,
+    ops: &TypeOps,
     budget: &Budget,
-    mut joint: impl FnMut(TypeId, TypeId) -> bool,
 ) -> Result<Nba<TransId>, CoreError> {
     let _span = rega_obs::span!("scontrol.nba_build");
+    let cache = ops.cache();
     let alphabet: Vec<TransId> = ra.transition_ids().collect();
     let n = alphabet.len();
     // Compatibility of consecutive transitions: `t` can follow `u` iff
@@ -95,12 +99,10 @@ pub fn scontrol_nba_with(
     // the paper's condition (iii) (`delta_u|y = delta_t|x` -- maximal restrictions
     // are jointly satisfiable iff equal); for incomplete types syntactic
     // equality would wrongly reject, e.g., `P(x1)` followed by `P(x1)`.
-    // Computed once per distinct *pair of types* across the lifetime of
-    // `cache`, via an encoding over 2k registers: `x(0..k) = d_n`,
-    // `x(k..2k) = d_{n+1}`, `y(0..k) = d_{n+2}`.
+    // Computed once per distinct *pair of types* by `ops`.
     let type_of: Vec<TypeId> = alphabet
         .iter()
-        .map(|&t| cache.intern(&ra.transition(t).ty))
+        .map(|&t| ops.intern(&ra.transition(t).ty))
         .collect();
     // State 0 = start; state 1 + t.idx() = "transition t just fired".
     let mut nba = Nba::new(alphabet.clone(), n + 1);
@@ -116,7 +118,7 @@ pub fn scontrol_nba_with(
         for &t in &alphabet {
             budget.tick_mem("scontrol.nba_build", || cache.stats().distinct_types)?;
             if ra.transition(u).to == ra.transition(t).from
-                && joint(type_of[u.idx()], type_of[t.idx()])
+                && ops.jointly_satisfiable_ids(type_of[u.idx()], type_of[t.idx()])
             {
                 nba.add_transition(1 + u.idx(), &t, 1 + t.idx());
                 edges += 1;
@@ -145,11 +147,12 @@ pub fn scontrol_nba_with(
 /// over, so what stays unwired is the unreachable part, satisfiable
 /// instances included.
 ///
-/// Joint-satisfiability of consecutive types — the per-edge test — runs on
-/// the [`TypeBits`] word-level kernel when the schema/register fragment
-/// supports it (`3k + |consts| ≤ 16` terms), falling back to the memoized
-/// [`SatCache`] path otherwise. Counters `typebits.joint_fast` /
-/// `typebits.joint_fallback` record which path served each pair.
+/// Joint satisfiability of consecutive types — the per-edge test — goes
+/// through a [`TypePath::Fast`] [`TypeOps`]: the `TypeBits` word-level
+/// kernel when the schema/register fragment supports it
+/// (`3k + |consts| ≤ 16` terms), the memoized [`SatCache`] path otherwise,
+/// once per distinct type pair. Its `typebits.stats` event lands in the
+/// span the source is dropped in.
 ///
 /// ## Governance
 ///
@@ -163,60 +166,42 @@ pub fn scontrol_nba_with(
 /// expansion is **not** recorded in the arena and memoizes nothing.
 pub struct SControlSource<'a> {
     ra: &'a RegisterAutomaton,
-    cache: &'a SatCache,
+    ops: TypeOps<'a>,
     budget: &'a Budget,
     alphabet: Vec<TransId>,
     inits: [usize; 1],
     type_of: Vec<TypeId>,
-    /// Bitset kernel for joint-satisfiability, when the fragment supports it.
-    space: Option<Arc<TypeBitsSpace>>,
-    /// Per-transition `TypeBits`, aligned with `alphabet`.
-    bits: Vec<Option<TypeBits>>,
     arena: EdgeArena,
     scratch: Vec<(u32, u32)>,
     trip: Rc<RefCell<Option<GovernError>>>,
     nodes_ctr: rega_obs::Counter,
     edges_ctr: rega_obs::Counter,
-    fast_ctr: rega_obs::Counter,
-    fallback_ctr: rega_obs::Counter,
 }
 
 impl<'a> SControlSource<'a> {
     /// Prepares a lazy source over `ra`'s symbolic control automaton.
     ///
     /// Interns every transition type into `cache` up front (linear, exactly
-    /// what the eager builder does) and encodes each into [`TypeBits`] when
-    /// the joint-satisfiability kernel is available for `ra`'s fragment.
+    /// what the eager builder does).
     pub fn new(ra: &'a RegisterAutomaton, cache: &'a SatCache, budget: &'a Budget) -> Self {
         let alphabet: Vec<TransId> = ra.transition_ids().collect();
         let type_of: Vec<TypeId> = alphabet
             .iter()
             .map(|&t| cache.intern(&ra.transition(t).ty))
             .collect();
-        let space = cache
-            .typebits_space(ra.k())
-            .filter(|sp| sp.supports_joint());
-        let bits = match &space {
-            Some(_) => type_of.iter().map(|&id| cache.typebits(id)).collect(),
-            None => vec![None; type_of.len()],
-        };
         let n = alphabet.len();
         let registry = rega_obs::global();
         SControlSource {
             ra,
-            cache,
+            ops: TypeOps::new(cache, ra.k(), TypePath::Fast),
             budget,
             inits: [0],
             type_of,
-            space,
-            bits,
             arena: EdgeArena::new(n + 1),
             scratch: Vec::new(),
             trip: Rc::new(RefCell::new(None)),
             nodes_ctr: registry.counter("emptiness.on_the_fly.nodes_expanded"),
             edges_ctr: registry.counter("emptiness.on_the_fly.edges_wired"),
-            fast_ctr: registry.counter("typebits.joint_fast"),
-            fallback_ctr: registry.counter("typebits.joint_fallback"),
             alphabet,
         }
     }
@@ -238,25 +223,11 @@ impl<'a> SControlSource<'a> {
         &self.arena
     }
 
-    /// Whether the pair `(u, t)` of transitions is compatible: `t` may
-    /// directly follow `u` in a symbolic control trace.
-    fn compatible(&self, u: usize, t: usize) -> bool {
-        if let (Some(sp), Some(a), Some(b)) = (&self.space, &self.bits[u], &self.bits[t]) {
-            if let Some(sat) = sp.jointly_satisfiable(a, b) {
-                self.fast_ctr.inc();
-                return sat;
-            }
-        }
-        self.fallback_ctr.inc();
-        self.cache
-            .jointly_satisfiable_ids(self.type_of[u], self.type_of[t])
-    }
-
     /// Computes the out-edges of `s` into `scratch`, ticking the budget once
     /// per candidate letter. `Err` means the budget tripped mid-expansion.
     fn expand_into_scratch(&mut self, s: usize) -> Result<(), GovernError> {
         self.scratch.clear();
-        let cache = self.cache;
+        let cache = self.ops.cache();
         if s == 0 {
             for (ti, &t) in self.alphabet.iter().enumerate() {
                 self.budget.tick_mem("emptiness.on_the_fly.expand", || {
@@ -273,7 +244,11 @@ impl<'a> SControlSource<'a> {
                 self.budget.tick_mem("emptiness.on_the_fly.expand", || {
                     cache.stats().distinct_types
                 })?;
-                if self.ra.transition(t).from == u_to && self.compatible(u, ti) {
+                if self.ra.transition(t).from == u_to
+                    && self
+                        .ops
+                        .jointly_satisfiable_ids(self.type_of[u], self.type_of[ti])
+                {
                     self.scratch.push((ti as u32, (1 + ti) as u32));
                 }
             }

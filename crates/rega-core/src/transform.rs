@@ -12,7 +12,7 @@ use crate::automaton::{RegisterAutomaton, StateId};
 use crate::error::CoreError;
 use crate::extended::ExtendedAutomaton;
 use crate::typeops::{TypeOps, TypePath};
-use rega_data::{Budget, SatCache, SigmaType, TypeId};
+use rega_data::{Budget, SatCache, TypeId};
 
 /// Replaces every transition type by all of its complete extensions.
 /// Register traces are preserved (each original step is refined into the
@@ -316,66 +316,10 @@ fn complete_for_atoms_impl(
 ) -> Result<(RegisterAutomaton, Vec<TypeId>), CoreError> {
     let cache = ops.cache();
     let mut out = RegisterAutomaton::with_states_of(ra, ra.k(), ra.schema().clone());
-    // Word-level refinement is eligible when the fragment has a bitset
-    // space and every refinement atom fits it; per-transition the type must
-    // additionally encode. Both loops produce the same sorted variant set
-    // (`SigmaType` canonicalizes literal sets, and bit-level consistency
-    // agrees with the analysis), so the fallback is per transition.
     let mut tids = Vec::new();
-    let bit_space = ops.space().filter(|sp| {
-        atoms
-            .iter()
-            .all(|a| sp.encode(&SigmaType::new(ra.k(), [a.clone()])).is_some())
-    });
     for t in ra.transition_ids() {
         let tr = ra.transition(t);
-        let bits0 = bit_space.and_then(|sp| sp.encode(&tr.ty));
-        let mut variants: Vec<SigmaType> = if let (Some(sp), Some(b0)) = (bit_space, bits0) {
-            let mut vs = vec![b0];
-            for atom in atoms {
-                let negated = atom.negated();
-                let mut next = Vec::new();
-                for v in vs {
-                    budget.tick_mem("transform.complete_for_atoms", || {
-                        cache.stats().distinct_types
-                    })?;
-                    let pos = sp.with_literal(&v, atom).expect("atom fits the space");
-                    if sp.is_consistent(&pos) {
-                        next.push(pos);
-                    }
-                    let neg = sp.with_literal(&v, &negated).expect("atom fits the space");
-                    if sp.is_consistent(&neg) {
-                        next.push(neg);
-                    }
-                }
-                vs = next;
-            }
-            vs.iter().map(|b| sp.decode(b)).collect()
-        } else {
-            let mut vs = vec![tr.ty.clone()];
-            for atom in atoms {
-                let mut next = Vec::new();
-                for v in vs {
-                    budget.tick_mem("transform.complete_for_atoms", || {
-                        cache.stats().distinct_types
-                    })?;
-                    let pos = v.with(atom.clone());
-                    if cache.is_consistent(&pos) {
-                        next.push(pos);
-                    }
-                    let neg = v.with(atom.negated());
-                    if cache.is_consistent(&neg) {
-                        next.push(neg);
-                    }
-                }
-                vs = next;
-            }
-            vs
-        };
-        variants.sort();
-        variants.dedup();
-        for v in variants {
-            let id = cache.intern_owned(v);
+        for id in ops.refine_by_atoms(&tr.ty, atoms, budget)? {
             out.add_transition_interned_id(tr.from, id, tr.to, cache)?;
             tids.push(id);
         }
@@ -413,7 +357,7 @@ mod tests {
     use super::*;
     use crate::paper;
     use crate::run::{Config, LassoRun};
-    use rega_data::{Database, Literal, Schema, Term, Value};
+    use rega_data::{Database, Literal, Schema, SigmaType, Term, Value};
 
     #[test]
     fn completion_of_example1() {

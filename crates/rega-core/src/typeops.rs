@@ -1,28 +1,38 @@
-//! Path-selectable σ-type operations for the projection constructions.
+//! The one dispatcher between the two implementations of every σ-type
+//! operation the symbolic constructions repeat.
 //!
-//! The exponential constructions (completion, the three view projections,
-//! the chase) perform the same handful of σ-type operations in their inner
-//! loops: joint satisfiability of consecutive types, completion enumeration,
-//! and restriction into the observable sub-space. [`TypeOps`] dispatches
-//! each of them either to the [`TypeBits`] word-level kernel (the fast
-//! path, with a [`SatCache`] fallback for out-of-fragment types — the same
-//! discipline as `SControlSource` in [`crate::symbolic`]) or to the
-//! memoized `SigmaType` path (the retained reference the differential
-//! suites compare against). Counters `typebits.proj_fast` /
-//! `typebits.proj_fallback` record which path served each fast-mode
-//! request.
+//! `SControl(A)` (condition (iii)'s joint satisfiability), completion,
+//! atom refinement and the view restrictions all perform the same handful
+//! of σ-type operations in their inner loops. [`TypeOps`] serves each of
+//! them either on the [`TypeBits`] word-level kernel (the fast path, with a
+//! [`SatCache`] fallback for out-of-fragment types) or on the memoized
+//! `SigmaType` path (the retained reference the differential suites
+//! compare against). It is the only code outside `rega-data` that
+//! encodes types into [`TypeBits`], and the only code that counts which
+//! path served a request: the counters `typebits.proj_fast` /
+//! `typebits.proj_fallback` and the per-construction `typebits.stats`
+//! event it emits on drop.
+//!
+//! The kernel results go into the cache's own memo tables
+//! ([`SatCache::restrict_id_with`], [`SatCache::completions_id_with`]),
+//! which they share with the reference path: both paths compute the same
+//! values, so a table entry does not record which path filled it.
 //!
 //! Independently of the path, [`TypeOps`] deduplicates repeated
 //! joint-satisfiability requests for the same ordered `(type, type)` pair
-//! in a local memo — the projections' restrict loops re-check the same pair
-//! once per (transition, successor-transition) pair, which collapses to
+//! in a local memo — `SControl(A)` and the projections' restrict loops
+//! re-check the same pair once per pair of transitions, which collapses to
 //! once per distinct type pair here before any kernel or cache work
 //! happens. [`TypeOps::joint_stats`] exposes the request/compute split so
 //! tests can pin the dedupe.
 
 use rega_data::fxhash::FxMap;
-use rega_data::{Budget, DataError, SatCache, SigmaType, TypeBits, TypeBitsSpace, TypeId};
+use rega_data::{
+    Budget, DataError, GovernError, Literal, RestrictOp, SatCache, Schema, SigmaType, TypeBits,
+    TypeBitsSpace, TypeId,
+};
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Which implementation serves the σ-type operations.
@@ -92,17 +102,6 @@ impl<'a> TypeOps<'a> {
         self.cache
     }
 
-    /// The serving path.
-    pub fn path(&self) -> TypePath {
-        self.path
-    }
-
-    /// The `k`-register bitset space, when this is a fast-path dispatcher
-    /// over a supported fragment.
-    pub fn space(&self) -> Option<&Arc<TypeBitsSpace>> {
-        self.space.as_ref()
-    }
-
     /// Interns a type in the backing cache.
     pub fn intern(&self, ty: &SigmaType) -> TypeId {
         self.cache.intern(ty)
@@ -114,8 +113,8 @@ impl<'a> TypeOps<'a> {
     }
 
     /// The (locally memoized) bitset encoding of `id`, when in-fragment and
-    /// on the fast path.
-    pub fn bits_of(&self, id: TypeId) -> Option<TypeBits> {
+    /// on the fast path. Every type a dispatcher serves has its `k`.
+    fn bits_of(&self, id: TypeId) -> Option<TypeBits> {
         self.space.as_ref()?;
         self.bits
             .borrow_mut()
@@ -137,14 +136,25 @@ impl<'a> TypeOps<'a> {
         (self.fast_local.get(), self.fallback_local.get())
     }
 
-    fn count_fast(&self) {
-        self.fast_ctr.inc();
-        self.fast_local.set(self.fast_local.get() + 1);
+    /// Counts a fast-mode request against the path that will serve it.
+    fn count(&self, kernel_eligible: bool) {
+        if self.path == TypePath::Fast {
+            let (ctr, local) = if kernel_eligible {
+                (&self.fast_ctr, &self.fast_local)
+            } else {
+                (&self.fallback_ctr, &self.fallback_local)
+            };
+            ctr.inc();
+            local.set(local.get() + 1);
+        }
     }
 
-    fn count_fallback(&self) {
-        self.fallback_ctr.inc();
-        self.fallback_local.set(self.fallback_local.get() + 1);
+    /// The space and encoding the kernel serves `id` with, or `None` on the
+    /// reference path and for out-of-fragment types. Counts the request.
+    fn kernel_operands(&self, id: TypeId) -> Option<(&TypeBitsSpace, TypeBits)> {
+        let bits = self.bits_of(id);
+        self.count(bits.is_some());
+        Some((self.space.as_deref()?, bits?))
     }
 
     /// Whether `a` (at step n) and `b` (at step n+1) are jointly
@@ -152,42 +162,18 @@ impl<'a> TypeOps<'a> {
     /// pair is computed once per dispatcher.
     pub fn jointly_satisfiable_ids(&self, a: TypeId, b: TypeId) -> bool {
         self.joint_requests.set(self.joint_requests.get() + 1);
-        if let Some(&r) = self.joint_memo.borrow().get(&(a, b)) {
-            return r;
-        }
-        self.joint_computed.set(self.joint_computed.get() + 1);
-        let r = match self.path {
-            TypePath::Fast => {
-                let kernel = match (&self.joint_space, self.bits_of(a), self.bits_of(b)) {
-                    (Some(sp), Some(ba), Some(bb)) => sp.jointly_satisfiable(&ba, &bb),
-                    _ => None,
-                };
-                match kernel {
-                    Some(sat) => {
-                        self.count_fast();
-                        sat
-                    }
-                    None => {
-                        self.count_fallback();
-                        self.cache.jointly_satisfiable_ids(a, b)
-                    }
-                }
-            }
-            TypePath::Reference => self.cache.jointly_satisfiable_ids(a, b),
+        let mut memo = self.joint_memo.borrow_mut();
+        let slot = match memo.entry((a, b)) {
+            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Vacant(slot) => slot,
         };
-        self.joint_memo.borrow_mut().insert((a, b), r);
-        r
-    }
-
-    /// Counts a fast-mode request against the path that will serve it.
-    fn count(&self, kernel_eligible: bool) {
-        if self.path == TypePath::Fast {
-            if kernel_eligible {
-                self.count_fast();
-            } else {
-                self.count_fallback();
-            }
-        }
+        self.joint_computed.set(self.joint_computed.get() + 1);
+        let kernel = match (&self.joint_space, self.bits_of(a), self.bits_of(b)) {
+            (Some(sp), Some(ba), Some(bb)) => sp.jointly_satisfiable(&ba, &bb),
+            _ => None,
+        };
+        self.count(kernel.is_some());
+        *slot.insert(kernel.unwrap_or_else(|| self.cache.jointly_satisfiable_ids(a, b)))
     }
 
     /// The complete extensions of `id`, interned in `SigmaType` order —
@@ -197,38 +183,142 @@ impl<'a> TypeOps<'a> {
         id: TypeId,
         budget: &Budget,
     ) -> Result<Vec<TypeId>, DataError> {
-        match self.path {
-            TypePath::Fast => {
-                self.count(self.bits_of(id).is_some());
-                self.cache.completions_id_governed_kernel(id, budget)
+        let Some((sp, bits)) = self.kernel_operands(id) else {
+            return self.cache.completions_id_governed(id, budget);
+        };
+        let schema = self.cache.schema();
+        self.cache.completions_id_with(id, |ty| {
+            match sp.completions_governed(&bits, budget) {
+                Ok(cs) => {
+                    let mut done: Vec<SigmaType> = cs.iter().map(|c| sp.decode(c)).collect();
+                    done.sort();
+                    done.dedup();
+                    Ok(done)
+                }
+                Err(DataError::Govern(g)) => Err(DataError::Govern(g)),
+                // Unsatisfiable input: the reference path's error value.
+                Err(_) => ty.completions_governed(schema, budget),
             }
-            TypePath::Reference => self.cache.completions_id_governed(id, budget),
-        }
+        })
     }
 
     /// `δ|m` — restriction to the first `m` registers plus constants.
     pub fn restrict_registers_id(&self, id: TypeId, m: u16) -> Result<TypeId, DataError> {
-        match self.path {
-            TypePath::Fast => {
-                self.count(self.bits_of(id).is_some());
-                self.cache.restrict_registers_id_kernel(id, m)
-            }
-            TypePath::Reference => self
-                .cache
-                .restrict_id(id, rega_data::RestrictOp::Registers(m)),
-        }
+        self.restrict(
+            id,
+            m,
+            RestrictOp::Registers,
+            TypeBitsSpace::restrict_registers,
+            SigmaType::restrict_registers,
+        )
     }
 
     /// The Thm 24 view restriction: saturated (in)equality literals over
     /// the first `m` registers only (database and constants hidden).
     pub fn restrict_eq_registers_id(&self, id: TypeId, m: u16) -> Result<TypeId, DataError> {
-        match self.path {
-            TypePath::Fast => {
-                self.count(self.bits_of(id).is_some());
-                self.cache.restrict_eq_registers_id_kernel(id, m)
+        self.restrict(
+            id,
+            m,
+            RestrictOp::EqRegisters,
+            TypeBitsSpace::restrict_eq_registers,
+            SigmaType::restrict_eq_registers,
+        )
+    }
+
+    /// A restriction to `m` registers, `op(m)` naming it in the cache's
+    /// memo. The kernel result decodes to exactly the `reference` output;
+    /// where the kernel declines (target universe too large, unsatisfiable
+    /// input) `reference` computes it, so error values stay identical.
+    fn restrict(
+        &self,
+        id: TypeId,
+        m: u16,
+        op: fn(u16) -> RestrictOp,
+        kernel: fn(&TypeBitsSpace, &TypeBits, u16) -> Option<TypeBits>,
+        reference: fn(&SigmaType, &Schema, u16) -> Result<SigmaType, DataError>,
+    ) -> Result<TypeId, DataError> {
+        let Some((sp, bits)) = self.kernel_operands(id) else {
+            return self.cache.restrict_id(id, op(m));
+        };
+        let schema = self.cache.schema();
+        self.cache.restrict_id_with(id, op(m), |ty| {
+            kernel(sp, &bits, m)
+                .and_then(|b| Some(sp.sub_space(m)?.decode(&b)))
+                .map_or_else(|| reference(ty, schema, m), Ok)
+        })
+    }
+
+    /// The satisfiable refinements of `ty` by each of `atoms` and its
+    /// negation in turn, sorted and deduplicated, interned — the variants
+    /// [`crate::transform::complete_for_atoms`] puts in place of one
+    /// transition. Ticks `budget` (phase `transform.complete_for_atoms`,
+    /// with the interned-type ceiling) once per variant it refines. Both
+    /// paths give the same variants: `SigmaType` canonicalizes literal
+    /// sets, and bit-level consistency agrees with the analysis. The kernel
+    /// serves `ty` when it and every atom fit the space.
+    pub fn refine_by_atoms(
+        &self,
+        ty: &SigmaType,
+        atoms: &[Literal],
+        budget: &Budget,
+    ) -> Result<Vec<TypeId>, GovernError> {
+        let cache = self.cache;
+        let tick = || {
+            budget.tick_mem("transform.complete_for_atoms", || {
+                cache.stats().distinct_types
+            })
+        };
+        let kernel = self.space.as_deref().and_then(|sp| {
+            let b0 = sp.encode(ty)?;
+            atoms
+                .iter()
+                .all(|a| sp.with_literal(&b0, a).is_some())
+                .then_some((sp, b0))
+        });
+        self.count(kernel.is_some());
+        let mut variants: Vec<SigmaType> = match kernel {
+            Some((sp, b0)) => {
+                let mut vs = vec![b0];
+                for atom in atoms {
+                    let negated = atom.negated();
+                    let mut next = Vec::new();
+                    for v in vs {
+                        tick()?;
+                        for lit in [atom, &negated] {
+                            let r = sp.with_literal(&v, lit).expect("atom fits the space");
+                            if sp.is_consistent(&r) {
+                                next.push(r);
+                            }
+                        }
+                    }
+                    vs = next;
+                }
+                vs.iter().map(|b| sp.decode(b)).collect()
             }
-            TypePath::Reference => self.cache.restrict_eq_registers_id(id, m),
-        }
+            None => {
+                let mut vs = vec![ty.clone()];
+                for atom in atoms {
+                    let mut next = Vec::new();
+                    for v in vs {
+                        tick()?;
+                        for lit in [atom.clone(), atom.negated()] {
+                            let r = v.with(lit);
+                            if cache.is_consistent(&r) {
+                                next.push(r);
+                            }
+                        }
+                    }
+                    vs = next;
+                }
+                vs
+            }
+        };
+        variants.sort();
+        variants.dedup();
+        Ok(variants
+            .into_iter()
+            .map(|v| cache.intern_owned(v))
+            .collect())
     }
 }
 

@@ -279,19 +279,35 @@ impl SatCache {
 
     /// Memoized restriction by named operation; the result is interned.
     pub fn restrict_id(&self, id: TypeId, op: RestrictOp) -> Result<TypeId, DataError> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(r) = inner.restricted.get(&(id, op)) {
-            self.hit();
-            return r.clone();
-        }
-        self.miss();
-        let ty = Arc::clone(inner.interner.resolve(id));
-        let computed = match op {
+        self.restrict_id_with(id, op, |ty| match op {
             RestrictOp::Registers(m) => ty.restrict_registers(&self.schema, m),
             RestrictOp::Pre => ty.pre_type(&self.schema),
             RestrictOp::PostAsPre => ty.post_type_as_pre(&self.schema),
             RestrictOp::EqRegisters(m) => ty.restrict_eq_registers(&self.schema, m),
+        })
+    }
+
+    /// The restriction memo of [`SatCache::restrict_id`], with a miss
+    /// computed by `compute` on the resolved type. `compute` must return
+    /// exactly what the named operation returns: every caller shares the
+    /// one table entry per `(id, op)`.
+    pub fn restrict_id_with(
+        &self,
+        id: TypeId,
+        op: RestrictOp,
+        compute: impl FnOnce(&SigmaType) -> Result<SigmaType, DataError>,
+    ) -> Result<TypeId, DataError> {
+        let ty = {
+            let inner = self.inner.lock().unwrap();
+            if let Some(r) = inner.restricted.get(&(id, op)) {
+                self.hit();
+                return r.clone();
+            }
+            Arc::clone(inner.interner.resolve(id))
         };
+        self.miss();
+        let computed = compute(&ty);
+        let mut inner = self.inner.lock().unwrap();
         let r = computed.map(|t| inner.interner.intern_owned(t));
         inner.restricted.insert((id, op), r.clone());
         r
@@ -382,6 +398,19 @@ impl SatCache {
         id: TypeId,
         budget: &Budget,
     ) -> Result<Vec<TypeId>, DataError> {
+        self.completions_id_with(id, |ty| ty.completions_governed(&self.schema, budget))
+    }
+
+    /// The completion memo of [`SatCache::completions_id_governed`], with a
+    /// miss enumerated by `compute` on the resolved type. `compute` must
+    /// return exactly [`SigmaType::completions_governed`]'s output (budget
+    /// trips aside, which pass through unmemoized): every caller shares the
+    /// one table entry per type.
+    pub fn completions_id_with(
+        &self,
+        id: TypeId,
+        compute: impl FnOnce(&SigmaType) -> Result<Vec<SigmaType>, DataError>,
+    ) -> Result<Vec<TypeId>, DataError> {
         let ty = {
             let inner = self.inner.lock().unwrap();
             if let Some(r) = inner.completions.get(&id) {
@@ -391,7 +420,7 @@ impl SatCache {
             Arc::clone(inner.interner.resolve(id))
         };
         self.miss();
-        match ty.completions_governed(&self.schema, budget) {
+        match compute(&ty) {
             Err(DataError::Govern(g)) => Err(DataError::Govern(g)),
             r => {
                 let mut inner = self.inner.lock().unwrap();
@@ -458,106 +487,6 @@ impl SatCache {
     /// space's register count).
     pub fn intern_typebits(&self, space: &TypeBitsSpace, bits: &TypeBits) -> TypeId {
         self.intern_owned(space.decode(bits))
-    }
-
-    /// The memoized space+encoding of `id`, or `None` when the type falls
-    /// outside the bitset fragment. Shared preamble of the kernel-routed
-    /// operations below.
-    fn kernel_operands(&self, id: TypeId) -> Option<(Arc<TypeBitsSpace>, TypeBits)> {
-        let bits = self.typebits(id)?;
-        let sp = self.typebits_space(self.resolve(id).k())?;
-        Some((sp, bits))
-    }
-
-    /// [`SatCache::restrict_id`] with `RestrictOp::Registers(m)`, computed
-    /// on the [`TypeBits`] kernel when the type is in-fragment. Shares the
-    /// restriction memo table with the reference path — the kernel result
-    /// decodes to exactly [`SigmaType::restrict_registers`]'s output — and
-    /// falls back to the `SigmaType` path out of fragment or on
-    /// unsatisfiable input (so error values stay byte-identical).
-    pub fn restrict_registers_id_kernel(&self, id: TypeId, m: u16) -> Result<TypeId, DataError> {
-        self.restrict_id_kernel(id, RestrictOp::Registers(m))
-    }
-
-    /// Memoized Thm 24 view restriction ([`SigmaType::restrict_eq_registers`])
-    /// by handle, on the reference path.
-    pub fn restrict_eq_registers_id(&self, id: TypeId, m: u16) -> Result<TypeId, DataError> {
-        self.restrict_id(id, RestrictOp::EqRegisters(m))
-    }
-
-    /// [`SatCache::restrict_eq_registers_id`] computed on the [`TypeBits`]
-    /// kernel when in-fragment; same memo table and fallback discipline as
-    /// [`SatCache::restrict_registers_id_kernel`].
-    pub fn restrict_eq_registers_id_kernel(&self, id: TypeId, m: u16) -> Result<TypeId, DataError> {
-        self.restrict_id_kernel(id, RestrictOp::EqRegisters(m))
-    }
-
-    fn restrict_id_kernel(&self, id: TypeId, op: RestrictOp) -> Result<TypeId, DataError> {
-        {
-            let inner = self.inner.lock().unwrap();
-            if let Some(r) = inner.restricted.get(&(id, op)) {
-                self.hit();
-                return r.clone();
-            }
-        }
-        let kernel = self.kernel_operands(id).and_then(|(sp, bits)| {
-            let (rb, m) = match op {
-                RestrictOp::Registers(m) => (sp.restrict_registers(&bits, m)?, m),
-                RestrictOp::EqRegisters(m) => (sp.restrict_eq_registers(&bits, m)?, m),
-                _ => return None,
-            };
-            Some(sp.sub_space(m)?.decode(&rb))
-        });
-        match kernel {
-            Some(ty) => {
-                self.miss();
-                let mut inner = self.inner.lock().unwrap();
-                let r = Ok(inner.interner.intern_owned(ty));
-                inner.restricted.insert((id, op), r.clone());
-                r
-            }
-            None => self.restrict_id(id, op),
-        }
-    }
-
-    /// [`SatCache::completions_id_governed`] computed on the [`TypeBits`]
-    /// kernel worklist when the type is in-fragment (decoding and interning
-    /// the results in `SigmaType` order, so the output — and the shared memo
-    /// entry — is identical to the reference enumeration). Budget trips pass
-    /// through unmemoized; out-of-fragment types and unsatisfiable inputs
-    /// fall back to the `SigmaType` path for byte-identical errors.
-    pub fn completions_id_governed_kernel(
-        &self,
-        id: TypeId,
-        budget: &Budget,
-    ) -> Result<Vec<TypeId>, DataError> {
-        {
-            let inner = self.inner.lock().unwrap();
-            if let Some(r) = inner.completions.get(&id) {
-                self.hit();
-                return r.clone();
-            }
-        }
-        let Some((sp, bits)) = self.kernel_operands(id) else {
-            return self.completions_id_governed(id, budget);
-        };
-        self.miss();
-        match sp.completions_governed(&bits, budget) {
-            Ok(cs) => {
-                let mut done: Vec<SigmaType> = cs.iter().map(|c| sp.decode(c)).collect();
-                done.sort();
-                done.dedup();
-                let mut inner = self.inner.lock().unwrap();
-                let r: Result<Vec<TypeId>, DataError> = Ok(done
-                    .into_iter()
-                    .map(|c| inner.interner.intern_owned(c))
-                    .collect());
-                inner.completions.insert(id, r.clone());
-                r
-            }
-            Err(DataError::Govern(g)) => Err(DataError::Govern(g)),
-            Err(_) => self.completions_id_governed(id, budget),
-        }
     }
 
     /// Current hit/miss counters and interner size.

@@ -15,7 +15,7 @@
 //!
 //! Every σ-type operation the symbolic constructions use — satisfiability,
 //! saturation, restriction, joint satisfiability of consecutive types,
-//! agreement, completion — then becomes a handful of word operations: the
+//! completion — then becomes a handful of word operations: the
 //! equality closure is computed by merging `u16` class masks (small-int
 //! partition refinement) instead of a heap-allocated union-find plus hash
 //! maps, and all consistency checks are mask intersections.
@@ -28,7 +28,8 @@
 //! [`MAX_TERMS`] terms, more than [`MAX_RELS`] relations, or arities other
 //! than 1 and 2 — are *gated*, not mis-handled: [`TypeBitsSpace::new`] and
 //! [`TypeBitsSpace::encode`] return `None` and callers fall back to the
-//! general [`SigmaType`]/[`SatCache`](crate::SatCache) path.
+//! general [`SigmaType`]/[`SatCache`](crate::SatCache) path. Outside this
+//! crate only `rega_core::typeops::TypeOps` chooses between the two paths.
 
 use crate::error::DataError;
 use crate::govern::Budget;
@@ -602,43 +603,6 @@ impl TypeBitsSpace {
         Some(self.remap(&sat, &map))
     }
 
-    /// Word-level [`SigmaType::pre_type`]: the saturated restriction to
-    /// `x̄ ∪ c̄`, in the same space. `None` iff unsatisfiable.
-    pub fn pre_type(&self, b: &TypeBits) -> Option<TypeBits> {
-        let sat = self.saturate(b)?;
-        let mut map = [None; MAX_TERMS];
-        for (i, m) in map.iter_mut().enumerate().take(self.k as usize) {
-            *m = Some(i);
-        }
-        for c in 0..self.schema.num_constants() {
-            map[2 * self.k as usize + c] = Some(2 * self.k as usize + c);
-        }
-        Some(self.remap(&sat, &map))
-    }
-
-    /// Word-level [`SigmaType::post_type_as_pre`]: the saturated
-    /// restriction to `ȳ ∪ c̄` with `y_i ↦ x_i`, in the same space.
-    pub fn post_type_as_pre(&self, b: &TypeBits) -> Option<TypeBits> {
-        let sat = self.saturate(b)?;
-        let k = self.k as usize;
-        let mut map = [None; MAX_TERMS];
-        for i in 0..k {
-            map[k + i] = Some(i); // y_i ↦ x_i
-        }
-        for c in 0..self.schema.num_constants() {
-            map[2 * k + c] = Some(2 * k + c);
-        }
-        Some(self.remap(&sat, &map))
-    }
-
-    /// Word-level [`SigmaType::agrees_with`] (condition (iii) of symbolic
-    /// control traces). `None` iff either type is unsatisfiable.
-    pub fn agrees_with(&self, a: &TypeBits, b: &TypeBits) -> Option<bool> {
-        let post = self.post_type_as_pre(a)?;
-        let pre = self.pre_type(b)?;
-        Some(post == pre)
-    }
-
     /// Word-level [`SigmaType::jointly_satisfiable_with`]: are `a` (at step
     /// n) and `b` (at step n+1) satisfiable over shared middle registers?
     /// Encoded over the `3k + C` universe `d_n d_{n+1} d_{n+2} c̄`; `None`
@@ -691,37 +655,6 @@ impl TypeBitsSpace {
         }
         // Constants stay unmapped: literals touching them are hidden too.
         Some(self.remap(&sat, &map))
-    }
-
-    /// [`Self::jointly_satisfiable`] after restricting both types into the
-    /// projected sub-space `sub` (which must be `self.sub_space(sub.k())`).
-    /// `None` if either restriction is unsatisfiable or `sub` cannot host
-    /// the `3m + C` joint universe.
-    pub fn jointly_satisfiable_restricted(
-        &self,
-        sub: &TypeBitsSpace,
-        a: &TypeBits,
-        b: &TypeBits,
-    ) -> Option<bool> {
-        debug_assert!(sub.k <= self.k, "sub must be a projection of self");
-        let ra = self.restrict_registers(a, sub.k)?;
-        let rb = self.restrict_registers(b, sub.k)?;
-        sub.jointly_satisfiable(&ra, &rb)
-    }
-
-    /// [`Self::agrees_with`] after restricting both types into the projected
-    /// sub-space `sub` (which must be `self.sub_space(sub.k())`). `None` if
-    /// either restriction is unsatisfiable.
-    pub fn agrees_with_restricted(
-        &self,
-        sub: &TypeBitsSpace,
-        a: &TypeBits,
-        b: &TypeBits,
-    ) -> Option<bool> {
-        debug_assert!(sub.k <= self.k, "sub must be a projection of self");
-        let ra = self.restrict_registers(a, sub.k)?;
-        let rb = self.restrict_registers(b, sub.k)?;
-        sub.agrees_with(&ra, &rb)
     }
 
     /// Finds the first undecided atom in the same deterministic order as
@@ -1051,26 +984,6 @@ mod tests {
             let got = sub.decode(&sp.restrict_registers(&b, m).unwrap());
             assert_eq!(got, ty.restrict_registers(&sch, m).unwrap(), "m = {m}");
         }
-        let pre = sp.decode(&sp.pre_type(&b).unwrap());
-        assert_eq!(pre, ty.pre_type(&sch).unwrap());
-        let post = sp.decode(&sp.post_type_as_pre(&b).unwrap());
-        assert_eq!(post, ty.post_type_as_pre(&sch).unwrap());
-    }
-
-    #[test]
-    fn agreement_matches_sigma_type() {
-        let sp = space();
-        let sch = schema();
-        let t1 = SigmaType::new(2, [Literal::eq(Term::y(0), Term::y(1))]);
-        let t2 = SigmaType::new(2, [Literal::eq(Term::x(0), Term::x(1))]);
-        let t3 = SigmaType::new(2, [Literal::neq(Term::x(0), Term::x(1))]);
-        for (a, b) in [(&t1, &t2), (&t1, &t3), (&t2, &t3)] {
-            let (ba, bb) = (sp.encode(a).unwrap(), sp.encode(b).unwrap());
-            assert_eq!(
-                sp.agrees_with(&ba, &bb).unwrap(),
-                a.agrees_with(b, &sch).unwrap()
-            );
-        }
     }
 
     #[test]
@@ -1142,48 +1055,5 @@ mod tests {
             .encode(&SigmaType::new(2, [Literal::neq(Term::x(0), Term::x(0))]))
             .unwrap();
         assert!(sp.restrict_eq_registers(&bad, 1).is_none());
-    }
-
-    #[test]
-    fn restricted_joint_and_agreement_match_restrict_then_op() {
-        let sp = space();
-        let sch = schema();
-        let t1 = SigmaType::new(
-            2,
-            [
-                Literal::eq(Term::y(0), Term::y(1)),
-                Literal::neq(Term::x(0), Term::cst(0)),
-            ],
-        );
-        let t2 = SigmaType::new(2, [Literal::eq(Term::x(0), Term::x(1))]);
-        let t3 = SigmaType::new(2, [Literal::neq(Term::x(0), Term::x(1))]);
-        for m in 0..=2u16 {
-            let sub = sp.sub_space(m).unwrap();
-            for (a, b) in [(&t1, &t2), (&t1, &t3), (&t2, &t3), (&t3, &t2)] {
-                let (ba, bb) = (sp.encode(a).unwrap(), sp.encode(b).unwrap());
-                let (ra, rb) = (
-                    a.restrict_registers(&sch, m).unwrap(),
-                    b.restrict_registers(&sch, m).unwrap(),
-                );
-                assert_eq!(
-                    sp.jointly_satisfiable_restricted(&sub, &ba, &bb).unwrap(),
-                    ra.jointly_satisfiable_with(&rb, &sch),
-                    "joint disagrees on {a} ; {b} at m = {m}"
-                );
-                assert_eq!(
-                    sp.agrees_with_restricted(&sub, &ba, &bb).unwrap(),
-                    ra.agrees_with(&rb, &sch).unwrap(),
-                    "agreement disagrees on {a} ; {b} at m = {m}"
-                );
-            }
-        }
-        // Unsatisfiable operands gate to `None` rather than a wrong verdict.
-        let bad = sp
-            .encode(&SigmaType::new(2, [Literal::neq(Term::y(0), Term::y(0))]))
-            .unwrap();
-        let sub = sp.sub_space(1).unwrap();
-        let ok = sp.encode(&t2).unwrap();
-        assert!(sp.jointly_satisfiable_restricted(&sub, &bad, &ok).is_none());
-        assert!(sp.agrees_with_restricted(&sub, &ok, &bad).is_none());
     }
 }

@@ -6,11 +6,11 @@
 //! σ-types*. This crate makes that visible with three std-only pieces:
 //!
 //! * **Tracing** ([`trace`], [`sink`]): a thread-local span stack with
-//!   monotonic (or injectable) timestamps and pluggable sinks — a JSONL
-//!   writer for offline analysis, an in-memory collector for tests, and a
-//!   no-op default whose cost is one relaxed atomic load per span. The
-//!   [`span!`] and [`event!`] macros compile to nothing with the `trace`
-//!   feature disabled.
+//!   timestamps from an injectable [`ObsClock`] ([`clock`]) and pluggable
+//!   sinks — a JSONL writer for offline analysis, an in-memory collector
+//!   for tests, and a no-op default whose cost is one relaxed atomic load
+//!   per span. The [`span!`] and [`event!`] macros compile to nothing with
+//!   the `trace` feature disabled.
 //! * **Request context** ([`context`]): a per-thread request id installed
 //!   by the serving stack; every span and event automatically carries it
 //!   as a `request` field, and workers re-install it from their envelopes,
@@ -29,6 +29,7 @@
 //! process-wide lock released when the returned guard drops, so
 //! concurrent tests serialize instead of corrupting each other's traces.
 
+pub mod clock;
 pub mod context;
 pub mod expose;
 pub mod metrics;
@@ -36,11 +37,12 @@ pub mod report;
 pub mod sink;
 pub mod trace;
 
+pub use clock::{ManualClock, MonotonicClock, ObsClock};
 pub use context::{active_request, current_request, RequestGuard};
 pub use expose::{render_prometheus, sanitize_metric_name};
 pub use metrics::{global, sanitize_segment, Counter, Gauge, Histogram, Registry, ScopedRegistry};
 pub use sink::{JsonlSink, MemorySink, TraceSink};
 pub use trace::{
-    install, install_jsonl, install_memory, is_active, FieldValue, ManualClock, MonotonicClock,
-    ObsClock, SinkGuard, SpanGuard, TraceEvent, TraceEventKind,
+    install, install_jsonl, install_memory, is_active, FieldValue, SinkGuard, SpanGuard,
+    TraceEvent, TraceEventKind,
 };

@@ -9,71 +9,12 @@
 //! onto the calling thread's stack and pops it on drop, so a span may
 //! never be sent across threads (each worker opens its own).
 
+use crate::clock::{MonotonicClock, ObsClock};
 use crate::sink::{MemorySink, TraceSink};
 use serde_json::{json, Value as Json};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::Instant;
-
-/// A monotonic nanosecond time source for trace timestamps. Distinct from
-/// the engine's own clock trait so the tracer stays dependency-free;
-/// deterministic tests inject a [`ManualClock`].
-pub trait ObsClock: Send + Sync {
-    /// Nanoseconds since this clock's origin.
-    fn now_ns(&self) -> u64;
-}
-
-/// The real wall clock, anchored at construction time.
-#[derive(Debug)]
-pub struct MonotonicClock {
-    origin: Instant,
-}
-
-impl MonotonicClock {
-    /// A clock whose origin is now.
-    pub fn new() -> Self {
-        MonotonicClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ObsClock for MonotonicClock {
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-}
-
-/// A manually advanced clock: deterministic traces for golden-file tests.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now_ns: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock starting at 0 ns.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Moves time forward by `ns`.
-    pub fn advance(&self, ns: u64) {
-        self.now_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-}
-
-impl ObsClock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::Relaxed)
-    }
-}
 
 /// A structured field value attached to an event or span.
 #[derive(Clone, Debug, PartialEq)]
@@ -627,6 +568,8 @@ macro_rules! event {
 mod tests {
     #[cfg(feature = "trace")]
     use super::*;
+    #[cfg(feature = "trace")]
+    use crate::clock::ManualClock;
     #[cfg(feature = "trace")]
     use crate::TraceEventKind::*;
 

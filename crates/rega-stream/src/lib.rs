@@ -37,7 +37,7 @@
 //! * [`scheduler::Scheduler`] abstracts *how* events execute. The
 //!   production [`scheduler::ThreadedScheduler`] runs the worker pool; the
 //!   deterministic [`sim::SimScheduler`] interleaves shard polls from a
-//!   seeded RNG on one thread with a simulated [`clock::SimClock`], so
+//!   seeded RNG on one thread with a [`rega_obs::ManualClock`], so
 //!   whole runs — verdicts, quarantine counts, metrics snapshots — replay
 //!   bit-for-bit per seed.
 //! * [`fault::FaultPlan`] injects worker panics (caught and respawned with
@@ -50,7 +50,6 @@
 //! Everything is built on `std` (`std::thread`, `std::sync::mpsc`); the
 //! engine introduces no external dependencies.
 
-pub mod clock;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -62,7 +61,6 @@ pub mod sim;
 pub mod snapshot;
 pub mod spec;
 
-pub use clock::{Clock, SimClock, SystemClock};
 pub use engine::{Engine, EngineConfig, EngineReport, SessionOutcome, SubmitError};
 pub use event::{
     check_arity, decode_event, parse_event, parse_event_checked, parse_event_located, read_event,

@@ -7,8 +7,8 @@
 //! [`Registry`](rega_obs::Registry) (engines must not share counts, so the
 //! process-global registry is not used), and the hot paths touch only the
 //! cloned lock-free handles. All timestamps feeding the histograms come
-//! from an injectable [`Clock`](crate::clock::Clock), so a simulation run
-//! with a [`SimClock`](crate::clock::SimClock) produces bit-for-bit
+//! from an injectable [`ObsClock`](rega_obs::ObsClock), so a simulation run
+//! with a [`ManualClock`](rega_obs::ManualClock) produces bit-for-bit
 //! reproducible snapshots — the JSON schema is pinned by a golden-file
 //! test.
 
@@ -185,7 +185,7 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, SimClock};
+    use rega_obs::{ManualClock, ObsClock};
     use std::time::Duration;
 
     #[test]
@@ -245,7 +245,7 @@ mod tests {
     /// the snapshot (CLI summary, dashboards).
     #[test]
     fn snapshot_schema_matches_golden_file() {
-        let clock = SimClock::new();
+        let clock = ManualClock::new();
         let m = EngineMetrics::default();
         for (advance_ns, process_ns) in [(100u64, 700u64), (250, 1_300), (4_000, 90)] {
             let submitted = clock.now_ns();

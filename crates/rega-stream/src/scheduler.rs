@@ -21,7 +21,6 @@
 //! has exited, [`Scheduler::submit`] fails fast with
 //! [`SubmitError::WorkersDead`] instead of blocking forever.
 
-use crate::clock::{Clock, SystemClock};
 use crate::engine::{
     evict, make_report, process, report_shards, shard_index, EngineConfig, EngineReport,
     SessionOutcome, ShardState, SubmitError,
@@ -31,6 +30,7 @@ use crate::fault::FaultInjector;
 use crate::metrics::EngineMetrics;
 use crate::session::ViolationKind;
 use crate::spec::CompiledSpec;
+use rega_obs::{MonotonicClock, ObsClock};
 use serde_json::Value as Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,7 +98,7 @@ pub trait Scheduler: Send {
 pub(crate) struct Router {
     senders: Vec<SyncSender<Envelope>>,
     metrics: Arc<EngineMetrics>,
-    clock: Arc<SystemClock>,
+    clock: Arc<MonotonicClock>,
     live_workers: Arc<AtomicUsize>,
     registers: usize,
     shards: usize,
@@ -246,7 +246,7 @@ impl ThreadedScheduler {
         let shards = config.shards.max(1);
         let workers = config.workers.max(1).min(shards);
         let metrics = Arc::new(EngineMetrics::with_shards(shards));
-        let clock = Arc::new(SystemClock::new());
+        let clock = Arc::new(MonotonicClock::new());
         let live_workers = Arc::new(AtomicUsize::new(workers));
         let mut senders = Vec::with_capacity(shards);
         let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(shards);
@@ -369,7 +369,7 @@ struct WorkerCtx {
 fn worker_entry(
     spec: Arc<CompiledSpec>,
     metrics: Arc<EngineMetrics>,
-    clock: Arc<SystemClock>,
+    clock: Arc<MonotonicClock>,
     receivers: Vec<Receiver<Envelope>>,
     shard_ids: Vec<usize>,
     mut injector: FaultInjector,
@@ -441,7 +441,7 @@ fn poison(metrics: &EngineMetrics, shard: &mut ShardState, event: &Event) {
 fn worker_loop(
     spec: &CompiledSpec,
     metrics: &EngineMetrics,
-    clock: &dyn Clock,
+    clock: &dyn ObsClock,
     receivers: &[Receiver<Envelope>],
     shard_ids: &[usize],
     ctx: &mut WorkerCtx,
@@ -601,7 +601,7 @@ fn worker_loop(
 fn handle_one(
     spec: &CompiledSpec,
     metrics: &EngineMetrics,
-    clock: &dyn Clock,
+    clock: &dyn ObsClock,
     ctx: &mut WorkerCtx,
     injector: &mut FaultInjector,
     shard_idx: usize,

@@ -1,7 +1,7 @@
 //! The deterministic simulation scheduler.
 //!
 //! [`SimScheduler`] runs the whole engine on the calling thread: shard
-//! queues are plain `VecDeque`s, the clock is a [`SimClock`] that moves
+//! queues are plain `VecDeque`s, the clock is a [`ManualClock`] that moves
 //! only when the simulation spends time, and every nondeterministic choice
 //! the threaded scheduler leaves to the OS — which shard a worker polls
 //! next, how long an event waits in its queue, how long processing takes,
@@ -23,7 +23,6 @@
 //! crashed-and-restored run reaches the same verdicts as an uninterrupted
 //! one.
 
-use crate::clock::{Clock, SimClock};
 use crate::engine::{
     make_report, process, report_shards, shard_index, EngineConfig, EngineReport, ShardState,
     SubmitError,
@@ -39,6 +38,7 @@ use crate::snapshot::{
 use crate::spec::CompiledSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rega_obs::{ManualClock, ObsClock};
 use serde_json::{json, Value as Json};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ struct QueuedEvent {
 pub struct SimScheduler {
     spec: Arc<CompiledSpec>,
     metrics: Arc<EngineMetrics>,
-    clock: SimClock,
+    clock: ManualClock,
     rng: StdRng,
     worker_faults: FaultInjector,
     producer_faults: FaultInjector,
@@ -84,14 +84,14 @@ impl SimScheduler {
     /// Builds the simulation. `seed` is xor-ed into the fault plan's own
     /// seed so one knob replays everything.
     pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig, seed: u64) -> SimScheduler {
-        Self::build(spec, config, seed, SimClock::new())
+        Self::build(spec, config, seed, ManualClock::new())
     }
 
     fn build(
         spec: Arc<CompiledSpec>,
         config: EngineConfig,
         seed: u64,
-        clock: SimClock,
+        clock: ManualClock,
     ) -> SimScheduler {
         let shards = config.shards.max(1);
         let mut plan = config.fault.clone();
@@ -138,7 +138,7 @@ impl SimScheduler {
         let clock_ns = snapshot["clock_ns"]
             .as_u64()
             .ok_or_else(|| err("clock_ns must be a number"))?;
-        let mut sim = Self::build(spec, config, seed, SimClock::at(clock_ns));
+        let mut sim = Self::build(spec, config, seed, ManualClock::at(clock_ns));
         let n = sim.shards.len();
         for entry in snapshot["live"]
             .as_array()

@@ -208,10 +208,7 @@ fn assert_chase_identical(ext: &ExtendedAutomaton, what: &str) {
     // loop on the kernel versus the pure cache path.
     let ra = ext.ra();
     let ops = TypeOps::new(&fast_cache, ra.k(), TypePath::Fast);
-    let fast_nba = scontrol_nba_with(ra, &fast_cache, &budget, |u, t| {
-        ops.jointly_satisfiable_ids(u, t)
-    })
-    .unwrap();
+    let fast_nba = scontrol_nba_with(ra, &ops, &budget).unwrap();
     let ref_nba = scontrol_nba_governed(ra, &ref_cache, &budget).unwrap();
     assert_eq!(
         fast_nba.num_states(),

@@ -20,6 +20,9 @@
 //! 5. **Serving spans**: a server opens one `serve.decode` span per frame
 //!    it reads (frame bytes to command), so the decode's share of a served
 //!    request is read from production telemetry.
+//! 6. **Kernel split of emptiness**: the `SControl` expansion reports how
+//!    many distinct type pairs the `TypeBits` kernel answered, as one
+//!    `typebits.stats` event inside `emptiness.check`.
 
 use rega_core::spec::parse_spec;
 use rega_data::{Database, Schema, Value};
@@ -427,6 +430,61 @@ fn verify_verdicts_say_how_emptiness_was_settled() {
             "{settled}: a lasso search runs exactly when the pre-pass cannot settle"
         );
     }
+}
+
+/// Emptiness answers condition (iii) through one fast `TypeOps`, once per
+/// distinct ordered type pair, and reports that kernel/fallback split as a
+/// `typebits.stats` event inside `emptiness.check`.
+#[test]
+fn emptiness_reports_its_kernel_split_per_type_pair() {
+    use rega_analysis::emptiness::{check_emptiness_governed, EmptinessOptions};
+    use rega_data::{Budget, SatCache};
+    use rega_obs::trace::FieldValue;
+
+    // Three transitions sharing one in-fragment type: every wired
+    // transition pair is the same type pair.
+    let ext = parse_spec(
+        "\
+registers 1
+state p init accept
+state q
+trans p -> q : x1 = y1
+trans q -> p : x1 = y1
+trans p -> p : x1 = y1
+",
+    )
+    .unwrap();
+    let cache = SatCache::new(ext.ra().schema().clone());
+    let (sink, guard) = rega_obs::install_memory();
+    let verdict = check_emptiness_governed(
+        &ext,
+        &EmptinessOptions::default(),
+        &cache,
+        &Budget::unlimited(),
+    )
+    .unwrap();
+    drop(guard);
+    assert!(verdict.is_nonempty());
+
+    let events = sink.events();
+    let checks: Vec<Option<u64>> = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::SpanStart && e.name == "emptiness.check")
+        .map(|e| e.span)
+        .collect();
+    assert_eq!(checks.len(), 1);
+    let stats: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "typebits.stats" && e.span == checks[0])
+        .collect();
+    assert_eq!(
+        stats.len(),
+        1,
+        "one typebits.stats event inside emptiness.check"
+    );
+    let field = |name: &str| stats[0].fields.iter().find(|(k, _)| *k == name).cloned();
+    assert_eq!(field("fast"), Some(("fast", FieldValue::U64(1))));
+    assert_eq!(field("fallback"), Some(("fallback", FieldValue::U64(0))));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! cache ([`SatCache`]).
 //!
 //! Every word-level kernel operation — consistency, saturation, register
-//! restriction, pre/post agreement, joint satisfiability, completions —
+//! restriction, joint satisfiability, completions —
 //! must agree with the direct implementation on arbitrary generated types,
 //! very much including *incomplete* ones (the empty type, duplicated
 //! literals like `P(x1); P(x1)`, partially constrained registers), and the
@@ -96,13 +96,6 @@ proptest! {
             }
         }
 
-        // Pre/post agreement (condition (iii) of symbolic control traces).
-        match (sp.agrees_with(&ba, &bb), a.agrees_with(&b, &sch)) {
-            (Some(bit), Ok(direct)) => prop_assert_eq!(bit, direct),
-            (None, Err(_)) => {}
-            (bit, d) => prop_assert!(false, "agrees_with disagrees: {:?} vs {:?}", bit, d),
-        }
-
         // Joint satisfiability, both orders, against both oracles.
         prop_assert_eq!(
             sp.jointly_satisfiable(&ba, &bb).expect("space supports joint"),
@@ -136,64 +129,6 @@ proptest! {
                 (r, d) => prop_assert!(
                     false,
                     "restrict_eq({}) disagrees: {:?} vs {:?}", m, r, d
-                ),
-            }
-        }
-    }
-
-    // Cross-space operations: joint satisfiability and pre/post agreement
-    // evaluated *after* restriction into a projected sub-space must equal
-    // restrict-then-op on the SigmaType side. On unsatisfiable operands
-    // the restriction is undefined and the kernel gates with `None`.
-    #[test]
-    fn restricted_ops_agree_with_restrict_then_op(
-        a in type_strategy(),
-        b in type_strategy(),
-    ) {
-        let sch = schema();
-        let sp = space();
-        let ba = sp.encode(&a).unwrap();
-        let bb = sp.encode(&b).unwrap();
-        for m in 0..=K {
-            let sub = sp.sub_space(m).expect("smaller universe fits");
-            let direct = match (a.restrict_registers(&sch, m), b.restrict_registers(&sch, m)) {
-                (Ok(ra), Ok(rb)) => Some((ra, rb)),
-                _ => None,
-            };
-            match (sp.jointly_satisfiable_restricted(&sub, &ba, &bb), &direct) {
-                (Some(bit), Some((ra, rb))) => {
-                    prop_assert_eq!(bit, ra.jointly_satisfiable_with(rb, &sch));
-                }
-                (None, None) => {}
-                (bit, d) => prop_assert!(
-                    false,
-                    "jointly_satisfiable_restricted({}) disagrees: {:?} vs {:?}",
-                    m, bit, d.as_ref().map(|_| "defined")
-                ),
-            }
-            match (sp.agrees_with_restricted(&sub, &ba, &bb), &direct) {
-                (Some(bit), Some((ra, rb))) => match ra.agrees_with(rb, &sch) {
-                    Ok(direct_bit) => prop_assert_eq!(bit, direct_bit),
-                    Err(e) => prop_assert!(
-                        false,
-                        "kernel defined but reference errs: {:?} vs {:?}", bit, e
-                    ),
-                },
-                (None, None) => {}
-                (None, Some((ra, rb))) => {
-                    // The kernel gates when either restriction is
-                    // undefined; with both defined, agreement may still
-                    // err on the reference side only via analysis — which
-                    // restriction rules out. Pin that this cannot happen.
-                    prop_assert!(
-                        ra.agrees_with(rb, &sch).is_err(),
-                        "kernel gated but reference succeeds"
-                    );
-                }
-                (bit, d) => prop_assert!(
-                    false,
-                    "agrees_with_restricted({}) disagrees: {:?} vs {:?}",
-                    m, bit, d.as_ref().map(|_| "defined")
                 ),
             }
         }
@@ -267,10 +202,6 @@ fn duplicated_literal_incomplete_type() {
         ty.saturate(&sch).unwrap()
     );
     assert!(sp.jointly_satisfiable(&b, &b).unwrap());
-    assert_eq!(
-        sp.agrees_with(&b, &b).unwrap(),
-        ty.agrees_with(&ty, &sch).unwrap()
-    );
 
     // Completions of the same duplicated-literal shape, in the small
     // universe where the full set is enumerable.
@@ -322,47 +253,4 @@ fn cache_typebits_interning_round_trip() {
         assert_eq!(cache.intern_typebits(&sp, &bits), id);
         assert_eq!(sp.decode(&bits), *ty);
     }
-}
-
-/// Out-of-fragment gating: when the joint universe `3m + C` of the target
-/// sub-space overflows the 16-term bit universe, the cross-space joint
-/// check must decline with `None` rather than answer wrongly — while a
-/// narrower sub-space of the same parent still answers.
-#[test]
-fn restricted_joint_gates_outside_the_joint_fragment() {
-    // One constant, six registers: the 13-term word universe fits, but the
-    // 19-term joint universe of the full-width sub-space does not.
-    let sch = Schema::with(&[], &["c"]);
-    let sp = TypeBitsSpace::new(&sch, 6).expect("13-term universe fits");
-    let ty = SigmaType::new(6, [Literal::eq(Term::x(0), Term::y(0))]);
-    let b = sp.encode(&ty).unwrap();
-    let full = sp.sub_space(6).expect("full-width sub-space exists");
-    assert_eq!(
-        sp.jointly_satisfiable_restricted(&full, &b, &b),
-        None,
-        "3·6 + 1 = 19 terms overflow the joint universe"
-    );
-    let narrow = sp.sub_space(5).expect("narrower sub-space exists");
-    assert_eq!(
-        sp.jointly_satisfiable_restricted(&narrow, &b, &b),
-        Some(true),
-        "3·5 + 1 = 16 terms fit, and the restricted types are compatible"
-    );
-    // Agreement has no joint universe; it stays defined at full width on
-    // satisfiable operands and gates only on unsatisfiable ones.
-    assert_eq!(sp.agrees_with_restricted(&full, &b, &b), Some(true));
-    let bad = sp
-        .encode(&SigmaType::new(
-            6,
-            [
-                Literal::eq(Term::x(0), Term::y(0)),
-                Literal::neq(Term::x(0), Term::y(0)),
-            ],
-        ))
-        .unwrap();
-    assert_eq!(
-        sp.agrees_with_restricted(&full, &bad, &b),
-        None,
-        "unsatisfiable operand: restriction undefined, kernel gates"
-    );
 }

@@ -18,6 +18,9 @@
 //!            [--submit-timeout-ms N] [--metrics-interval-ms N]
 //!            [--access-log] [--slow-ms N]
 //!                                   multi-tenant TCP monitoring service
+//!                                   (--queue-capacity: events buffered per
+//!                                   shard; each engine worker's queue holds
+//!                                   that many per shard it owns)
 //! rega cluster <spec> --events <file.jsonl|-> [--procs N] [--view M]
 //!              [--seed N] [--snapshot-dir DIR] [--checkpoint-every N]
 //!              [--migrate-at K] [--migrate-from N] [--migrate-to N]

@@ -2,10 +2,11 @@
 //! scheduler.
 //!
 //! Topology (threaded scheduler): sessions are hashed onto `shards` shards;
-//! each shard has one bounded queue consumed by exactly *one* worker
-//! thread, so events of one session are always processed in submission
-//! order. With fewer workers than shards, worker `w` owns shards
-//! `w, w + workers, w + 2·workers, …` and polls them round-robin.
+//! each shard is owned by exactly *one* worker thread, so events of one
+//! session are always processed in submission order. With fewer workers
+//! than shards, worker `w` owns shards `w, w + workers, w + 2·workers, …`.
+//! Each worker has one bounded queue for all the shards it owns, and
+//! blocks on it while it is empty.
 //!
 //! Execution is abstracted behind the [`Scheduler`](crate::scheduler::Scheduler)
 //! trait: [`Engine::start`] runs the production worker pool
@@ -14,8 +15,9 @@
 //! [`SimScheduler`](crate::sim::SimScheduler) whose interleavings, clock,
 //! and injected faults all derive from one seed.
 //!
-//! Flow control: [`Engine::submit`] back-pressures when the target shard's
-//! queue is full rather than buffering unboundedly, and — with
+//! Flow control: [`Engine::submit`] back-pressures when the queue of the
+//! worker owning the target shard is full rather than buffering
+//! unboundedly: it waits until that worker wakes it, and — with
 //! [`EngineConfig::submit_timeout`] set — gives up with a typed
 //! [`SubmitError`] instead of blocking forever.
 //!
@@ -56,8 +58,9 @@ pub struct EngineConfig {
     /// Number of worker threads. Clamped to `shards` (extra workers would
     /// own no shard).
     pub workers: usize,
-    /// Bounded capacity of each shard queue; a full queue back-pressures
-    /// [`Engine::submit`].
+    /// Events buffered per shard: each worker's queue holds
+    /// `queue_capacity` × the number of shards it owns, and a full queue
+    /// back-pressures [`Engine::submit`].
     pub queue_capacity: usize,
     /// Frontier bound for per-session view observers.
     pub max_view_frontier: usize,
@@ -67,9 +70,10 @@ pub struct EngineConfig {
     /// without touching session state, and a session exceeding the budget
     /// is evicted as [`ViolationKind::QuarantineOverflow`].
     pub quarantine_cap: u64,
-    /// How long [`Engine::submit`] may wait on a full shard queue before
-    /// returning [`SubmitError::QueueFull`]. `None` waits indefinitely
-    /// (while workers are alive).
+    /// How long [`Engine::submit`] may wait on a full worker queue before
+    /// returning [`SubmitError::QueueFull`]. `None` waits until the worker
+    /// frees a slot and wakes the producer, or exits
+    /// ([`SubmitError::WorkersDead`]).
     pub submit_timeout: Option<Duration>,
     /// Seeded fault injection; [`FaultPlan::none`] (the default) injects
     /// nothing.
@@ -101,10 +105,10 @@ pub enum SubmitError {
         /// The specification's register count.
         want: usize,
     },
-    /// The target shard's queue stayed full past
+    /// The queue holding the target shard's events stayed full past
     /// [`EngineConfig::submit_timeout`].
     QueueFull {
-        /// The shard whose queue was full.
+        /// The shard the rejected event was routed to.
         shard: usize,
     },
     /// Every worker thread has exited (e.g. the respawn budget was
@@ -226,10 +230,11 @@ impl Engine {
         })
     }
 
-    /// Submits one event. Blocks (bounded by
-    /// [`EngineConfig::submit_timeout`]) while the target shard's queue is
-    /// full; rejects arity-invalid step events and submission against dead
-    /// workers with a typed error instead of panicking or hanging.
+    /// Submits one event. While the queue of the worker owning the target
+    /// shard is full, blocks until that worker wakes it (bounded by
+    /// [`EngineConfig::submit_timeout`]); rejects arity-invalid step events
+    /// and submission against dead workers with a typed error instead of
+    /// panicking or hanging.
     pub fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
         self.inner.submit(event)
     }
@@ -243,7 +248,7 @@ impl Engine {
     /// `None` on the deterministic simulation, which is single-threaded by
     /// design). Any number of clones may submit from different threads;
     /// all clones must be dropped before [`Engine::finish`] can drain —
-    /// a surviving handle keeps the shard queues connected.
+    /// a surviving handle keeps the worker queues connected.
     pub fn handle(&self) -> Option<crate::scheduler::EngineHandle> {
         self.inner.handle()
     }

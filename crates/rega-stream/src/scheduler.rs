@@ -9,6 +9,14 @@
 //! construction — the property the `stream_faults` differential suite
 //! leans on.
 //!
+//! The threaded scheduler gives each worker one bounded queue for all the
+//! shards it owns, and the worker blocks in `recv` while it is empty. A
+//! producer that finds the queue full waits until the worker wakes it,
+//! its submit timeout passes, or the worker exits. The worker wakes
+//! waiting producers at its yield gate, just before it blocks on an empty
+//! queue, after a caught panic, and on exit — not after every batch,
+//! which would hand the CPU back to the producer far too often.
+//!
 //! The threaded scheduler's failure handling: each worker runs its shard
 //! loop under [`catch_unwind`](std::panic::catch_unwind) with its shard
 //! state held *outside* the unwind boundary, so a panic (injected or
@@ -17,8 +25,8 @@
 //! retries the event once. A second panic on the same event poisons it:
 //! the event is quarantined and its session evicted as
 //! [`ViolationKind::WorkerPanic`](crate::session::ViolationKind::WorkerPanic).
-//! When a worker exhausts its respawn budget it exits; once every worker
-//! has exited, [`Scheduler::submit`] fails fast with
+//! When a worker exhausts its respawn budget it exits; from then on a
+//! [`Scheduler::submit`] routed to its shards fails fast with
 //! [`SubmitError::WorkersDead`] instead of blocking forever.
 
 use crate::engine::{
@@ -33,9 +41,9 @@ use crate::spec::CompiledSpec;
 use rega_obs::{MonotonicClock, ObsClock};
 use serde_json::Value as Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicUsize, Ordering::SeqCst};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,26 +94,52 @@ pub trait Scheduler: Send {
     fn finish(self: Box<Self>) -> EngineReport;
 }
 
-/// The routing core shared by the scheduler's own submit path and every
-/// cloned [`EngineHandle`]: arity validation at the edge plus shard
-/// routing with bounded back-pressure. Cloning shares the same shard
-/// queues, metrics, and liveness view; `SyncSender` is `Send + Sync`, so
-/// clones may submit concurrently from any number of threads while
-/// per-session ordering is still guaranteed *per submitting thread* (one
+/// A cloneable ingest handle onto a running threaded engine.
+///
+/// Obtained from [`Engine::handle`](crate::engine::Engine::handle); any
+/// number of clones may [`submit`](EngineHandle::submit) concurrently from
+/// different threads (a network server's connection handlers, most
+/// prominently) while the engine itself stays owned by whoever will
+/// eventually drain it with `finish`. Handles share the engine's arity
+/// validation, back-pressure, and metrics; they bypass producer-side fault
+/// injection, which remains a test feature of the owning scheduler's
+/// submit path. Per-session ordering holds *per submitting thread* (one
 /// session fed by one producer keeps its order; interleaving across
 /// producers is the callers' business, exactly as with any socket).
+///
+/// A handle keeps the worker queues connected: `finish` drains only once
+/// every clone is dropped.
 #[derive(Clone)]
-pub(crate) struct Router {
-    senders: Vec<SyncSender<Envelope>>,
+pub struct EngineHandle {
+    /// One queue per worker; shard `s` goes to worker `s % queues.len()`.
+    queues: Vec<(SyncSender<Envelope>, Arc<Waiters>)>,
     metrics: Arc<EngineMetrics>,
     clock: Arc<MonotonicClock>,
-    live_workers: Arc<AtomicUsize>,
     registers: usize,
     shards: usize,
     submit_timeout: Option<Duration>,
 }
 
-impl Router {
+impl EngineHandle {
+    /// Submits one event, exactly as [`Engine::submit`](crate::engine::Engine::submit)
+    /// would: arity-invalid step events are rejected at the edge, a full
+    /// worker queue back-pressures up to the submit timeout, and dead
+    /// workers fail fast.
+    pub fn submit(&self, event: Event) -> Result<(), SubmitError> {
+        self.check_arity(&event)?;
+        self.submit_unchecked(event)
+    }
+
+    /// The engine's live metrics.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
+        &self.metrics
+    }
+
+    /// The register arity every step event must carry.
+    pub fn registers(&self) -> usize {
+        self.registers
+    }
+
     /// Rejects arity-invalid step events before they reach any queue.
     fn check_arity(&self, event: &Event) -> Result<(), SubmitError> {
         if let Event::Step { regs, .. } = event {
@@ -126,97 +160,102 @@ impl Router {
     /// the shard-batch span — the cross-thread half of request tracing.
     fn submit_unchecked(&self, event: Event) -> Result<(), SubmitError> {
         self.metrics.events_submitted.inc();
-        self.route(Envelope {
+        let shard = shard_index(event.session(), self.shards);
+        let (queue, waiters) = &self.queues[shard % self.queues.len()];
+        let env = Envelope {
             event,
+            shard,
             submitted_ns: self.clock.now_ns(),
             fault_immune: false,
             request: rega_obs::active_request(),
-        })
-    }
-
-    /// Routes one envelope to its shard queue, back-pressuring on a full
-    /// queue up to the submit timeout.
-    fn route(&self, mut env: Envelope) -> Result<(), SubmitError> {
-        let shard = shard_index(env.event.session(), self.shards);
-        let deadline_ns = self.submit_timeout.map(|t| {
-            self.clock
-                .now_ns()
-                .saturating_add(t.as_nanos().min(u128::from(u64::MAX)) as u64)
-        });
-        loop {
-            match self.senders[shard].try_send(env) {
-                Ok(()) => {
-                    if let Some(depth) = self.metrics.queue_depth.get(shard) {
-                        depth.inc();
-                    }
-                    return Ok(());
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.metrics.submit_errors.inc();
-                    return Err(SubmitError::WorkersDead);
-                }
-                Err(TrySendError::Full(back)) => {
-                    env = back;
-                    if self.live_workers.load(Ordering::Acquire) == 0 {
-                        self.metrics.submit_errors.inc();
-                        return Err(SubmitError::WorkersDead);
-                    }
-                    if let Some(deadline) = deadline_ns {
-                        if self.clock.now_ns() >= deadline {
-                            self.metrics.submit_errors.inc();
-                            return Err(SubmitError::QueueFull { shard });
-                        }
-                    }
-                    self.clock.stall(10_000); // 10 µs between retries
+        };
+        let sent = match queue.try_send(env) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(env)) => waiters.send(queue, env, self.submit_timeout),
+            Err(TrySendError::Disconnected(_)) => Err(SubmitError::WorkersDead),
+        };
+        match sent {
+            Ok(()) => {
+                if let Some(depth) = self.metrics.queue_depth.get(shard) {
+                    depth.inc();
                 }
             }
+            Err(_) => self.metrics.submit_errors.inc(),
+        }
+        sent
+    }
+}
+
+/// The producers blocked on one worker's full queue, and the worker's
+/// means of waking them.
+///
+/// A producer announces itself in `waiting`, then retries the queue under
+/// `lock` before it waits; the worker frees slots, then reads `waiting`
+/// and notifies under the same lock. With a `SeqCst` fence between the
+/// write and the read on both sides, either the producer's retry sees the
+/// freed slot or the worker sees the waiter, so no wake is lost.
+#[derive(Default)]
+struct Waiters {
+    waiting: AtomicUsize,
+    lock: Mutex<()>,
+    freed: Condvar,
+}
+
+impl Waiters {
+    /// Worker side: wakes every producer waiting on this queue.
+    fn wake(&self) {
+        fence(SeqCst);
+        if self.waiting.load(SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.freed.notify_all();
         }
     }
+
+    /// Producer side: retries `env` on the full `queue`, waiting between
+    /// tries, until it fits, the worker exits or `timeout` passes.
+    fn send(
+        &self,
+        queue: &SyncSender<Envelope>,
+        mut env: Envelope,
+        timeout: Option<Duration>,
+    ) -> Result<(), SubmitError> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiting.fetch_add(1, SeqCst);
+        fence(SeqCst);
+        let sent = loop {
+            env = match queue.try_send(env) {
+                Ok(()) => break Ok(()),
+                Err(TrySendError::Full(env)) => env,
+                Err(TrySendError::Disconnected(_)) => break Err(SubmitError::WorkersDead),
+            };
+            guard = match deadline {
+                None => self
+                    .freed
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break Err(SubmitError::QueueFull { shard: env.shard });
+                    }
+                    let waited = self.freed.wait_timeout(guard, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        };
+        self.waiting.fetch_sub(1, SeqCst);
+        sent
+    }
 }
 
-/// A cloneable ingest handle onto a running threaded engine.
-///
-/// Obtained from [`Engine::handle`](crate::engine::Engine::handle); any
-/// number of clones may [`submit`](EngineHandle::submit) concurrently from
-/// different threads (a network server's connection handlers, most
-/// prominently) while the engine itself stays owned by whoever will
-/// eventually drain it with `finish`. Handles share the engine's arity
-/// validation, back-pressure, and metrics; they bypass producer-side fault
-/// injection, which remains a test feature of the owning scheduler's
-/// submit path.
-///
-/// A handle does not keep the engine alive: after `finish` drops the shard
-/// queues, submissions fail with [`SubmitError::WorkersDead`].
+/// An event on its way to a worker, with its shard, the submit timestamp
+/// for queue-latency accounting, and the retry marker for panic recovery.
 #[derive(Clone)]
-pub struct EngineHandle {
-    router: Router,
-}
-
-impl EngineHandle {
-    /// Submits one event, exactly as [`Engine::submit`](crate::engine::Engine::submit)
-    /// would: arity-invalid step events are rejected at the edge, a full
-    /// shard queue back-pressures up to the submit timeout, and dead
-    /// workers fail fast.
-    pub fn submit(&self, event: Event) -> Result<(), SubmitError> {
-        self.router.check_arity(&event)?;
-        self.router.submit_unchecked(event)
-    }
-
-    /// The engine's live metrics.
-    pub fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.router.metrics
-    }
-
-    /// The register arity every step event must carry.
-    pub fn registers(&self) -> usize {
-        self.router.registers
-    }
-}
-
-/// An envelope carrying the submit timestamp for queue-latency accounting
-/// and the retry marker for panic recovery.
 pub(crate) struct Envelope {
     pub(crate) event: Event,
+    /// The global shard the event's session hashes to.
+    pub(crate) shard: usize,
     pub(crate) submitted_ns: u64,
     /// Set when the event already survived one worker panic: no further
     /// faults are injected against it, and a second (genuine) panic
@@ -235,7 +274,7 @@ struct InjectedPanic;
 
 /// The production scheduler: a sharded worker pool on OS threads.
 pub struct ThreadedScheduler {
-    router: Router,
+    ingest: EngineHandle,
     workers: Vec<JoinHandle<Vec<SessionOutcome>>>,
     producer_faults: FaultInjector,
 }
@@ -247,60 +286,44 @@ impl ThreadedScheduler {
         let workers = config.workers.max(1).min(shards);
         let metrics = Arc::new(EngineMetrics::with_shards(shards));
         let clock = Arc::new(MonotonicClock::new());
-        let live_workers = Arc::new(AtomicUsize::new(workers));
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel(config.queue_capacity.max(1));
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let mut handles = Vec::with_capacity(workers);
+        let mut queues = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(workers);
         for w in 0..workers {
-            // Worker w owns shards w, w+workers, w+2·workers, …
-            let owned_ids: Vec<usize> = (w..shards).step_by(workers).collect();
-            let owned: Vec<Receiver<Envelope>> = owned_ids
-                .iter()
-                .map(|&i| receivers[i].take().expect("each shard owned once"))
-                .collect();
-            let spec = Arc::clone(&spec);
-            let metrics = Arc::clone(&metrics);
-            let clock = Arc::clone(&clock);
-            let live = Arc::clone(&live_workers);
-            let injector = FaultInjector::new(&config.fault, w as u64);
-            let max_frontier = config.max_view_frontier;
-            let quarantine_cap = config.quarantine_cap;
-            handles.push(
+            // Worker w owns shards w, w+workers, w+2·workers, … and one
+            // queue that buffers as many events as their shard queues would.
+            let owned = (w..shards).step_by(workers).count();
+            let (queue, inbox) = sync_channel(config.queue_capacity.max(1).saturating_mul(owned));
+            let waiters = Arc::new(Waiters::default());
+            queues.push((queue, Arc::clone(&waiters)));
+            let worker = Worker {
+                spec: Arc::clone(&spec),
+                metrics: Arc::clone(&metrics),
+                clock: Arc::clone(&clock),
+                injector: FaultInjector::new(&config.fault, w as u64),
+                max_view_frontier: config.max_view_frontier,
+                quarantine_cap: config.quarantine_cap,
+                workers,
+                waiters,
+                shards: (0..owned).map(|_| ShardState::default()).collect(),
+                inflight: None,
+            };
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("rega-stream-{w}"))
-                    .spawn(move || {
-                        let outcomes = worker_entry(
-                            spec,
-                            metrics,
-                            clock,
-                            owned,
-                            owned_ids,
-                            injector,
-                            max_frontier,
-                            quarantine_cap,
-                        );
-                        live.fetch_sub(1, Ordering::Release);
-                        outcomes
-                    })
+                    .spawn(move || worker.run(inbox))
                     .expect("spawn worker thread"),
             );
         }
         ThreadedScheduler {
-            router: Router {
-                senders,
+            ingest: EngineHandle {
+                queues,
                 metrics,
                 clock,
-                live_workers,
                 registers: spec.registers(),
                 shards,
                 submit_timeout: config.submit_timeout,
             },
-            workers: handles,
+            workers: threads,
             // Index u64::MAX keeps the producer's RNG stream disjoint from
             // every worker's.
             producer_faults: FaultInjector::new(&config.fault, u64::MAX),
@@ -310,20 +333,20 @@ impl ThreadedScheduler {
 
 impl Scheduler for ThreadedScheduler {
     fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
-        self.router.check_arity(&event)?;
+        self.ingest.check_arity(&event)?;
         // Producer-side transport-fault injection: corrupted copies and
         // duplicated terminal events ride in *after* the genuine event
         // (and bypass the arity gate — that is the point).
         let injected = self.producer_faults.injected_copies(&event);
-        self.router.submit_unchecked(event)?;
+        self.ingest.submit_unchecked(event)?;
         for copy in injected {
-            self.router.submit_unchecked(copy)?;
+            self.ingest.submit_unchecked(copy)?;
         }
         Ok(())
     }
 
     fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.router.metrics
+        &self.ingest.metrics
     }
 
     fn checkpoint(&mut self) -> Option<Json> {
@@ -331,21 +354,17 @@ impl Scheduler for ThreadedScheduler {
     }
 
     fn handle(&self) -> Option<EngineHandle> {
-        Some(EngineHandle {
-            router: self.router.clone(),
-        })
+        Some(self.ingest.clone())
     }
 
     fn finish(self: Box<Self>) -> EngineReport {
         let ThreadedScheduler {
-            router, workers, ..
+            ingest, workers, ..
         } = *self;
-        let metrics = Arc::clone(&router.metrics);
-        // Handles cloned off this engine keep their own sender clones, so
-        // dropping the router here only guarantees disconnection once those
-        // handles are gone too; workers also observe end-of-stream through
-        // the producer's senders going away.
-        drop(router);
+        let metrics = Arc::clone(&ingest.metrics);
+        // Workers see end-of-stream once every sender of their queue is
+        // gone: these, and those of any handle cloned off this engine.
+        drop(ingest);
         let mut outcomes: Vec<SessionOutcome> = Vec::new();
         for handle in workers {
             outcomes.extend(handle.join().expect("worker thread died outside its loop"));
@@ -354,75 +373,140 @@ impl Scheduler for ThreadedScheduler {
     }
 }
 
-/// Per-worker state that must survive panics: it lives *outside* the
-/// unwind boundary, so `catch_unwind` hands it back to the respawned loop
-/// untouched.
-struct WorkerCtx {
-    shards: Vec<ShardState>,
-    open: Vec<bool>,
-    /// The envelope being processed, stashed (only while fault injection
-    /// is active) so a caught panic can retry or poison it.
-    inflight: Option<(usize, Envelope)>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_entry(
+/// One worker thread: what it runs with, and the state that must survive
+/// its panics. `catch_unwind` wraps only [`drain`](Worker::drain), so the
+/// shard state lives outside the unwind boundary and the respawned loop
+/// finds it untouched.
+struct Worker {
     spec: Arc<CompiledSpec>,
     metrics: Arc<EngineMetrics>,
     clock: Arc<MonotonicClock>,
-    receivers: Vec<Receiver<Envelope>>,
-    shard_ids: Vec<usize>,
-    mut injector: FaultInjector,
-    max_frontier: usize,
+    injector: FaultInjector,
+    max_view_frontier: usize,
     quarantine_cap: u64,
-) -> Vec<SessionOutcome> {
-    let mut ctx = WorkerCtx {
-        shards: receivers.iter().map(|_| ShardState::default()).collect(),
-        open: vec![true; receivers.len()],
-        inflight: None,
-    };
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(
-                &spec,
-                &metrics,
-                &*clock,
-                &receivers,
-                &shard_ids,
-                &mut ctx,
-                &mut injector,
-                max_frontier,
-                quarantine_cap,
-            )
-        }));
-        match run {
-            Ok(()) => break, // clean drain: every owned queue disconnected
-            Err(_) => {
-                metrics.worker_panics.inc();
-                if let Some((i, env)) = ctx.inflight.take() {
-                    if env.fault_immune {
-                        // Second panic on the same event: poison it.
-                        poison(&metrics, &mut ctx.shards[i], &env.event);
-                    } else {
-                        ctx.inflight = Some((
-                            i,
-                            Envelope {
-                                fault_immune: true,
-                                ..env
-                            },
-                        ));
-                    }
+    /// The pool size: global shard `s` is this worker's shard `s / workers`.
+    workers: usize,
+    waiters: Arc<Waiters>,
+    shards: Vec<ShardState>,
+    /// The envelope being processed, stashed (only while fault injection
+    /// is active) so a caught panic can retry or poison it.
+    inflight: Option<Envelope>,
+}
+
+impl Worker {
+    fn run(mut self, inbox: Receiver<Envelope>) -> Vec<SessionOutcome> {
+        while catch_unwind(AssertUnwindSafe(|| self.drain(&inbox))).is_err() {
+            self.metrics.worker_panics.inc();
+            if let Some(env) = self.inflight.take() {
+                if env.fault_immune {
+                    // Second panic on the same event: poison it.
+                    let shard = &mut self.shards[env.shard / self.workers];
+                    poison(&self.metrics, shard, &env.event);
+                } else {
+                    self.inflight = Some(Envelope {
+                        fault_immune: true,
+                        ..env
+                    });
                 }
-                if !injector.respawn() {
-                    // Respawn budget exhausted: exit for good. Dropping the
-                    // receivers disconnects the shard queues, which the
-                    // producer observes as `WorkersDead`.
-                    break;
-                }
+            }
+            if !self.injector.respawn() {
+                break; // respawn budget exhausted: exit for good
+            }
+            self.waiters.wake();
+        }
+        // Dropping the inbox disconnects the queue, which producers observe
+        // as `WorkersDead`; the wake reaches those already waiting on it.
+        drop(inbox);
+        self.waiters.wake();
+        report_shards(&self.metrics, self.shards)
+    }
+
+    /// Processes envelopes until every sender of `inbox` is gone.
+    fn drain(&mut self, inbox: &Receiver<Envelope>) {
+        // A retry left over from a caught panic is processed first.
+        if let Some(env) = self.inflight.take() {
+            self.handle(env);
+        }
+        // Spans are batch-granular (one per drained burst), not per-event —
+        // a span on every event would dominate the hot path.
+        const BATCH: usize = 64;
+        // Between batches (their spans closed) the worker wakes waiting
+        // producers and yields its CPU once this long has passed since it
+        // last did, so a producer sharing that CPU (a serving connection
+        // thread, say) waits for it about this long, not for the rest of a
+        // scheduler time slice. With nothing else runnable the yield
+        // returns at once.
+        const YIELD_EVERY: Duration = Duration::from_micros(250);
+        let mut last_yield = Instant::now();
+        // The next envelope, waking waiting producers before blocking on
+        // an empty queue.
+        let waiters = Arc::clone(&self.waiters);
+        let next = || {
+            inbox.try_recv().or_else(|_| {
+                waiters.wake();
+                inbox.recv()
+            })
+        };
+        while let Ok(first) = next() {
+            // A batch may hold several owned shards' events; its span
+            // carries the *first* envelope's shard and request id.
+            let _req = rega_obs::RequestGuard::enter_opt(first.request.clone());
+            let _batch = rega_obs::span!("stream.shard_batch", shard = first.shard);
+            self.handle(first);
+            for env in inbox.try_iter().take(BATCH - 1) {
+                self.handle(env);
+            }
+            drop((_batch, _req));
+            if last_yield.elapsed() >= YIELD_EVERY {
+                self.waiters.wake();
+                std::thread::yield_now();
+                last_yield = Instant::now();
             }
         }
     }
-    report_shards(&metrics, ctx.shards)
+
+    /// Applies one envelope: fault draws (stall, panic), latency
+    /// accounting, then the shared shard-processing core.
+    fn handle(&mut self, env: Envelope) {
+        let faulty = self.injector.is_active();
+        if let Some(depth) = self.metrics.queue_depth.get(env.shard) {
+            depth.dec();
+        }
+        self.metrics
+            .queue_latency
+            .record_ns(self.clock.now_ns().saturating_sub(env.submitted_ns));
+        if faulty && !env.fault_immune {
+            if let Some(ns) = self.injector.stall_ns() {
+                self.clock.stall(ns);
+            }
+            if self.injector.should_panic() {
+                // Stash the envelope so the respawned loop retries it, then
+                // unwind without invoking the panic hook (no backtrace spam).
+                self.inflight = Some(env);
+                std::panic::resume_unwind(Box::new(InjectedPanic));
+            }
+        }
+        if faulty {
+            // Keep the envelope reachable across a *genuine* panic inside
+            // `process` too (clone only on the fault-injected path — the
+            // fast path pays nothing).
+            self.inflight = Some(env.clone());
+        }
+        let started = self.clock.now_ns();
+        process(
+            &self.spec,
+            &self.metrics,
+            &mut self.shards[env.shard / self.workers],
+            env.event,
+            self.max_view_frontier,
+            self.quarantine_cap,
+        );
+        self.metrics
+            .process_latency
+            .record_ns(self.clock.now_ns().saturating_sub(started));
+        self.metrics.events_processed.inc();
+        self.inflight = None;
+    }
 }
 
 /// Quarantines a twice-panicking event and evicts its session as
@@ -435,225 +519,4 @@ fn poison(metrics: &EngineMetrics, shard: &mut ShardState, event: &Event) {
         metrics.sessions_violated.inc();
         evict(metrics, shard, &name);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    spec: &CompiledSpec,
-    metrics: &EngineMetrics,
-    clock: &dyn ObsClock,
-    receivers: &[Receiver<Envelope>],
-    shard_ids: &[usize],
-    ctx: &mut WorkerCtx,
-    injector: &mut FaultInjector,
-    max_frontier: usize,
-    quarantine_cap: u64,
-) {
-    let faulty = injector.is_active();
-    // A retry left over from a caught panic is processed first.
-    if let Some((i, env)) = ctx.inflight.take() {
-        handle_one(
-            spec,
-            metrics,
-            clock,
-            ctx,
-            injector,
-            i,
-            shard_ids[i],
-            env,
-            max_frontier,
-            quarantine_cap,
-            faulty,
-        );
-    }
-    // Spans are batch-granular (one per drained burst, carrying the global
-    // shard id), not per-event — a span on every event would dominate the
-    // hot path.
-    const BATCH: usize = 64;
-    // Between batches (their spans closed) the worker yields its CPU once
-    // this long has passed since it last did, so a producer sharing that
-    // CPU (a serving connection thread, say) waits for it about this long,
-    // not for the rest of a scheduler time slice. With nothing else
-    // runnable the yield returns at once.
-    const YIELD_EVERY: Duration = Duration::from_micros(250);
-    let mut last_yield = Instant::now();
-    let mut pause = || {
-        if last_yield.elapsed() >= YIELD_EVERY {
-            std::thread::yield_now();
-            last_yield = Instant::now();
-        }
-    };
-    // Single-shard workers can block on recv (no other queue to starve).
-    if let [rx] = receivers {
-        while let Ok(env) = rx.recv() {
-            // The batch span carries the *first* envelope's request id —
-            // batch-granular attribution, matching the span itself.
-            let _req = rega_obs::RequestGuard::enter_opt(env.request.clone());
-            let _batch = rega_obs::span!("stream.shard_batch", shard = shard_ids[0]);
-            handle_one(
-                spec,
-                metrics,
-                clock,
-                ctx,
-                injector,
-                0,
-                shard_ids[0],
-                env,
-                max_frontier,
-                quarantine_cap,
-                faulty,
-            );
-            for _ in 1..BATCH {
-                match rx.try_recv() {
-                    Ok(env) => handle_one(
-                        spec,
-                        metrics,
-                        clock,
-                        ctx,
-                        injector,
-                        0,
-                        shard_ids[0],
-                        env,
-                        max_frontier,
-                        quarantine_cap,
-                        faulty,
-                    ),
-                    Err(_) => break,
-                }
-            }
-            drop((_batch, _req));
-            pause();
-        }
-        return;
-    }
-    // Round-robin over owned shards; drain in small batches to stay fair.
-    loop {
-        let mut progressed = false;
-        for (i, rx) in receivers.iter().enumerate() {
-            if !ctx.open[i] {
-                continue;
-            }
-            match rx.try_recv() {
-                Ok(first) => {
-                    let _req = rega_obs::RequestGuard::enter_opt(first.request.clone());
-                    let _batch = rega_obs::span!("stream.shard_batch", shard = shard_ids[i]);
-                    handle_one(
-                        spec,
-                        metrics,
-                        clock,
-                        ctx,
-                        injector,
-                        i,
-                        shard_ids[i],
-                        first,
-                        max_frontier,
-                        quarantine_cap,
-                        faulty,
-                    );
-                    progressed = true;
-                    for _ in 1..BATCH {
-                        match rx.try_recv() {
-                            Ok(env) => {
-                                handle_one(
-                                    spec,
-                                    metrics,
-                                    clock,
-                                    ctx,
-                                    injector,
-                                    i,
-                                    shard_ids[i],
-                                    env,
-                                    max_frontier,
-                                    quarantine_cap,
-                                    faulty,
-                                );
-                            }
-                            Err(TryRecvError::Empty) => break,
-                            Err(TryRecvError::Disconnected) => {
-                                ctx.open[i] = false;
-                                break;
-                            }
-                        }
-                    }
-                    drop((_batch, _req));
-                    pause();
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    ctx.open[i] = false;
-                }
-            }
-        }
-        if ctx.open.iter().all(|o| !o) {
-            return;
-        }
-        if !progressed {
-            // All owned queues momentarily empty: yield briefly instead of
-            // spinning. (Blocking recv would stall the other owned shards.)
-            std::thread::sleep(Duration::from_micros(20));
-        }
-    }
-}
-
-/// Applies one envelope: fault draws (stall, panic), latency accounting,
-/// then the shared shard-processing core.
-#[allow(clippy::too_many_arguments)]
-fn handle_one(
-    spec: &CompiledSpec,
-    metrics: &EngineMetrics,
-    clock: &dyn ObsClock,
-    ctx: &mut WorkerCtx,
-    injector: &mut FaultInjector,
-    shard_idx: usize,
-    shard_id: usize,
-    env: Envelope,
-    max_frontier: usize,
-    quarantine_cap: u64,
-    faulty: bool,
-) {
-    if let Some(depth) = metrics.queue_depth.get(shard_id) {
-        depth.dec();
-    }
-    metrics
-        .queue_latency
-        .record_ns(clock.now_ns().saturating_sub(env.submitted_ns));
-    if faulty && !env.fault_immune {
-        if let Some(ns) = injector.stall_ns() {
-            clock.stall(ns);
-        }
-        if injector.should_panic() {
-            // Stash the envelope so the respawned loop retries it, then
-            // unwind without invoking the panic hook (no backtrace spam).
-            ctx.inflight = Some((shard_idx, env));
-            std::panic::resume_unwind(Box::new(InjectedPanic));
-        }
-    }
-    if faulty {
-        // Keep the envelope reachable across a *genuine* panic inside
-        // `process` too (clone only on the fault-injected path — the
-        // fast path pays nothing).
-        ctx.inflight = Some((
-            shard_idx,
-            Envelope {
-                event: env.event.clone(),
-                submitted_ns: env.submitted_ns,
-                fault_immune: env.fault_immune,
-                request: env.request.clone(),
-            },
-        ));
-    }
-    let started = clock.now_ns();
-    process(
-        spec,
-        metrics,
-        &mut ctx.shards[shard_idx],
-        env.event,
-        max_frontier,
-        quarantine_cap,
-    );
-    metrics
-        .process_latency
-        .record_ns(clock.now_ns().saturating_sub(started));
-    metrics.events_processed.inc();
-    ctx.inflight = None;
 }

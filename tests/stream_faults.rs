@@ -430,9 +430,9 @@ fn same_seed_replays_bit_for_bit() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite 2: dead or wedged workers surface as typed errors instead of
-// hanging the producer. Without `SubmitError` + the try_send/timeout
-// loop, both of these tests block forever.
+// Dead or wedged workers surface as typed errors instead of hanging the
+// producer. Without `SubmitError`, the submit timeout and the worker's
+// exit wake, each of these tests blocks forever.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -514,6 +514,61 @@ fn full_queue_with_wedged_worker_times_out_instead_of_hanging() {
     assert!(saw_full, "a wedged worker must surface as QueueFull");
     let report = engine.finish();
     assert!(report.metrics.submit_errors.get() >= 1);
+}
+
+#[test]
+fn producer_blocked_on_a_full_queue_is_released_when_the_worker_exits() {
+    let spec = compile(None);
+    // The worker stalls ~20 ms on the first event, then panics with no
+    // respawn budget and exits. Meanwhile the producer fills the 1-slot
+    // queue and blocks on it with no submit timeout: only the worker's
+    // exit can release it.
+    let config = EngineConfig {
+        shards: 1,
+        workers: 1,
+        queue_capacity: 1,
+        submit_timeout: None,
+        fault: FaultPlan {
+            seed: 4,
+            stall_prob: 1.0,
+            stall_ns: 20_000_000,
+            panic_prob: 1.0,
+            max_respawns: 0,
+            ..FaultPlan::none()
+        },
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::start(spec, config);
+    let (done, released) = std::sync::mpsc::channel();
+    let producer = std::thread::spawn(move || {
+        let mut accepted = 0;
+        let err = loop {
+            let event = Event::Step {
+                session: "s".to_string(),
+                state: "p".to_string(),
+                regs: vec![Value(accepted), Value(0)],
+            };
+            match engine.submit(event) {
+                Ok(()) => accepted += 1,
+                Err(err) => break err,
+            }
+        };
+        done.send(()).unwrap();
+        (engine, accepted, err)
+    });
+    released
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a producer blocked on a full queue must be released when the worker exits");
+    let (engine, accepted, err) = producer.join().unwrap();
+    assert_eq!(err, SubmitError::WorkersDead);
+    // One event reached the worker and one filled the queue; the next
+    // submit blocked until the worker exited.
+    assert!(
+        accepted <= 2,
+        "{accepted} events accepted by a 1-slot queue"
+    );
+    let report = engine.finish();
+    assert_eq!(report.metrics.worker_panics.get(), 1);
 }
 
 #[test]

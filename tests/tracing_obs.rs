@@ -3,9 +3,11 @@
 //!
 //! 1. **Stack discipline under the threaded scheduler**: every worker
 //!    thread's span records must form a well-nested stack, and the
-//!    per-shard `stream.shard_batch` spans must never interleave within
-//!    one thread's stack — a worker drains one shard burst to completion
-//!    before opening the next.
+//!    `stream.shard_batch` spans must never interleave within one
+//!    thread's stack — a worker drains one burst to completion before
+//!    opening the next. A burst may hold events of several shards the
+//!    worker owns; like its request id, its `shard` field is the first
+//!    event's.
 //! 2. **Trace → report round trip**: a `check_emptiness` run under the
 //!    JSONL schema reconstructs the per-phase wall-time tree (NBA build /
 //!    lasso search / witness) and the SatCache hit ratio through

@@ -1,7 +1,7 @@
 //! The node agent: one engine wrapped in cluster membership.
 //!
-//! A [`NodeAgent`] owns a deterministic [`Engine`] plus the three pieces
-//! of cluster state that make cross-process migration sound:
+//! A [`NodeAgent`] owns a deterministic [`SimScheduler`] plus the three
+//! pieces of cluster state that make cross-process migration sound:
 //!
 //! * the **assignment epoch** it currently holds — every request is
 //!   stamped with the sender's epoch and anything else is rejected as
@@ -17,7 +17,7 @@
 //!   after a lost ack or a crash replay is therefore exactly-once *in
 //!   effect* on top of an at-most-once apply rule.
 //!
-//! The agent runs the deterministic scheduler ([`Engine::start_sim`]):
+//! The agent runs the deterministic scheduler ([`SimScheduler`]):
 //! within a node, event application is single-threaded and reproducible;
 //! cluster-level parallelism comes from running many node processes.
 //! That is also what makes migration possible at all — the deterministic
@@ -26,7 +26,7 @@
 use crate::assign::vshard;
 use crate::error::ClusterError;
 use rega_stream::event::Event;
-use rega_stream::{CompiledSpec, Engine, EngineConfig, EngineReport};
+use rega_stream::{CompiledSpec, EngineConfig, EngineReport, Scheduler, SimScheduler};
 use serde_json::{json, Value as Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ pub enum Applied {
 
 /// One engine plus its cluster membership state. See the module docs.
 pub struct NodeAgent {
-    engine: Engine,
+    engine: SimScheduler,
     node: usize,
     epoch: u64,
     owned: BTreeSet<usize>,
@@ -61,7 +61,7 @@ impl NodeAgent {
     /// assignment.
     pub fn new(spec: Arc<CompiledSpec>, config: EngineConfig, seed: u64, node: usize) -> NodeAgent {
         NodeAgent {
-            engine: Engine::start_sim(spec, config, seed),
+            engine: SimScheduler::start(spec, config, seed),
             node,
             epoch: 0,
             owned: BTreeSet::new(),
@@ -174,25 +174,14 @@ impl NodeAgent {
             });
         }
         let moving: BTreeSet<usize> = vshards.iter().copied().collect();
-        let snapshot = self
-            .engine
-            .extract(&|name| moving.contains(&vshard(name)))
-            .expect("deterministic engines always support extract");
+        let snapshot = self.engine.extract(&|name| moving.contains(&vshard(name)));
         self.epoch = new_epoch;
         self.owned.retain(|v| !moving.contains(v));
-        let mut seqs = BTreeMap::new();
-        for v in &moving {
-            if let Some(seq) = self.seqs.remove(v) {
-                seqs.insert(*v, seq);
-            }
-        }
-        Ok(json!({
-            "format_version": BUNDLE_VERSION,
-            "epoch": new_epoch,
-            "vshards": moving.iter().map(|&v| v as u64).collect::<Vec<u64>>(),
-            "seqs": seqs_to_json(&seqs),
-            "engine": snapshot,
-        }))
+        let seqs = moving
+            .iter()
+            .filter_map(|v| Some((*v, self.seqs.remove(v)?)))
+            .collect();
+        Ok(bundle(new_epoch, &moving, &seqs, snapshot))
     }
 
     /// Migration recipient half: absorbs an extracted bundle (or a
@@ -232,18 +221,16 @@ impl NodeAgent {
     /// for [`rega_stream::persist::save`]; [`filter_bundle`] turns it into
     /// what [`NodeAgent::install`] restores.
     pub fn checkpoint(&mut self) -> Json {
-        let engine = self
-            .engine
-            .checkpoint()
-            .expect("deterministic engines always checkpoint");
-        json!({
-            "format_version": BUNDLE_VERSION,
-            "node": self.node as u64,
-            "epoch": self.epoch,
-            "owned": self.owned.iter().map(|&v| v as u64).collect::<Vec<u64>>(),
-            "seqs": seqs_to_json(&self.seqs),
-            "engine": engine,
-        })
+        let mut bundle = bundle(
+            self.epoch,
+            &self.owned,
+            &self.seqs,
+            self.engine.checkpoint(),
+        );
+        if let Json::Object(fields) = &mut bundle {
+            fields.insert("node".into(), json!(self.node as u64));
+        }
+        bundle
     }
 
     /// Drains the engine and reports every session this node ended up
@@ -253,13 +240,30 @@ impl NodeAgent {
     }
 }
 
+/// The one bundle shape, written by [`NodeAgent::checkpoint`] and
+/// [`NodeAgent::extract`] alike: an engine snapshot, the vshards it
+/// covers, and their sequence watermarks.
+fn bundle(
+    epoch: u64,
+    vshards: &BTreeSet<usize>,
+    seqs: &BTreeMap<usize, u64>,
+    engine: Json,
+) -> Json {
+    json!({
+        "format_version": BUNDLE_VERSION,
+        "epoch": epoch,
+        "vshards": vshards.iter().map(|&v| v as u64).collect::<Vec<u64>>(),
+        "seqs": seqs_to_json(seqs),
+        "engine": engine,
+    })
+}
+
 /// Restricts a checkpoint bundle to the vshards in `keep`: sessions,
-/// closed outcomes, sequence watermarks, and the owned set are all
-/// filtered, and the owned set becomes the `vshards` an
-/// [`NodeAgent::install`] of the result claims. Used on respawn, when the
-/// durable checkpoint may predate migrations that moved vshards away —
-/// restoring the stale extra state would resurrect sessions another node
-/// now owns.
+/// closed outcomes, sequence watermarks, and the `vshards` an
+/// [`NodeAgent::install`] of the result claims are all filtered. Used on
+/// respawn, when the durable checkpoint may predate migrations that moved
+/// vshards away — restoring the stale extra state would resurrect
+/// sessions another node now owns.
 pub fn filter_bundle(bundle: &Json, keep: &BTreeSet<usize>) -> Json {
     let keep_session = |entry: &Json| -> bool {
         entry["session"]
@@ -284,8 +288,8 @@ pub fn filter_bundle(bundle: &Json, keep: &BTreeSet<usize>) -> Json {
         }
         top.insert("engine".to_string(), Json::Object(engine));
     }
-    if let Some(Json::Array(owned)) = top.remove("owned") {
-        let kept: Vec<Json> = owned
+    if let Some(Json::Array(vshards)) = top.remove("vshards") {
+        let kept: Vec<Json> = vshards
             .into_iter()
             .filter(|v| v.as_u64().is_some_and(|v| keep.contains(&(v as usize))))
             .collect();

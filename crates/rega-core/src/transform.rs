@@ -207,53 +207,6 @@ fn state_driven_impl(
     })
 }
 
-/// State-driven form of an *extended* automaton: the underlying automaton is
-/// converted and every global constraint's regular expression is lifted
-/// through the surjection `α` (each original state letter becomes the
-/// alternation of its preimages).
-pub fn state_driven_extended(ext: &ExtendedAutomaton) -> ExtendedAutomaton {
-    let cache = SatCache::new(ext.ra().schema().clone());
-    state_driven_extended_governed(ext, &cache, &Budget::unlimited())
-        .expect("ungoverned state-driven cannot fail: every type is already validated")
-}
-
-/// [`state_driven_extended`] with a shared [`SatCache`], under a
-/// [`Budget`].
-pub fn state_driven_extended_governed(
-    ext: &ExtendedAutomaton,
-    cache: &SatCache,
-    budget: &Budget,
-) -> Result<ExtendedAutomaton, CoreError> {
-    let sd = state_driven_governed(ext.ra(), cache, budget)?;
-    let mut out = ExtendedAutomaton::new(sd.automaton);
-    for c in ext.constraints() {
-        out.add_lifted_constraint(c, |s| sd.state_map[s.idx()])
-            .expect("constraint valid on lifted automaton");
-    }
-    Ok(out)
-}
-
-/// Completion of an extended automaton: constraints carry over unchanged
-/// (the state set does not change).
-pub fn complete_extended(ext: &ExtendedAutomaton) -> Result<ExtendedAutomaton, CoreError> {
-    let cache = SatCache::new(ext.ra().schema().clone());
-    complete_extended_governed(ext, &cache, &Budget::unlimited())
-}
-
-/// [`complete_extended`] with a shared [`SatCache`], under a [`Budget`].
-pub fn complete_extended_governed(
-    ext: &ExtendedAutomaton,
-    cache: &SatCache,
-    budget: &Budget,
-) -> Result<ExtendedAutomaton, CoreError> {
-    let completed = complete_governed(ext.ra(), cache, budget)?;
-    let mut out = ExtendedAutomaton::new(completed);
-    for c in ext.constraints() {
-        out.add_lifted_constraint(c, |s| s)?;
-    }
-    Ok(out)
-}
-
 /// *Partial* completion: every transition type is refined just enough to
 /// decide each of the given atoms (each atom is conjoined either positively
 /// or negatively, keeping only satisfiable combinations). Exponential only
@@ -428,26 +381,24 @@ mod tests {
     }
 
     #[test]
-    fn state_driven_extended_lifts_constraints() {
+    fn constraints_lift_through_the_state_driven_map() {
         let ext = paper::example5();
-        let sd = state_driven_extended(&ext);
-        assert!(sd.ra().is_state_driven());
-        assert_eq!(sd.constraints().len(), 1);
+        let sd = state_driven(ext.ra());
+        let mut lifted = ExtendedAutomaton::new(sd.automaton);
+        for c in ext.constraints() {
+            lifted
+                .add_lifted_constraint(c, |s| sd.state_map[s.idx()])
+                .unwrap();
+        }
+        assert!(lifted.ra().is_state_driven());
+        assert_eq!(lifted.constraints().len(), 1);
         // The lifted constraint DFA still matches p1 p2* p1 factors over
         // the refined states.
-        let p1 = sd.ra().state_by_name("p1_0").unwrap();
-        let p2a = sd.ra().state_by_name("p2_0").unwrap();
-        let dfa = sd.constraints()[0].dfa();
+        let p1 = lifted.ra().state_by_name("p1_0").unwrap();
+        let p2a = lifted.ra().state_by_name("p2_0").unwrap();
+        let dfa = lifted.constraints()[0].dfa();
         assert!(dfa.accepts(&[p1, p2a, p2a, p1]));
         assert!(!dfa.accepts(&[p2a, p1]));
-    }
-
-    #[test]
-    fn complete_extended_keeps_constraints() {
-        let ext = paper::example7();
-        let c = complete_extended(&ext).unwrap();
-        assert!(c.ra().is_complete().unwrap());
-        assert_eq!(c.constraints().len(), 1);
     }
 
     #[test]

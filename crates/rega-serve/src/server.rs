@@ -182,6 +182,11 @@ impl Server {
                     };
                     let active = Arc::clone(&active);
                     let conns_open = conns_open.clone();
+                    // An unjoined thread keeps its stack mapped even after
+                    // it finished, so drop finished connections' handles
+                    // here rather than at drain, which ignores their
+                    // results anyway.
+                    threads.retain(|t: &std::thread::JoinHandle<()>| !t.is_finished());
                     threads.push(std::thread::spawn(move || {
                         let _ = serve_connection(stream, &shared);
                         active.fetch_sub(1, Ordering::SeqCst);

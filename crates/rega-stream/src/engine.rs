@@ -42,9 +42,7 @@ use crate::metrics::EngineMetrics;
 use crate::scheduler::{Scheduler, ThreadedScheduler};
 use crate::session::{Session, SessionStatus, ViolationKind};
 use crate::sim::SimScheduler;
-use crate::snapshot::SnapshotError;
 use crate::spec::CompiledSpec;
-use serde_json::Value as Json;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -180,7 +178,7 @@ pub(crate) fn make_report(
 /// The shard an event for `session` is routed to.
 ///
 /// Routing must be *stable*: checkpoints record sessions by name and
-/// [`Engine::restore_sim`] re-routes them by hash, and replay tooling
+/// [`SimScheduler::restore`] re-routes them by hash, and replay tooling
 /// compares shard assignments across processes. `DefaultHasher` is
 /// explicitly not stable across Rust releases (or even processes, once
 /// seeded hashing applies), so the engine pins FNV-1a, whose assignment is
@@ -192,7 +190,8 @@ pub(crate) fn shard_index(session: &str, shards: usize) -> usize {
 /// A running engine: a facade over one [`Scheduler`]. Created with
 /// [`Engine::start`] (threaded) or [`Engine::start_sim`] (deterministic
 /// simulation), fed with [`Engine::submit`], torn down with
-/// [`Engine::finish`].
+/// [`Engine::finish`]. Checkpoints and session migration are inherent to
+/// [`SimScheduler`], the one engine that can serialize mid-stream state.
 pub struct Engine {
     inner: Box<dyn Scheduler>,
 }
@@ -213,21 +212,6 @@ impl Engine {
         Engine {
             inner: Box::new(SimScheduler::start(spec, config, seed)),
         }
-    }
-
-    /// Resumes a simulation from a [`checkpoint`](Engine::checkpoint)
-    /// taken by an earlier (possibly crashed) engine. Sessions are
-    /// re-routed by hash, so the shard count may differ from the
-    /// checkpointing engine's.
-    pub fn restore_sim(
-        spec: Arc<CompiledSpec>,
-        config: EngineConfig,
-        seed: u64,
-        snapshot: &Json,
-    ) -> Result<Engine, SnapshotError> {
-        Ok(Engine {
-            inner: Box::new(SimScheduler::restore(spec, config, seed, snapshot)?),
-        })
     }
 
     /// Submits one event. While the queue of the worker owning the target
@@ -251,31 +235,6 @@ impl Engine {
     /// a surviving handle keeps the worker queues connected.
     pub fn handle(&self) -> Option<crate::scheduler::EngineHandle> {
         self.inner.handle()
-    }
-
-    /// Drains in-flight events and serializes the complete monitoring
-    /// state as JSON (simulation only — returns `None` on the threaded
-    /// scheduler). The engine remains usable afterwards.
-    pub fn checkpoint(&mut self) -> Option<Json> {
-        self.inner.checkpoint()
-    }
-
-    /// Migration donor half: drains, then removes every session whose
-    /// name `select`s and returns them as a restorable snapshot, leaving
-    /// the engine live for the sessions that stay. Simulation only —
-    /// `None` on the threaded scheduler, whose workers cannot serialize
-    /// mid-stream state.
-    pub fn extract(&mut self, select: &dyn Fn(&str) -> bool) -> Option<Json> {
-        self.inner.extract(select)
-    }
-
-    /// Migration recipient half: merges an [`extract`](Engine::extract)ed
-    /// (or whole-[`checkpoint`](Engine::checkpoint)) snapshot into this
-    /// running engine, re-routing sessions by hash. Duplicates reject the
-    /// merge atomically — nothing is inserted on error. Returns the
-    /// number of sessions absorbed.
-    pub fn absorb(&mut self, snapshot: &Json) -> Result<usize, SnapshotError> {
-        self.inner.absorb(snapshot)
     }
 
     /// Signals end-of-stream, drains every queue, and returns the combined

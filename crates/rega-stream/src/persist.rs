@@ -1,10 +1,10 @@
 //! Durable, atomic snapshot files.
 //!
-//! [`Engine::checkpoint`](crate::engine::Engine::checkpoint) returns plain
-//! JSON; this module is the disk contract around it, built for the two
-//! failure modes that actually corrupt checkpoints in production: torn
-//! writes (crash mid-`write(2)`) and bit rot (flipped bits between write
-//! and restore).
+//! [`SimScheduler::checkpoint`](crate::sim::SimScheduler::checkpoint)
+//! returns plain JSON; this module is the disk contract around it, built
+//! for the two failure modes that actually corrupt checkpoints in
+//! production: torn writes (crash mid-`write(2)`) and bit rot (flipped
+//! bits between write and restore).
 //!
 //! * **Atomicity** — [`save`] writes to a same-directory temp file, fsyncs
 //!   it, and `rename(2)`s it into place. A crash at any point leaves
@@ -127,7 +127,9 @@ pub fn save(path: &Path, snapshot: &Json) -> Result<(), PersistError> {
 /// flips) as [`SnapshotError::Corrupt`]; a checksum-valid file whose
 /// payload still is not JSON as [`SnapshotError::Malformed`]. The decoded
 /// JSON is *not* validated against the spec here — that stays the job of
-/// [`Engine::restore_sim`](crate::engine::Engine::restore_sim).
+/// the snapshot decoder behind
+/// [`SimScheduler::restore`](crate::sim::SimScheduler::restore) and
+/// [`SimScheduler::absorb`](crate::sim::SimScheduler::absorb).
 pub fn load(path: &Path) -> Result<Json, PersistError> {
     let bytes = fs::read(path)?;
     let (payload, expected) = match split_footer(&bytes) {

@@ -39,7 +39,6 @@ use crate::metrics::EngineMetrics;
 use crate::session::ViolationKind;
 use crate::spec::CompiledSpec;
 use rega_obs::{MonotonicClock, ObsClock};
-use serde_json::Value as Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicUsize, Ordering::SeqCst};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -56,38 +55,12 @@ pub trait Scheduler: Send {
     /// The live metrics handle.
     fn metrics(&self) -> &Arc<EngineMetrics>;
 
-    /// Drains in-flight events and serializes the monitoring state
-    /// (deterministic schedulers only).
-    fn checkpoint(&mut self) -> Option<Json>;
-
     /// A cloneable concurrent-ingest handle, if this scheduler supports
     /// submission from multiple threads (the threaded scheduler does; the
     /// deterministic simulation, whose whole point is a single-threaded
     /// interleaving, does not).
     fn handle(&self) -> Option<EngineHandle> {
         None
-    }
-
-    /// Migration donor half: drains in-flight events, then removes every
-    /// session — live or closed — whose name `select`s, returning them as
-    /// a restorable snapshot. The engine stays live and keeps serving the
-    /// sessions left behind. `None` on schedulers that cannot serialize
-    /// mid-stream state (the threaded pool).
-    fn extract(&mut self, _select: &dyn Fn(&str) -> bool) -> Option<Json> {
-        None
-    }
-
-    /// Migration recipient half: merges a snapshot produced by
-    /// [`extract`](Scheduler::extract) (or a whole
-    /// [`checkpoint`](Scheduler::checkpoint)) into this *running* engine,
-    /// re-routing sessions by hash. Returns how many sessions (live plus
-    /// closed) were absorbed; a session that already exists here rejects
-    /// the merge — a double migration is a protocol error, not a
-    /// last-writer-wins overwrite.
-    fn absorb(&mut self, _snapshot: &Json) -> Result<usize, crate::snapshot::SnapshotError> {
-        Err(crate::snapshot::SnapshotError::Malformed(
-            "this scheduler does not support session migration".into(),
-        ))
     }
 
     /// Signals end-of-stream, drains every queue, and reports.
@@ -347,10 +320,6 @@ impl Scheduler for ThreadedScheduler {
 
     fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.ingest.metrics
-    }
-
-    fn checkpoint(&mut self) -> Option<Json> {
-        None
     }
 
     fn handle(&self) -> Option<EngineHandle> {

@@ -21,11 +21,15 @@
 //! snapshot — re-routing sessions by hash, so the shard count may change
 //! across the restart — and the `stream_faults` suite asserts that a
 //! crashed-and-restored run reaches the same verdicts as an uninterrupted
-//! one.
+//! one. [`SimScheduler::extract`] and [`SimScheduler::absorb`] move a
+//! subset of sessions between running engines (cluster migration). The
+//! four share one encoder and one decoder, and they are inherent methods,
+//! not [`Scheduler`] ones: the simulation is the only engine that can
+//! serialize mid-stream state.
 
 use crate::engine::{
-    make_report, process, report_shards, shard_index, EngineConfig, EngineReport, ShardState,
-    SubmitError,
+    make_report, process, report_shards, shard_index, EngineConfig, EngineReport, SessionOutcome,
+    ShardState, SubmitError,
 };
 use crate::event::Event;
 use crate::fault::FaultInjector;
@@ -40,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rega_obs::{ManualClock, ObsClock};
 use serde_json::{json, Value as Json};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Queue-wait jitter drawn per delivery, in nanoseconds.
@@ -84,15 +88,6 @@ impl SimScheduler {
     /// Builds the simulation. `seed` is xor-ed into the fault plan's own
     /// seed so one knob replays everything.
     pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig, seed: u64) -> SimScheduler {
-        Self::build(spec, config, seed, ManualClock::new())
-    }
-
-    fn build(
-        spec: Arc<CompiledSpec>,
-        config: EngineConfig,
-        seed: u64,
-        clock: ManualClock,
-    ) -> SimScheduler {
         let shards = config.shards.max(1);
         let mut plan = config.fault.clone();
         plan.seed ^= seed;
@@ -100,7 +95,7 @@ impl SimScheduler {
             registers: spec.registers(),
             spec,
             metrics: Arc::new(EngineMetrics::with_shards(shards)),
-            clock,
+            clock: ManualClock::new(),
             rng: StdRng::seed_from_u64(seed),
             worker_faults: FaultInjector::new(&plan, 0),
             producer_faults: FaultInjector::new(&plan, u64::MAX),
@@ -113,17 +108,114 @@ impl SimScheduler {
         }
     }
 
-    /// Rebuilds a simulation from a [`checkpoint`](Scheduler::checkpoint).
-    /// Sessions and closed outcomes are re-routed by hash, so `config` may
-    /// shard differently than the checkpointing engine did. The RNG is
-    /// reseeded (randomness is not part of the persisted state), so only
-    /// *verdicts* — not latency jitter — are comparable across a restart.
+    /// Rebuilds a simulation from a [`checkpoint`](SimScheduler::checkpoint):
+    /// a fresh engine at the snapshot's clock that [`absorb`](SimScheduler::absorb)s
+    /// it, counting every live session as started. Sessions and closed
+    /// outcomes are re-routed by hash, so `config` may shard differently
+    /// than the checkpointing engine did. The RNG is reseeded (randomness
+    /// is not part of the persisted state), so only *verdicts* — not
+    /// latency jitter — are comparable across a restart.
     pub fn restore(
         spec: Arc<CompiledSpec>,
         config: EngineConfig,
         seed: u64,
         snapshot: &Json,
     ) -> Result<SimScheduler, SnapshotError> {
+        let mut sim = Self::start(spec, config, seed);
+        let (live, _) = sim.merge(snapshot)?;
+        sim.metrics.sessions_started.add(live as u64);
+        let clock_ns = snapshot["clock_ns"]
+            .as_u64()
+            .ok_or_else(|| err("clock_ns must be a number"))?;
+        sim.clock = ManualClock::at(clock_ns);
+        Ok(sim)
+    }
+
+    /// Drains in-flight events (graceful failover: they are flushed, not
+    /// lost), then serializes every live session and closed outcome. The
+    /// engine stays usable afterwards.
+    pub fn checkpoint(&mut self) -> Json {
+        self.drain();
+        self.encode(
+            self.shards.iter().flat_map(|s| s.live.iter()),
+            self.shards.iter().flat_map(|s| s.closed.values()),
+        )
+    }
+
+    /// Migration donor half: drains, then removes every session — live or
+    /// closed — whose name `select`s and returns them as a restorable
+    /// snapshot, leaving the engine live for the sessions that stay.
+    /// Extraction is not eviction — the active-sessions gauge drops for
+    /// each live session handed over, but `sessions_evicted` and the
+    /// outcome counters stay untouched (the recipient finishes the story).
+    pub fn extract(&mut self, select: &dyn Fn(&str) -> bool) -> Json {
+        self.drain();
+        let mut live: Vec<(String, Session)> = Vec::new();
+        let mut closed: Vec<SessionOutcome> = Vec::new();
+        for shard in &mut self.shards {
+            live.extend(shard.live.extract_if(|name, _| select(name)));
+            closed.extend(
+                shard
+                    .closed
+                    .extract_if(|name, _| select(name))
+                    .map(|(_, o)| o),
+            );
+        }
+        for _ in &live {
+            self.metrics.sessions_active.dec();
+        }
+        self.encode(live.iter().map(|(name, session)| (name, session)), &closed)
+    }
+
+    /// Migration recipient half: merges an [`extract`](SimScheduler::extract)ed
+    /// (or whole-[`checkpoint`](SimScheduler::checkpoint)) snapshot into this
+    /// running engine, re-routing sessions by hash. Returns how many
+    /// sessions (live plus closed) were absorbed. A session that already
+    /// exists here rejects the merge — a double migration is a protocol
+    /// error, not a last-writer-wins overwrite — and a rejected merge
+    /// leaves the engine exactly as it was.
+    pub fn absorb(&mut self, snapshot: &Json) -> Result<usize, SnapshotError> {
+        self.merge(snapshot).map(|(live, closed)| live + closed)
+    }
+
+    /// Drains every queue and returns the combined report.
+    pub fn finish(mut self) -> EngineReport {
+        self.drain();
+        let shards = std::mem::take(&mut self.shards);
+        make_report(report_shards(&self.metrics, shards), self.metrics)
+    }
+
+    /// The one snapshot encoder: `live` and `closed` sorted by session
+    /// name, stamped with the format version and the simulated clock.
+    fn encode<'a>(
+        &self,
+        live: impl IntoIterator<Item = (&'a String, &'a Session)>,
+        closed: impl IntoIterator<Item = &'a SessionOutcome>,
+    ) -> Json {
+        let mut live: Vec<_> = live.into_iter().collect();
+        live.sort_by(|a, b| a.0.cmp(b.0));
+        let mut closed: Vec<_> = closed.into_iter().collect();
+        closed.sort_by(|a, b| a.session.cmp(&b.session));
+        json!({
+            "format_version": SNAPSHOT_VERSION,
+            "clock_ns": self.clock.now_ns(),
+            "live": live
+                .into_iter()
+                .map(|(name, session)| json!({
+                    "session": name.as_str(),
+                    "state": session.snapshot(),
+                }))
+                .collect::<Vec<Json>>(),
+            "closed": closed.into_iter().map(outcome_to_json).collect::<Vec<Json>>(),
+        })
+    }
+
+    /// The one snapshot decoder: checks the version and decodes the whole
+    /// snapshot before it merges anything, so a session named twice in the
+    /// snapshot (live twice, closed twice, or both live and closed), or
+    /// one this engine already holds, rejects the merge with no state
+    /// changed. Returns how many live and closed sessions were merged.
+    fn merge(&mut self, snapshot: &Json) -> Result<(usize, usize), SnapshotError> {
         let found = declared_version(snapshot);
         // Version 1 differs only in the name of the version field; the
         // payload decodes unchanged. Anything else (including unversioned
@@ -135,42 +227,52 @@ impl SimScheduler {
                 expected: SNAPSHOT_VERSION,
             });
         }
-        let clock_ns = snapshot["clock_ns"]
-            .as_u64()
-            .ok_or_else(|| err("clock_ns must be a number"))?;
-        let mut sim = Self::build(spec, config, seed, ManualClock::at(clock_ns));
-        let n = sim.shards.len();
-        for entry in snapshot["live"]
-            .as_array()
-            .ok_or_else(|| err("live must be an array"))?
-        {
+        let entries = |field: &str| {
+            snapshot[field]
+                .as_array()
+                .ok_or_else(|| err(&format!("{field} must be an array")))
+        };
+        let mut live: Vec<(String, Session)> = Vec::new();
+        for entry in entries("live")? {
             let name = entry["session"]
                 .as_str()
-                .ok_or_else(|| err("live session must be named"))?
-                .to_string();
-            let session = Session::restore(&sim.spec, &entry["state"])?;
-            sim.metrics.sessions_started.inc();
-            sim.metrics.session_in();
-            let shard = shard_index(&name, n);
-            if sim.shards[shard].live.insert(name, session).is_some() {
-                return Err(err("duplicate live session"));
-            }
+                .ok_or_else(|| err("live session must be named"))?;
+            live.push((
+                name.to_string(),
+                Session::restore(&self.spec, &entry["state"])?,
+            ));
         }
-        for entry in snapshot["closed"]
-            .as_array()
-            .ok_or_else(|| err("closed must be an array"))?
+        let closed: Vec<SessionOutcome> = entries("closed")?
+            .iter()
+            .map(outcome_from_json)
+            .collect::<Result<_, _>>()?;
+        let n = self.shards.len();
+        let mut incoming = BTreeSet::new();
+        for name in live
+            .iter()
+            .map(|(name, _)| name)
+            .chain(closed.iter().map(|o| &o.session))
         {
-            let outcome = outcome_from_json(entry)?;
-            let shard = shard_index(&outcome.session, n);
-            if sim.shards[shard]
-                .closed
-                .insert(outcome.session.clone(), outcome)
-                .is_some()
-            {
-                return Err(err("duplicate closed session"));
+            if !incoming.insert(name) {
+                return Err(err("snapshot names a session twice"));
+            }
+            let shard = &self.shards[shard_index(name, n)];
+            if shard.live.contains_key(name) || shard.closed.contains_key(name) {
+                return Err(err("absorb would duplicate a session"));
             }
         }
-        Ok(sim)
+        let merged = (live.len(), closed.len());
+        for (name, session) in live {
+            self.metrics.session_in();
+            self.shards[shard_index(&name, n)]
+                .live
+                .insert(name, session);
+        }
+        for outcome in closed {
+            let shard = &mut self.shards[shard_index(&outcome.session, n)];
+            shard.closed.insert(outcome.session.clone(), outcome);
+        }
+        Ok(merged)
     }
 
     /// Delivers the front event of `shard_idx`, spending simulated time
@@ -302,139 +404,7 @@ impl Scheduler for SimScheduler {
         &self.metrics
     }
 
-    fn checkpoint(&mut self) -> Option<Json> {
-        self.drain();
-        let mut live: Vec<(&String, &Session)> =
-            self.shards.iter().flat_map(|s| s.live.iter()).collect();
-        live.sort_by(|a, b| a.0.cmp(b.0));
-        let mut closed: Vec<&crate::engine::SessionOutcome> =
-            self.shards.iter().flat_map(|s| s.closed.values()).collect();
-        closed.sort_by(|a, b| a.session.cmp(&b.session));
-        Some(json!({
-            "format_version": SNAPSHOT_VERSION,
-            "clock_ns": self.clock.now_ns(),
-            "live": Json::Array(
-                live.iter()
-                    .map(|(name, session)| json!({
-                        "session": (*name).clone(),
-                        "state": session.snapshot(),
-                    }))
-                    .collect(),
-            ),
-            "closed": Json::Array(closed.iter().map(|o| outcome_to_json(o)).collect()),
-        }))
-    }
-
-    fn finish(mut self: Box<Self>) -> EngineReport {
-        self.drain();
-        let shards = std::mem::take(&mut self.shards);
-        make_report(report_shards(&self.metrics, shards), self.metrics)
-    }
-
-    /// Migration donor: drain, then carve out every selected session into
-    /// a snapshot. Extraction is not eviction — the active-sessions gauge
-    /// drops for each live session handed over, but `sessions_evicted`
-    /// and the outcome counters stay untouched (the recipient finishes
-    /// the story).
-    fn extract(&mut self, select: &dyn Fn(&str) -> bool) -> Option<Json> {
-        self.drain();
-        let mut live: Vec<(String, Session)> = Vec::new();
-        let mut closed: Vec<crate::engine::SessionOutcome> = Vec::new();
-        for shard in &mut self.shards {
-            let names: Vec<String> = shard.live.keys().filter(|n| select(n)).cloned().collect();
-            for name in names {
-                let session = shard.live.remove(&name).expect("key just listed");
-                self.metrics.sessions_active.dec();
-                live.push((name, session));
-            }
-            let names: Vec<String> = shard.closed.keys().filter(|n| select(n)).cloned().collect();
-            for name in names {
-                closed.push(shard.closed.remove(&name).expect("key just listed"));
-            }
-        }
-        live.sort_by(|a, b| a.0.cmp(&b.0));
-        closed.sort_by(|a, b| a.session.cmp(&b.session));
-        Some(json!({
-            "format_version": SNAPSHOT_VERSION,
-            "clock_ns": self.clock.now_ns(),
-            "live": Json::Array(
-                live.iter()
-                    .map(|(name, session)| json!({
-                        "session": name.clone(),
-                        "state": session.snapshot(),
-                    }))
-                    .collect(),
-            ),
-            "closed": Json::Array(closed.iter().map(outcome_to_json).collect()),
-        }))
-    }
-
-    /// Migration recipient: decode the whole snapshot first, then merge —
-    /// a duplicate anywhere rejects the merge before any state changes,
-    /// so a failed absorb leaves the engine exactly as it was.
-    fn absorb(&mut self, snapshot: &Json) -> Result<usize, SnapshotError> {
-        let found = declared_version(snapshot);
-        if found != SNAPSHOT_VERSION && found != 1 {
-            return Err(SnapshotError::VersionMismatch {
-                found,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let n = self.shards.len();
-        let mut live: Vec<(usize, String, Session)> = Vec::new();
-        for entry in snapshot["live"]
-            .as_array()
-            .ok_or_else(|| err("live must be an array"))?
-        {
-            let name = entry["session"]
-                .as_str()
-                .ok_or_else(|| err("live session must be named"))?
-                .to_string();
-            let session = Session::restore(&self.spec, &entry["state"])?;
-            live.push((shard_index(&name, n), name, session));
-        }
-        let mut closed: Vec<(usize, crate::engine::SessionOutcome)> = Vec::new();
-        for entry in snapshot["closed"]
-            .as_array()
-            .ok_or_else(|| err("closed must be an array"))?
-        {
-            let outcome = outcome_from_json(entry)?;
-            closed.push((shard_index(&outcome.session, n), outcome));
-        }
-        let mut incoming = std::collections::BTreeSet::new();
-        for name in live
-            .iter()
-            .map(|(_, name, _)| name)
-            .chain(closed.iter().map(|(_, o)| &o.session))
-        {
-            if !incoming.insert(name.clone()) {
-                return Err(err("snapshot names a session twice"));
-            }
-        }
-        for (shard, name, _) in &live {
-            if self.shards[*shard].live.contains_key(name)
-                || self.shards[*shard].closed.contains_key(name)
-            {
-                return Err(err("absorb would duplicate a session"));
-            }
-        }
-        for (shard, outcome) in &closed {
-            if self.shards[*shard].live.contains_key(&outcome.session)
-                || self.shards[*shard].closed.contains_key(&outcome.session)
-            {
-                return Err(err("absorb would duplicate a session"));
-            }
-        }
-        let absorbed = live.len() + closed.len();
-        for (shard, name, session) in live {
-            self.metrics.sessions_active.inc();
-            self.shards[shard].live.insert(name, session);
-        }
-        for (shard, outcome) in closed {
-            self.shards[shard]
-                .closed
-                .insert(outcome.session.clone(), outcome);
-        }
-        Ok(absorbed)
+    fn finish(self: Box<Self>) -> EngineReport {
+        SimScheduler::finish(*self)
     }
 }

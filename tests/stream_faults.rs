@@ -28,7 +28,7 @@ use rega_core::ExtendedAutomaton;
 use rega_data::{Database, Schema, Value};
 use rega_stream::{
     parse_event, parse_event_checked, CompiledSpec, Engine, EngineConfig, Event, FaultPlan,
-    SessionStatus, SnapshotError, SubmitError,
+    Scheduler, SessionOutcome, SessionStatus, SimScheduler, SnapshotError, SubmitError,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -244,15 +244,13 @@ fn run_case(seed: u64) -> Result<(), String> {
     // Crash/restart run: same seed, checkpoint mid-stream, restore into a
     // (possibly differently-sharded) engine, replay the rest.
     let crash_at = rng.gen_range(0..stream.len() + 1);
-    let mut first = Engine::start_sim(Arc::clone(&spec), config.clone(), seed);
+    let mut first = SimScheduler::start(Arc::clone(&spec), config.clone(), seed);
     for ev in &stream[..crash_at] {
         first
             .submit(ev.clone())
             .map_err(|e| format!("[seed {seed:#x}] pre-crash submit failed: {e}"))?;
     }
-    let snapshot = first
-        .checkpoint()
-        .ok_or_else(|| format!("[seed {seed:#x}] sim checkpoint must exist"))?;
+    let snapshot = first.checkpoint();
     drop(first); // the crash
 
     // Serialize through text, as a real restart would.
@@ -263,7 +261,7 @@ fn run_case(seed: u64) -> Result<(), String> {
     let mut restore_config = config.clone();
     restore_config.shards = rng.gen_range(1usize..6); // re-route by hash
     let mut second =
-        Engine::restore_sim(Arc::clone(&spec), restore_config, seed ^ 0xABCD, &snapshot)
+        SimScheduler::restore(Arc::clone(&spec), restore_config, seed ^ 0xABCD, &snapshot)
             .map_err(|e| format!("[seed {seed:#x}] restore failed: {e}"))?;
     for ev in &stream[crash_at..] {
         second
@@ -668,13 +666,13 @@ fn view_observer_state_survives_crash_and_restore() {
     }
     let want = uninterrupted.finish();
 
-    let mut first = Engine::start_sim(Arc::clone(&spec), config.clone(), 9);
+    let mut first = SimScheduler::start(Arc::clone(&spec), config.clone(), 9);
     for ev in &stream[..stream.len() / 2] {
         first.submit(ev.clone()).unwrap();
     }
-    let snap = first.checkpoint().unwrap();
+    let snap = first.checkpoint();
     drop(first);
-    let mut second = Engine::restore_sim(Arc::clone(&spec), config, 10, &snap).unwrap();
+    let mut second = SimScheduler::restore(Arc::clone(&spec), config, 10, &snap).unwrap();
     for ev in &stream[stream.len() / 2..] {
         second.submit(ev.clone()).unwrap();
     }
@@ -702,7 +700,7 @@ fn view_observer_state_survives_crash_and_restore() {
 /// A small deterministic run whose checkpoint the versioning tests mutate.
 fn checkpoint_fixture() -> (Arc<CompiledSpec>, serde_json::Value) {
     let spec = compile(None);
-    let mut engine = Engine::start_sim(Arc::clone(&spec), EngineConfig::default(), 3);
+    let mut engine = SimScheduler::start(Arc::clone(&spec), EngineConfig::default(), 3);
     for line in [
         r#"{"session": "s1", "state": "p", "regs": [1, 1]}"#,
         r#"{"session": "s1", "state": "p", "regs": [1, 2]}"#,
@@ -710,7 +708,7 @@ fn checkpoint_fixture() -> (Arc<CompiledSpec>, serde_json::Value) {
     ] {
         engine.submit(parse_event(line).unwrap()).unwrap();
     }
-    let snap = engine.checkpoint().unwrap();
+    let snap = engine.checkpoint();
     engine.finish();
     (spec, snap)
 }
@@ -732,7 +730,7 @@ fn legacy_v1_snapshot_still_restores() {
     };
     obj.remove("format_version");
     obj.insert("version".into(), serde_json::json!(1u64));
-    let restored = Engine::restore_sim(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
+    let restored = SimScheduler::restore(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
     let report = restored.unwrap().finish();
     assert_eq!(report.outcomes.len(), 2, "both live sessions must survive");
 }
@@ -744,7 +742,7 @@ fn unversioned_v0_snapshot_rejected_with_typed_mismatch() {
         panic!("checkpoint must be a JSON object");
     };
     obj.remove("format_version");
-    let got = Engine::restore_sim(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
+    let got = SimScheduler::restore(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
     assert_eq!(
         got.err(),
         Some(SnapshotError::VersionMismatch {
@@ -761,13 +759,55 @@ fn future_format_version_rejected_with_typed_mismatch() {
         panic!("checkpoint must be a JSON object");
     };
     obj.insert("format_version".into(), serde_json::json!(99u64));
-    let got = Engine::restore_sim(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
+    let got = SimScheduler::restore(Arc::clone(&spec), EngineConfig::default(), 3, &snap);
     match got.err() {
         Some(SnapshotError::VersionMismatch {
             found: 99,
             expected: 2,
         }) => {}
         other => panic!("expected a version-99 mismatch, got {other:?}"),
+    }
+}
+
+/// Restore and absorb share one decoder, so a snapshot that names one
+/// session both live and closed is rejected on restore too, instead of
+/// resurrecting a closed session as live.
+#[test]
+fn snapshot_naming_a_session_live_and_closed_is_rejected() {
+    let (spec, snap) = checkpoint_fixture();
+    let with_closed = |name: &str| {
+        let mut snap = snap.clone();
+        let serde_json::Value::Object(obj) = &mut snap else {
+            panic!("checkpoint must be a JSON object");
+        };
+        let outcome = rega_stream::snapshot::outcome_to_json(&SessionOutcome {
+            session: name.into(),
+            status: SessionStatus::Ended,
+            events: 2,
+            view_degraded: false,
+            quarantined: 0,
+        });
+        obj.insert("closed".into(), serde_json::Value::Array(vec![outcome]));
+        snap
+    };
+    // A closed outcome under a fresh name restores next to the live ones.
+    let restored = SimScheduler::restore(
+        Arc::clone(&spec),
+        EngineConfig::default(),
+        3,
+        &with_closed("s3"),
+    );
+    assert_eq!(restored.unwrap().finish().outcomes.len(), 3);
+    // The same outcome under a live session's name is a duplicate.
+    let got = SimScheduler::restore(
+        Arc::clone(&spec),
+        EngineConfig::default(),
+        3,
+        &with_closed("s1"),
+    );
+    match got.err() {
+        Some(SnapshotError::Malformed(msg)) => assert!(msg.contains("twice"), "{msg}"),
+        other => panic!("expected a duplicate-session rejection, got {other:?}"),
     }
 }
 

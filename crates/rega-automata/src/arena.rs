@@ -1,12 +1,12 @@
 //! Arena-backed successor storage for Büchi emptiness search.
 //!
-//! The materialized [`Nba`] stores successors as `Vec<Vec<Vec<usize>>>` —
-//! one heap allocation per (state, letter) cell. That layout is convenient
-//! for incremental construction (unions, products, degeneralization) but
+//! The materialized [`Nba`] stores each state's successors as a sparse row
+//! of `(letter index, successors)` pairs — one heap allocation per
+//! non-empty (state, letter) cell. That layout is convenient for
+//! incremental construction (unions, products, degeneralization) but
 //! wasteful for *search*, where each visited state's out-edges are scanned
-//! as a unit: the nested vectors scatter tiny allocations across the heap
-//! and the per-letter indirection costs a pointer chase per alphabet symbol
-//! even when most cells are empty.
+//! as a unit: the per-letter vectors scatter tiny allocations across the
+//! heap and cost a pointer chase per letter the state reads.
 //!
 //! This module provides the search-side storage instead:
 //!
@@ -24,10 +24,10 @@
 //!   first time the search touches it.
 //!
 //! The flattened edge order is fixed by contract: ascending letter index,
-//! then per-letter successor insertion order — exactly the order the nested
-//! loops over [`Nba::successors_idx`] produce. The emptiness engine's
-//! traversal (and therefore every extracted lasso) is identical whichever
-//! source backs it.
+//! then per-letter successor insertion order — exactly the order of the
+//! NBA's sparse rows, and of the nested loops over [`Nba::successors_idx`].
+//! The emptiness engine's traversal (and therefore every extracted lasso)
+//! is identical whichever source backs it.
 
 use crate::buchi::Nba;
 use crate::Letter;
@@ -189,11 +189,8 @@ impl<L: Letter> SuccessorSource for NbaSource<'_, L> {
             let nba = self.nba;
             self.arena.expand(
                 s,
-                (0..nba.alphabet().len()).flat_map(|li| {
-                    nba.successors_idx(s, li)
-                        .iter()
-                        .map(move |&t| (li as u32, t as u32))
-                }),
+                nba.row(s)
+                    .flat_map(|(li, succs)| succs.iter().map(move |&t| (li as u32, t as u32))),
             );
         }
         self.arena.get(s).expect("just expanded")
@@ -244,5 +241,36 @@ mod tests {
         assert_eq!(src.arena().nodes_expanded(), 2);
         assert_eq!(src.inits(), &[0]);
         assert!(src.is_accepting(3) && !src.is_accepting(0));
+
+        // A sparse NBA over a large alphabet, its transitions added out of
+        // letter order: each span must match the dense walk over every
+        // letter index.
+        let mut sparse = Nba::new((0..5_000u32).collect(), 3);
+        sparse.set_init(0);
+        for (from, letter, to) in [
+            (0, 4_321, 2),
+            (0, 7, 1),
+            (0, 4_321, 0),
+            (0, 7, 2),
+            (1, 4_999, 0),
+            (1, 0, 1),
+            (0, 1_000, 1),
+        ] {
+            sparse.add_transition(from, &letter, to);
+        }
+        let mut src = NbaSource::new(&sparse);
+        for s in 0..sparse.num_states() {
+            let dense: Vec<(u32, u32)> = (0..sparse.alphabet().len())
+                .flat_map(|li| {
+                    let succs = sparse.successors_idx(s, li);
+                    succs.iter().map(move |&t| (li as u32, t as u32))
+                })
+                .collect();
+            assert_eq!(src.edges(s), dense.as_slice(), "state {s}");
+        }
+        assert_eq!(
+            src.edges(0),
+            &[(7, 1), (7, 2), (1_000, 1), (4_321, 2), (4_321, 0)]
+        );
     }
 }

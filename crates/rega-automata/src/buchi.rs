@@ -150,6 +150,12 @@ impl<L: Letter> Nba<L> {
         self.trans.get(s, li)
     }
 
+    /// The non-empty successor lists of `s` as `(letter index, successors)`
+    /// pairs, by ascending letter index; each list in insertion order.
+    pub(crate) fn row(&self, s: usize) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        self.trans.row(s)
+    }
+
     /// All transitions as `(from, letter_index, to)` triples, by state,
     /// then letter index, then insertion order.
     pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {

@@ -490,8 +490,10 @@ fn serve(flags: &[String], server_budget: &BudgetSpec) -> Result<ExitCode, Strin
 /// so a partial run still yields its verdicts, metrics, and (with
 /// `--trace-json`) a flushed trace file.
 fn monitor(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCode, String> {
-    use rega_stream::{CompiledSpec, Engine, EngineConfig, SessionStatus};
+    use rega_stream::{CompiledSpec, Engine, EngineConfig, SessionStatus, SimScheduler};
     use std::io::BufRead;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::Arc;
 
     let mut config = EngineConfig::default();
     let mut events_path: Option<String> = None;
@@ -564,41 +566,37 @@ fn monitor(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         Err(e) => return Err(e.to_string()),
     };
     let registers = spec.registers();
-    let spec = std::sync::Arc::new(spec);
-    let mut engine = match seed {
-        // A seed selects the deterministic simulation scheduler.
-        Some(seed) => Engine::start_sim(spec, config, seed),
-        None => Engine::start(spec, config),
+    let spec = Arc::new(spec);
+    // A seed selects the deterministic simulation engine.
+    enum Run {
+        Pool(Engine),
+        Sim(SimScheduler),
+    }
+    let mut run = match seed {
+        Some(seed) => Run::Sim(SimScheduler::start(spec, config, seed)),
+        None => Run::Pool(Engine::start(spec, config)),
     };
+    let metrics = Arc::clone(match &run {
+        Run::Pool(engine) => engine.metrics(),
+        Run::Sim(engine) => engine.metrics(),
+    });
 
     // Periodic metrics snapshots: one JSONL line per interval on stderr,
-    // leaving stdout to the final summary. The thread stops (and emits one
-    // last line) when the run finishes.
-    let metrics_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // leaving stdout to the final summary. The thread emits one last line
+    // and stops once the run drops `metrics_stop` at the end of the stream.
+    let (metrics_stop, stopped) = std::sync::mpsc::channel::<()>();
     let metrics_thread = metrics_interval.map(|interval| {
-        let metrics = std::sync::Arc::clone(engine.metrics());
-        let stop = std::sync::Arc::clone(&metrics_stop);
         std::thread::spawn(move || {
-            let emit = |metrics: &rega_stream::EngineMetrics| {
+            let emit = || {
                 if let Ok(line) = serde_json::to_string(&metrics.snapshot()) {
                     eprintln!("{line}");
                 }
             };
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                emit(&metrics);
-                // Sleep in small slices so shutdown is not delayed by up
-                // to a whole interval.
-                let mut remaining = interval;
-                let slice = std::time::Duration::from_millis(10);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed)
-                    && remaining > std::time::Duration::ZERO
-                {
-                    let step = remaining.min(slice);
-                    std::thread::sleep(step);
-                    remaining = remaining.saturating_sub(step);
-                }
+            emit();
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                emit();
             }
-            emit(&metrics);
+            emit();
         })
     });
 
@@ -658,8 +656,8 @@ fn monitor(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         let (line, offset) = match rx.recv_timeout(std::time::Duration::from_millis(50)) {
             Ok(Ok(line)) => line,
             Ok(Err(e)) => return Err(format!("read error in {events_path}: {e}")),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break 'stream,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break 'stream,
         };
         no += 1;
         if line.trim().is_empty() {
@@ -670,7 +668,11 @@ fn monitor(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         // line number and byte offset of the offending record.
         match rega_stream::parse_event_located(&line, registers, no as u64, offset) {
             Ok(event) => {
-                if let Err(e) = engine.submit(event) {
+                let submitted = match &mut run {
+                    Run::Pool(engine) => engine.submit(event),
+                    Run::Sim(engine) => engine.submit(event),
+                };
+                if let Err(e) = submitted {
                     submit_errors += 1;
                     eprintln!("line {no}: submit failed: {e}");
                     if e == rega_stream::SubmitError::WorkersDead {
@@ -693,8 +695,11 @@ fn monitor(spec_path: &str, flags: &[String], budget: &Budget) -> Result<ExitCod
         interrupted = true;
     }
     drop(rx); // unblocks the reader thread at its next send
-    let report = engine.finish();
-    metrics_stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let report = match run {
+        Run::Pool(engine) => engine.finish(),
+        Run::Sim(engine) => engine.finish(),
+    };
+    drop(metrics_stop);
     if let Some(handle) = metrics_thread {
         let _ = handle.join();
     }

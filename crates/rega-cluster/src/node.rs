@@ -26,7 +26,7 @@
 use crate::assign::vshard;
 use crate::error::ClusterError;
 use rega_stream::event::Event;
-use rega_stream::{CompiledSpec, EngineConfig, EngineReport, Scheduler, SimScheduler};
+use rega_stream::{CompiledSpec, EngineConfig, EngineReport, SimScheduler};
 use serde_json::{json, Value as Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

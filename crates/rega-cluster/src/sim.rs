@@ -246,7 +246,7 @@ mod tests {
     use rega_core::spec::parse_spec;
     use rega_data::{Database, Schema, Value};
     use rega_stream::event::Event;
-    use rega_stream::Engine;
+    use rega_stream::SimScheduler;
 
     fn spec() -> Arc<CompiledSpec> {
         let ext = parse_spec(
@@ -287,7 +287,7 @@ trans q -> p : x1 = y1
     }
 
     fn baseline(events: &[Event]) -> Vec<SessionOutcome> {
-        let mut engine = Engine::start_sim(spec(), EngineConfig::default(), 0);
+        let mut engine = SimScheduler::start(spec(), EngineConfig::default(), 0);
         for e in events {
             engine.submit(e.clone()).unwrap();
         }

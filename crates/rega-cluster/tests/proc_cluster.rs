@@ -13,7 +13,7 @@ use rega_cluster::{
     Transport,
 };
 use rega_stream::event::Event;
-use rega_stream::{CompiledSpec, Engine, EngineConfig, SessionOutcome};
+use rega_stream::{CompiledSpec, EngineConfig, SessionOutcome, SimScheduler};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ fn workload(sessions: usize, per: usize) -> Vec<Event> {
 }
 
 fn baseline(events: &[Event]) -> Vec<SessionOutcome> {
-    let mut engine = Engine::start_sim(compiled(), EngineConfig::default(), 0);
+    let mut engine = SimScheduler::start(compiled(), EngineConfig::default(), 0);
     for e in events {
         engine.submit(e.clone()).unwrap();
     }

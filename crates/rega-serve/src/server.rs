@@ -1,14 +1,17 @@
 //! The TCP server: accept loop, connection threads, graceful drain.
 //!
 //! One thread per connection (bounded by [`ServerConfig::max_conns`]),
-//! each speaking both wire framings (see [`crate::proto`]). The accept
-//! loop polls a shutdown flag (and the process-wide
-//! [`signal::triggered`](crate::signal::triggered) marker) between
-//! accepts; when either fires the server:
+//! each speaking both wire framings (see [`crate::proto`]). An acceptor
+//! thread blocks in `accept` and hands each connection to the run loop
+//! over a channel, so a connection is served as soon as it arrives. The
+//! run loop waits on that channel for at most `POLL` (100 ms) at a time
+//! and checks a shutdown flag (and the process-wide
+//! [`signal::triggered`](crate::signal::triggered) marker) in between;
+//! when either fires the server:
 //!
-//! 1. stops accepting (the listener keeps refusing by simply not being
-//!    polled; over-cap and post-drain connects get a typed `draining`
-//!    rejection),
+//! 1. stops accepting (it drops the channel, wakes the acceptor with one
+//!    connection to its own listener, and joins it; over-cap connects get
+//!    a typed `conn-limit` rejection),
 //! 2. flips the tenant registry into draining mode — admission requests
 //!    are rejected with [`AdmissionError::Draining`](crate::tenant::AdmissionError)
 //!    but events for already-open sessions still flow,
@@ -28,8 +31,9 @@ use rega_obs::Registry;
 use rega_stream::EngineConfig;
 use serde_json::{json, Value as Json};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,8 +83,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often idle loops (accept, connection read) re-check the shutdown
-/// flag. Bounds how long a drain can lag behind the signal.
+/// How often idle loops (the run loop, connection reads) re-check the
+/// shutdown flag. Bounds how long a drain can lag behind the signal.
 const POLL: Duration = Duration::from_millis(100);
 
 /// Read timeout while a frame is actually in flight: a slow-writing client
@@ -89,7 +93,8 @@ const IN_FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The listening server. [`Server::bind`] then [`Server::run`].
 pub struct Server {
-    listener: TcpListener,
+    /// Shared with the acceptor thread while [`Server::run`] runs.
+    listener: Arc<TcpListener>,
     tenants: Arc<TenantRegistry>,
     config: ServerConfig,
 }
@@ -107,8 +112,7 @@ impl Server {
         config: ServerConfig,
         registry: Arc<Registry>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
+        let listener = Arc::new(TcpListener::bind(&config.listen)?);
         let tenants = Arc::new(TenantRegistry::new(
             config.max_tenants,
             config.quotas.clone(),
@@ -147,6 +151,9 @@ impl Server {
         // One server-wide sequence for minted `srv-<n>` request ids, so two
         // connections never mint the same correlation id.
         let minted = Arc::new(AtomicU64::new(0));
+        let (accepted, incoming) = channel();
+        let listener = Arc::clone(&self.listener);
+        let acceptor = std::thread::spawn(move || accept_into(&listener, &accepted));
         let mut last_snapshot = Instant::now();
         loop {
             if shutdown.load(Ordering::SeqCst) || crate::signal::triggered() {
@@ -160,8 +167,8 @@ impl Server {
                     }
                 }
             }
-            match self.listener.accept() {
-                Ok((stream, _addr)) => {
+            match incoming.recv_timeout(POLL) {
+                Ok(stream) => {
                     conns_total.inc();
                     if active.load(Ordering::SeqCst) >= self.config.max_conns {
                         conns_rejected.inc();
@@ -193,10 +200,17 @@ impl Server {
                         conns_open.dec();
                     }));
                 }
-                Err(e) if proto::is_timeout(&e) => std::thread::sleep(POLL),
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
-                Err(_) => std::thread::sleep(POLL),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
+        }
+        // Stop accepting: with the receiver gone, the acceptor exits at
+        // its next connection, and one to its own address (held open until
+        // the join) wakes it now. Should that connect fail, the acceptor is
+        // left to exit on its own rather than the drain waiting for it.
+        drop(incoming);
+        if let Ok(_waker) = wake(&self.listener) {
+            let _ = acceptor.join();
         }
         // Drain: no new admissions, in-flight requests finish, engines
         // flush, final verdicts come back.
@@ -214,6 +228,37 @@ impl Server {
         }
         json!({"clean": true, "drained": drained})
     }
+}
+
+/// The acceptor thread: blocks in `accept` and hands every connection to
+/// the run loop until the run loop drops its receiver. An accept error
+/// other than an aborted handshake (running out of file descriptors, say)
+/// backs off for [`POLL`] instead of spinning.
+fn accept_into(listener: &TcpListener, accepted: &Sender<TcpStream>) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _addr)) => {
+                if accepted.send(stream).is_err() {
+                    return;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+            Err(_) => std::thread::sleep(POLL),
+        }
+    }
+}
+
+/// Connects to `listener`'s own address (loopback when it is bound to the
+/// unspecified address), so an `accept` blocked on it returns.
+fn wake(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    TcpStream::connect_timeout(&addr, POLL)
 }
 
 /// Answers an over-cap connection with one typed JSONL error and closes.

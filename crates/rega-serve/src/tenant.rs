@@ -30,7 +30,7 @@ use crate::proto::decode_event_doc;
 use rega_data::{Budget, BudgetSpec, GovernError};
 use rega_obs::{Counter, Gauge, Registry, ScopedRegistry};
 use rega_stream::{
-    check_arity, CompiledSpec, Engine, EngineConfig, EngineHandle, EngineReport, Event, EventError,
+    check_arity, CompiledSpec, Engine, EngineConfig, EngineReport, Event, EventError,
     SessionStatus, SubmitError,
 };
 use serde_json::{json, Value as Json};
@@ -356,13 +356,11 @@ impl From<AdmissionError> for IngestError {
     }
 }
 
-/// One compiled spec with its running engine.
+/// One compiled spec with its running engine. Submissions go through
+/// transient [`Engine::handle`] clones, so removing the entry (and letting
+/// in-flight submits return) is what lets [`Engine::finish`] drain.
 struct SpecEntry {
     engine: Engine,
-    /// The one long-lived handle; per-submission clones are transient, so
-    /// dropping this (plus letting in-flight submits return) is what lets
-    /// [`Engine::finish`] drain.
-    handle: EngineHandle,
     registers: usize,
     /// Sessions currently open against this spec.
     sessions: BTreeSet<String>,
@@ -618,9 +616,6 @@ impl TenantRegistry {
         let mut config = self.engine_template.clone();
         config.quarantine_cap = t.quotas.quarantine_cap;
         let engine = Engine::start(Arc::new(compiled), config);
-        let handle = engine
-            .handle()
-            .expect("the threaded scheduler always offers a handle");
         let mut specs = t.specs.lock().unwrap();
         // Re-check under the lock: a racing load-spec may have taken the
         // name or the last quota slot while we compiled.
@@ -642,7 +637,6 @@ impl TenantRegistry {
             name.to_string(),
             SpecEntry {
                 engine,
-                handle,
                 registers,
                 sessions: BTreeSet::new(),
             },
@@ -726,7 +720,7 @@ impl TenantRegistry {
                 t.metrics.admission_rejected.inc();
                 (0, IngestError::from(t.missing_spec(spec)))
             })?;
-            (entry.handle.clone(), entry.registers)
+            (entry.engine.handle(), entry.registers)
         };
         let mut accepted = 0u64;
         for (index, decoded) in events.into_iter().enumerate() {
@@ -858,11 +852,7 @@ impl TenantRegistry {
         for _ in &entry.sessions {
             t.metrics.sessions_open.dec();
         }
-        let SpecEntry { engine, handle, .. } = entry;
-        // The long-lived handle must go before `finish` can drain: a
-        // surviving clone keeps the shard queues connected.
-        drop(handle);
-        let report = engine.finish();
+        let report = entry.engine.finish();
         Ok(report_json(spec, &report))
     }
 
@@ -912,9 +902,7 @@ impl TenantRegistry {
             for _ in &entry.sessions {
                 t.metrics.sessions_open.dec();
             }
-            let SpecEntry { engine, handle, .. } = entry;
-            drop(handle);
-            let report = engine.finish();
+            let report = entry.engine.finish();
             reports.push(report_json(&name, &report));
         }
         Ok(json!({"tenant": t.name.as_str(), "specs": Json::Array(reports)}))

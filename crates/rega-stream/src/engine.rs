@@ -1,25 +1,22 @@
-//! The engine facade and the shard-processing core shared by every
-//! scheduler.
+//! What both engines share: their configuration, errors and report, shard
+//! routing, the submit-time arity gate, and the session-processing core.
 //!
-//! Topology (threaded scheduler): sessions are hashed onto `shards` shards;
-//! each shard is owned by exactly *one* worker thread, so events of one
-//! session are always processed in submission order. With fewer workers
-//! than shards, worker `w` owns shards `w, w + workers, w + 2·workers, …`.
-//! Each worker has one bounded queue for all the shards it owns, and
-//! blocks on it while it is empty.
+//! Two engines run this core. [`Engine`](crate::scheduler::Engine) is the
+//! production worker pool on OS threads;
+//! [`SimScheduler`](crate::sim::SimScheduler) is the single-threaded
+//! deterministic simulation whose interleavings, clock, and injected
+//! faults all derive from one seed. Both hash sessions onto `shards`
+//! shards and give each shard's events one FIFO path to the one place
+//! that applies them, so events of one session are always processed in
+//! submission order. A shard partitions *queues*: the sessions themselves
+//! live in one `SessionTable` per threaded worker, and in one table in
+//! the simulation.
 //!
-//! Execution is abstracted behind the [`Scheduler`](crate::scheduler::Scheduler)
-//! trait: [`Engine::start`] runs the production worker pool
-//! ([`ThreadedScheduler`](crate::scheduler::ThreadedScheduler)),
-//! [`Engine::start_sim`] runs the single-threaded deterministic
-//! [`SimScheduler`](crate::sim::SimScheduler) whose interleavings, clock,
-//! and injected faults all derive from one seed.
-//!
-//! Flow control: [`Engine::submit`] back-pressures when the queue of the
-//! worker owning the target shard is full rather than buffering
-//! unboundedly: it waits until that worker wakes it, and — with
-//! [`EngineConfig::submit_timeout`] set — gives up with a typed
-//! [`SubmitError`] instead of blocking forever.
+//! Flow control: a full queue back-pressures the producer rather than
+//! buffering unboundedly — the threaded engine waits until the worker
+//! wakes it, and with [`EngineConfig::submit_timeout`] set gives up with a
+//! typed [`SubmitError`] instead of blocking forever; the simulation
+//! delivers from the full shard until there is room.
 //!
 //! Failure semantics (see the README for the full contract):
 //!
@@ -31,17 +28,15 @@
 //!   [`ViolationKind::QuarantineOverflow`]. With a zero cap (the default)
 //!   the engine is strict: a transport-faulty step event violates its
 //!   session, exactly as in the pre-fault-injection engine.
-//! * Worker panics are caught; the worker respawns in place with its shard
-//!   state intact and retries the in-flight event once. A second panic on
-//!   the same event quarantines it and evicts its session as
+//! * Worker panics are caught; the worker respawns in place with its
+//!   session table intact and retries the in-flight event once. A second
+//!   panic on the same event quarantines it and evicts its session as
 //!   [`ViolationKind::WorkerPanic`].
 
 use crate::event::Event;
 use crate::fault::FaultPlan;
 use crate::metrics::EngineMetrics;
-use crate::scheduler::{Scheduler, ThreadedScheduler};
 use crate::session::{Session, SessionStatus, ViolationKind};
-use crate::sim::SimScheduler;
 use crate::spec::CompiledSpec;
 use std::collections::HashMap;
 use std::fmt;
@@ -58,7 +53,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Events buffered per shard: each worker's queue holds
     /// `queue_capacity` × the number of shards it owns, and a full queue
-    /// back-pressures [`Engine::submit`].
+    /// back-pressures [`Engine::submit`](crate::scheduler::Engine::submit).
     pub queue_capacity: usize,
     /// Frontier bound for per-session view observers.
     pub max_view_frontier: usize,
@@ -68,7 +63,8 @@ pub struct EngineConfig {
     /// without touching session state, and a session exceeding the budget
     /// is evicted as [`ViolationKind::QuarantineOverflow`].
     pub quarantine_cap: u64,
-    /// How long [`Engine::submit`] may wait on a full worker queue before
+    /// How long [`Engine::submit`](crate::scheduler::Engine::submit) may
+    /// wait on a full worker queue before
     /// returning [`SubmitError::QueueFull`]. `None` waits until the worker
     /// frees a slot and wakes the producer, or exits
     /// ([`SubmitError::WorkersDead`]).
@@ -92,7 +88,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Why [`Engine::submit`] rejected an event.
+/// Why an engine's `submit` rejected an event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The step event's register tuple does not match the specification
@@ -166,7 +162,7 @@ impl EngineReport {
     }
 }
 
-/// Builds the sorted final report from per-shard outcomes.
+/// Builds the sorted final report from the engine's outcomes.
 pub(crate) fn make_report(
     mut outcomes: Vec<SessionOutcome>,
     metrics: Arc<EngineMetrics>,
@@ -177,91 +173,51 @@ pub(crate) fn make_report(
 
 /// The shard an event for `session` is routed to.
 ///
-/// Routing must be *stable*: checkpoints record sessions by name and
-/// [`SimScheduler::restore`] re-routes them by hash, and replay tooling
-/// compares shard assignments across processes. `DefaultHasher` is
+/// Routing must be *stable*: a seeded simulation replays only if every
+/// event lands in the same queue, replay tooling compares shard
+/// assignments across processes, and the `engine.queue_depth.<shard>`
+/// gauges and [`SubmitError::QueueFull`] name shards. `DefaultHasher` is
 /// explicitly not stable across Rust releases (or even processes, once
 /// seeded hashing applies), so the engine pins FNV-1a, whose assignment is
-/// part of the checkpoint format and covered by a regression test.
+/// covered by a regression test.
 pub(crate) fn shard_index(session: &str, shards: usize) -> usize {
     (crate::persist::fnv1a(session.as_bytes()) % shards as u64) as usize
 }
 
-/// A running engine: a facade over one [`Scheduler`]. Created with
-/// [`Engine::start`] (threaded) or [`Engine::start_sim`] (deterministic
-/// simulation), fed with [`Engine::submit`], torn down with
-/// [`Engine::finish`]. Checkpoints and session migration are inherent to
-/// [`SimScheduler`], the one engine that can serialize mid-stream state.
-pub struct Engine {
-    inner: Box<dyn Scheduler>,
-}
-
-impl Engine {
-    /// Spawns the production worker pool against a compiled spec.
-    pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig) -> Engine {
-        Engine {
-            inner: Box::new(ThreadedScheduler::start(spec, config)),
+/// The submit-time arity gate both engines share: a step event whose
+/// register tuple does not match the specification is counted as a submit
+/// error and rejected before it reaches any queue.
+pub(crate) fn check_submit_arity(
+    event: &Event,
+    registers: usize,
+    metrics: &EngineMetrics,
+) -> Result<(), SubmitError> {
+    match event {
+        Event::Step { regs, .. } if regs.len() != registers => {
+            metrics.submit_errors.inc();
+            Err(SubmitError::Arity {
+                got: regs.len(),
+                want: registers,
+            })
         }
-    }
-
-    /// Starts the single-threaded deterministic simulation: shard-queue
-    /// interleavings, the clock, and every injected fault derive from
-    /// `seed` (xor-ed into the fault plan's own seed), so the same seed
-    /// and config replay bit-for-bit.
-    pub fn start_sim(spec: Arc<CompiledSpec>, config: EngineConfig, seed: u64) -> Engine {
-        Engine {
-            inner: Box::new(SimScheduler::start(spec, config, seed)),
-        }
-    }
-
-    /// Submits one event. While the queue of the worker owning the target
-    /// shard is full, blocks until that worker wakes it (bounded by
-    /// [`EngineConfig::submit_timeout`]); rejects arity-invalid step events
-    /// and submission against dead workers with a typed error instead of
-    /// panicking or hanging.
-    pub fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
-        self.inner.submit(event)
-    }
-
-    /// The live metrics handle.
-    pub fn metrics(&self) -> &Arc<EngineMetrics> {
-        self.inner.metrics()
-    }
-
-    /// A cloneable concurrent-ingest handle (threaded scheduler only;
-    /// `None` on the deterministic simulation, which is single-threaded by
-    /// design). Any number of clones may submit from different threads;
-    /// all clones must be dropped before [`Engine::finish`] can drain —
-    /// a surviving handle keeps the worker queues connected.
-    pub fn handle(&self) -> Option<crate::scheduler::EngineHandle> {
-        self.inner.handle()
-    }
-
-    /// Signals end-of-stream, drains every queue, and returns the combined
-    /// report.
-    pub fn finish(self) -> EngineReport {
-        self.inner.finish()
+        _ => Ok(()),
     }
 }
 
-/// A shard's resident state: live sessions plus the outcomes of already
-/// evicted ones (the latter also serve as tombstones so late events for a
-/// closed session are counted, not resurrected).
+/// The sessions one engine thread owns: live sessions plus the outcomes of
+/// already evicted ones (the latter also serve as tombstones so late events
+/// for a closed session are counted, not resurrected).
 #[derive(Default)]
-pub(crate) struct ShardState {
+pub(crate) struct SessionTable {
     pub(crate) live: HashMap<String, Session>,
     pub(crate) closed: HashMap<String, SessionOutcome>,
 }
 
-/// End of stream: report evicted sessions plus whatever is still live.
-pub(crate) fn report_shards(
-    metrics: &EngineMetrics,
-    shards: Vec<ShardState>,
-) -> Vec<SessionOutcome> {
-    let mut outcomes = Vec::new();
-    for shard in shards {
-        outcomes.extend(shard.closed.into_values());
-        for (name, session) in shard.live {
+impl SessionTable {
+    /// End of stream: reports evicted sessions plus whatever is still live.
+    pub(crate) fn report(self, metrics: &EngineMetrics) -> Vec<SessionOutcome> {
+        let mut outcomes: Vec<SessionOutcome> = self.closed.into_values().collect();
+        for (name, session) in self.live {
             metrics.session_out();
             outcomes.push(SessionOutcome {
                 session: name,
@@ -271,16 +227,17 @@ pub(crate) fn report_shards(
                 quarantined: session.quarantined,
             });
         }
+        outcomes
     }
-    outcomes
 }
 
-/// Applies one event to its shard. `quarantine_cap > 0` selects lenient
-/// mode: transport-faulty events are quarantined instead of violating.
+/// Applies one event to its session table. `quarantine_cap > 0` selects
+/// lenient mode: transport-faulty events are quarantined instead of
+/// violating.
 pub(crate) fn process(
     spec: &CompiledSpec,
     metrics: &EngineMetrics,
-    shard: &mut ShardState,
+    table: &mut SessionTable,
     event: Event,
     max_frontier: usize,
     quarantine_cap: u64,
@@ -290,7 +247,7 @@ pub(crate) fn process(
     // stores into relaxed atomics — two cheap writes per event).
     metrics.sync_type_cache(&spec.type_cache_stats());
     let name = event.session();
-    if shard.closed.contains_key(name) {
+    if table.closed.contains_key(name) {
         metrics.events_after_eviction.inc();
         if lenient {
             // Post-eviction traffic (e.g. a duplicated terminal event) is
@@ -310,17 +267,17 @@ pub(crate) fn process(
                 metrics.events_quarantined.inc();
                 // Corrupt events never *create* a session; they only count
                 // against an existing one's budget.
-                if let Some(session) = shard.live.get_mut(&name) {
+                if let Some(session) = table.live.get_mut(&name) {
                     session.quarantined += 1;
                     if session.quarantined > quarantine_cap {
                         session.force_violation(ViolationKind::QuarantineOverflow);
                         metrics.sessions_violated.inc();
-                        evict(metrics, shard, &name);
+                        evict(metrics, table, &name);
                     }
                 }
                 return;
             }
-            let session = shard.live.entry(name.clone()).or_insert_with(|| {
+            let session = table.live.entry(name.clone()).or_insert_with(|| {
                 metrics.sessions_started.inc();
                 metrics.session_in();
                 Session::new(spec, max_frontier)
@@ -331,18 +288,18 @@ pub(crate) fn process(
                 }
                 SessionStatus::Violated(_) => {
                     metrics.sessions_violated.inc();
-                    evict(metrics, shard, &name);
+                    evict(metrics, table, &name);
                 }
                 SessionStatus::Ended => unreachable!("step never yields Ended"),
             }
         }
         Event::End { session: name } => {
-            match shard.live.get_mut(&name) {
+            match table.live.get_mut(&name) {
                 Some(session) => {
                     if session.end() == &SessionStatus::Ended {
                         metrics.sessions_ended.inc();
                     }
-                    evict(metrics, shard, &name);
+                    evict(metrics, table, &name);
                 }
                 None => {
                     // An end for a session that never stepped: record it as
@@ -350,7 +307,7 @@ pub(crate) fn process(
                     metrics.sessions_started.inc();
                     metrics.sessions_ended.inc();
                     metrics.sessions_evicted.inc();
-                    shard.closed.insert(
+                    table.closed.insert(
                         name.clone(),
                         SessionOutcome {
                             session: name,
@@ -368,15 +325,15 @@ pub(crate) fn process(
 
 /// Moves a session from the live map to the closed (outcome) map, dropping
 /// its monitor and observer state.
-pub(crate) fn evict(metrics: &EngineMetrics, shard: &mut ShardState, name: &str) {
-    let Some(session) = shard.live.remove(name) else {
+pub(crate) fn evict(metrics: &EngineMetrics, table: &mut SessionTable, name: &str) {
+    let Some(session) = table.live.remove(name) else {
         return;
     };
     if session.view_degraded {
         metrics.view_degraded.inc();
     }
     metrics.session_out();
-    shard.closed.insert(
+    table.closed.insert(
         name.to_string(),
         SessionOutcome {
             session: name.to_string(),
@@ -394,8 +351,8 @@ mod tests {
     use rega_core::spec::parse_spec;
     use rega_data::{Database, Schema, Value};
 
-    /// Shard routing is part of the checkpoint format: these assignments
-    /// may only change together with a deliberate format bump. The
+    /// Shard routing is part of seeded replay: these assignments may only
+    /// change together with a deliberate replay-format bump. The
     /// expected values are FNV-1a of the session name mod the shard
     /// count, computed once and pinned.
     #[test]
@@ -457,15 +414,15 @@ trans p -> p : x1 = x1
         for cap in [1u64, 2, 5] {
             let spec = tiny_spec();
             let metrics = EngineMetrics::default();
-            let mut shard = ShardState::default();
+            let mut table = SessionTable::default();
             // One valid step creates the session.
             let ok = Event::Step {
                 session: "s".into(),
                 state: "p".into(),
                 regs: vec![Value(1)],
             };
-            process(&spec, &metrics, &mut shard, ok.clone(), 16, cap);
-            assert_eq!(shard.live["s"].status(), &SessionStatus::Active);
+            process(&spec, &metrics, &mut table, ok.clone(), 16, cap);
+            assert_eq!(table.live["s"].status(), &SessionStatus::Active);
             // Exactly `cap` malformed events: counted, session survives.
             for i in 0..cap {
                 let bad = Event::Step {
@@ -473,25 +430,25 @@ trans p -> p : x1 = x1
                     state: "no-such-state".into(),
                     regs: vec![Value(2)],
                 };
-                process(&spec, &metrics, &mut shard, bad, 16, cap);
+                process(&spec, &metrics, &mut table, bad, 16, cap);
                 assert_eq!(
-                    shard.live["s"].status(),
+                    table.live["s"].status(),
                     &SessionStatus::Active,
                     "session evicted after {} malformed events with cap {cap}",
                     i + 1
                 );
             }
-            assert_eq!(shard.live["s"].quarantined, cap);
+            assert_eq!(table.live["s"].quarantined, cap);
             // The cap + 1-st malformed event tips the budget.
             let bad = Event::Step {
                 session: "s".into(),
                 state: "p".into(),
                 regs: vec![], // wrong arity
             };
-            process(&spec, &metrics, &mut shard, bad, 16, cap);
-            assert!(!shard.live.contains_key("s"), "session must be evicted");
+            process(&spec, &metrics, &mut table, bad, 16, cap);
+            assert!(!table.live.contains_key("s"), "session must be evicted");
             assert_eq!(
-                shard.closed["s"].status,
+                table.closed["s"].status,
                 SessionStatus::Violated(ViolationKind::QuarantineOverflow)
             );
             assert_eq!(

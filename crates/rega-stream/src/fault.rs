@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] describes, with probabilities drawn from a seeded RNG,
 //! the failures a deployed multi-session monitor sees: worker panics (the
-//! worker catches the unwind, keeps its shard state, and resumes — the
+//! worker catches the unwind, keeps its session table, and resumes — the
 //! event being processed is retried once), processing stalls (back-pressure
 //! up to the producer), and transport-level corruption (events with a
 //! mangled register tuple or an unknown control state, and duplicated
-//! terminal events). The same plan drives both the threaded scheduler
+//! terminal events). The same plan drives both the threaded engine
 //! (each worker derives its own RNG stream from the seed) and the
 //! deterministic [`SimScheduler`](crate::sim::SimScheduler), where every
 //! draw is replayable.

@@ -21,12 +21,13 @@
 //!   [`ConstraintMonitor`](rega_core::monitor::ConstraintMonitor), the
 //!   one-step-reachable control-state set, and an optional
 //!   [`ViewObserver`](rega_views::ViewObserver) fed the projected tuple.
-//! * [`engine::Engine`] — sessions are hashed onto shards; each shard has a
-//!   bounded queue consumed by exactly one worker thread (so per-session
-//!   event order is preserved), workers own ⌈shards/workers⌉ queues, and a
-//!   full queue back-pressures the producer. Sessions are evicted on their
-//!   terminal event, keeping resident state proportional to the number of
-//!   *live* sessions, not the number ever seen.
+//! * [`Engine`] — the production worker pool. Sessions are hashed onto
+//!   shards, and each shard is owned by exactly one worker thread (so
+//!   per-session event order is preserved). Each worker has one bounded
+//!   queue for all the shards it owns and one session table for all their
+//!   sessions, and a full queue back-pressures the producer. Sessions are
+//!   evicted on their terminal event, keeping resident state proportional
+//!   to the number of *live* sessions, not the number ever seen.
 //! * [`metrics::EngineMetrics`] — a per-engine [`rega_obs`] metrics
 //!   registry: lock-free counters, queue-depth gauges per shard, and
 //!   coarse power-of-two latency histograms, exportable as JSON.
@@ -34,12 +35,12 @@
 //! Failure semantics and testability (see the README's "Failure
 //! semantics" section for the full contract):
 //!
-//! * [`scheduler::Scheduler`] abstracts *how* events execute. The
-//!   production [`scheduler::ThreadedScheduler`] runs the worker pool; the
-//!   deterministic [`sim::SimScheduler`] interleaves shard polls from a
-//!   seeded RNG on one thread with a [`rega_obs::ManualClock`], so
+//! * [`SimScheduler`] is the second engine: it interleaves shard queues
+//!   from a seeded RNG on one thread with a [`rega_obs::ManualClock`], so
 //!   whole runs — verdicts, quarantine counts, metrics snapshots — replay
-//!   bit-for-bit per seed.
+//!   bit-for-bit per seed. Both engines apply events through one shared
+//!   core ([`engine`]), so they differ only in interleaving, timing, and
+//!   fault handling.
 //! * [`fault::FaultPlan`] injects worker panics (caught and respawned with
 //!   session state intact), processing stalls, and transport-corrupt /
 //!   duplicated events, which lenient engines quarantine instead of
@@ -61,7 +62,7 @@ pub mod sim;
 pub mod snapshot;
 pub mod spec;
 
-pub use engine::{Engine, EngineConfig, EngineReport, SessionOutcome, SubmitError};
+pub use engine::{EngineConfig, EngineReport, SessionOutcome, SubmitError};
 pub use event::{
     check_arity, decode_event, parse_event, parse_event_checked, parse_event_located, read_event,
     Event, EventError, LocatedEventError,
@@ -69,7 +70,7 @@ pub use event::{
 pub use fault::FaultPlan;
 pub use metrics::EngineMetrics;
 pub use persist::{fnv1a, PersistError};
-pub use scheduler::{EngineHandle, Scheduler, ThreadedScheduler};
+pub use scheduler::{Engine, EngineHandle};
 pub use session::{Session, SessionStatus, ViolationKind};
 pub use sim::SimScheduler;
 pub use snapshot::SnapshotError;

@@ -52,7 +52,7 @@ pub struct EngineMetrics {
     /// lenient mode (`quarantine_cap > 0`).
     pub events_quarantined: Counter,
     /// Worker panics that were caught, with the worker respawned in place
-    /// and its shard state handed back to it.
+    /// and its session table handed back to it.
     pub worker_panics: Counter,
     /// Submissions rejected with a typed error (arity validation, queue
     /// timeout, dead workers).

@@ -1,37 +1,37 @@
-//! Execution strategies behind the [`Engine`](crate::engine::Engine)
-//! facade.
+//! The production engine: a sharded worker pool on OS threads.
 //!
-//! A [`Scheduler`] decides *when and on which thread* events are applied
-//! to their shards; the shard-processing core itself
-//! ([`process`](crate::engine::process)) is shared, so the production
-//! [`ThreadedScheduler`] and the deterministic
-//! [`SimScheduler`](crate::sim::SimScheduler) agree on semantics by
-//! construction — the property the `stream_faults` differential suite
-//! leans on.
+//! [`Engine`] hashes sessions onto shards and hands each shard to exactly
+//! one worker thread; with fewer workers than shards, worker `w` owns
+//! shards `w, w + workers, w + 2·workers, …`. Each worker has one bounded
+//! queue for all the shards it owns, holding `queue_capacity` events per
+//! owned shard, and one session table for all their sessions. It applies
+//! events through the shared core (`engine::process`), so the pool and
+//! the deterministic [`SimScheduler`](crate::sim::SimScheduler) agree on
+//! semantics by construction — the property the `stream_faults`
+//! differential suite leans on.
 //!
-//! The threaded scheduler gives each worker one bounded queue for all the
-//! shards it owns, and the worker blocks in `recv` while it is empty. A
-//! producer that finds the queue full waits until the worker wakes it,
-//! its submit timeout passes, or the worker exits. The worker wakes
-//! waiting producers at its yield gate, just before it blocks on an empty
-//! queue, after a caught panic, and on exit — not after every batch,
-//! which would hand the CPU back to the producer far too often.
+//! The worker blocks in `recv` while its queue is empty. A producer that
+//! finds the queue full waits until the worker wakes it, its submit
+//! timeout passes, or the worker exits. The worker wakes waiting
+//! producers at its yield gate, just before it blocks on an empty queue,
+//! after a caught panic, and on exit — not after every batch, which would
+//! hand the CPU back to the producer far too often.
 //!
-//! The threaded scheduler's failure handling: each worker runs its shard
-//! loop under [`catch_unwind`](std::panic::catch_unwind) with its shard
-//! state held *outside* the unwind boundary, so a panic (injected or
-//! genuine) costs the in-flight event at most — the worker increments
-//! `worker_panics`, re-enters its loop with all session state intact, and
-//! retries the event once. A second panic on the same event poisons it:
-//! the event is quarantined and its session evicted as
+//! Failure handling: each worker runs its loop under
+//! [`catch_unwind`](std::panic::catch_unwind) with its session table held
+//! *outside* the unwind boundary, so a panic (injected or genuine) costs
+//! the in-flight event at most — the worker increments `worker_panics`,
+//! re-enters its loop with all session state intact, and retries the
+//! event once. A second panic on the same event poisons it: the event is
+//! quarantined and its session evicted as
 //! [`ViolationKind::WorkerPanic`](crate::session::ViolationKind::WorkerPanic).
 //! When a worker exhausts its respawn budget it exits; from then on a
-//! [`Scheduler::submit`] routed to its shards fails fast with
+//! [`Engine::submit`] routed to its shards fails fast with
 //! [`SubmitError::WorkersDead`] instead of blocking forever.
 
 use crate::engine::{
-    evict, make_report, process, report_shards, shard_index, EngineConfig, EngineReport,
-    SessionOutcome, ShardState, SubmitError,
+    check_submit_arity, evict, make_report, process, shard_index, EngineConfig, EngineReport,
+    SessionOutcome, SessionTable, SubmitError,
 };
 use crate::event::Event;
 use crate::fault::FaultInjector;
@@ -46,37 +46,15 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// An event execution strategy. All schedulers share the shard-processing
-/// core, so they differ only in interleaving, timing, and fault handling.
-pub trait Scheduler: Send {
-    /// Submits one event (see [`Engine::submit`](crate::engine::Engine::submit)).
-    fn submit(&mut self, event: Event) -> Result<(), SubmitError>;
-
-    /// The live metrics handle.
-    fn metrics(&self) -> &Arc<EngineMetrics>;
-
-    /// A cloneable concurrent-ingest handle, if this scheduler supports
-    /// submission from multiple threads (the threaded scheduler does; the
-    /// deterministic simulation, whose whole point is a single-threaded
-    /// interleaving, does not).
-    fn handle(&self) -> Option<EngineHandle> {
-        None
-    }
-
-    /// Signals end-of-stream, drains every queue, and reports.
-    fn finish(self: Box<Self>) -> EngineReport;
-}
-
 /// A cloneable ingest handle onto a running threaded engine.
 ///
-/// Obtained from [`Engine::handle`](crate::engine::Engine::handle); any
-/// number of clones may [`submit`](EngineHandle::submit) concurrently from
-/// different threads (a network server's connection handlers, most
-/// prominently) while the engine itself stays owned by whoever will
-/// eventually drain it with `finish`. Handles share the engine's arity
-/// validation, back-pressure, and metrics; they bypass producer-side fault
-/// injection, which remains a test feature of the owning scheduler's
-/// submit path. Per-session ordering holds *per submitting thread* (one
+/// Obtained from [`Engine::handle`]; any number of clones may
+/// [`submit`](EngineHandle::submit) concurrently from different threads (a
+/// network server's connection handlers, most prominently) while the
+/// engine itself stays owned by whoever will eventually drain it with
+/// [`Engine::finish`]. Handles share the engine's arity validation,
+/// back-pressure, and metrics; they bypass producer-side fault injection,
+/// which remains a test feature of [`Engine::submit`]. Per-session ordering holds *per submitting thread* (one
 /// session fed by one producer keeps its order; interleaving across
 /// producers is the callers' business, exactly as with any socket).
 ///
@@ -94,12 +72,12 @@ pub struct EngineHandle {
 }
 
 impl EngineHandle {
-    /// Submits one event, exactly as [`Engine::submit`](crate::engine::Engine::submit)
-    /// would: arity-invalid step events are rejected at the edge, a full
-    /// worker queue back-pressures up to the submit timeout, and dead
-    /// workers fail fast.
+    /// Submits one event, exactly as [`Engine::submit`] would:
+    /// arity-invalid step events are rejected at the edge, a full worker
+    /// queue back-pressures up to the submit timeout, and dead workers
+    /// fail fast.
     pub fn submit(&self, event: Event) -> Result<(), SubmitError> {
-        self.check_arity(&event)?;
+        check_submit_arity(&event, self.registers, &self.metrics)?;
         self.submit_unchecked(event)
     }
 
@@ -111,20 +89,6 @@ impl EngineHandle {
     /// The register arity every step event must carry.
     pub fn registers(&self) -> usize {
         self.registers
-    }
-
-    /// Rejects arity-invalid step events before they reach any queue.
-    fn check_arity(&self, event: &Event) -> Result<(), SubmitError> {
-        if let Event::Step { regs, .. } = event {
-            if regs.len() != self.registers {
-                self.metrics.submit_errors.inc();
-                return Err(SubmitError::Arity {
-                    got: regs.len(),
-                    want: self.registers,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Counts and routes one already-validated event. Captures the
@@ -245,16 +209,18 @@ pub(crate) struct Envelope {
 /// hook's backtrace noise (`resume_unwind` does not invoke the hook).
 struct InjectedPanic;
 
-/// The production scheduler: a sharded worker pool on OS threads.
-pub struct ThreadedScheduler {
+/// A running threaded engine. Created with [`Engine::start`], fed with
+/// [`Engine::submit`] (or concurrently through [`Engine::handle`]s), torn
+/// down with [`Engine::finish`].
+pub struct Engine {
     ingest: EngineHandle,
     workers: Vec<JoinHandle<Vec<SessionOutcome>>>,
     producer_faults: FaultInjector,
 }
 
-impl ThreadedScheduler {
+impl Engine {
     /// Spawns the worker pool against a compiled spec.
-    pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig) -> ThreadedScheduler {
+    pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig) -> Engine {
         let shards = config.shards.max(1);
         let workers = config.workers.max(1).min(shards);
         let metrics = Arc::new(EngineMetrics::with_shards(shards));
@@ -275,9 +241,8 @@ impl ThreadedScheduler {
                 injector: FaultInjector::new(&config.fault, w as u64),
                 max_view_frontier: config.max_view_frontier,
                 quarantine_cap: config.quarantine_cap,
-                workers,
                 waiters,
-                shards: (0..owned).map(|_| ShardState::default()).collect(),
+                sessions: SessionTable::default(),
                 inflight: None,
             };
             threads.push(
@@ -287,7 +252,7 @@ impl ThreadedScheduler {
                     .expect("spawn worker thread"),
             );
         }
-        ThreadedScheduler {
+        Engine {
             ingest: EngineHandle {
                 queues,
                 metrics,
@@ -302,11 +267,14 @@ impl ThreadedScheduler {
             producer_faults: FaultInjector::new(&config.fault, u64::MAX),
         }
     }
-}
 
-impl Scheduler for ThreadedScheduler {
-    fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
-        self.ingest.check_arity(&event)?;
+    /// Submits one event. While the queue of the worker owning the target
+    /// shard is full, blocks until that worker wakes it (bounded by
+    /// [`EngineConfig::submit_timeout`]); rejects arity-invalid step events
+    /// and submission against dead workers with a typed error instead of
+    /// panicking or hanging.
+    pub fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
+        check_submit_arity(&event, self.ingest.registers, &self.ingest.metrics)?;
         // Producer-side transport-fault injection: corrupted copies and
         // duplicated terminal events ride in *after* the genuine event
         // (and bypass the arity gate — that is the point).
@@ -318,18 +286,25 @@ impl Scheduler for ThreadedScheduler {
         Ok(())
     }
 
-    fn metrics(&self) -> &Arc<EngineMetrics> {
+    /// The live metrics handle.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.ingest.metrics
     }
 
-    fn handle(&self) -> Option<EngineHandle> {
-        Some(self.ingest.clone())
+    /// A cloneable concurrent-ingest handle. Any number of clones may
+    /// submit from different threads; all clones must be dropped before
+    /// [`Engine::finish`] can drain — a surviving handle keeps the worker
+    /// queues connected.
+    pub fn handle(&self) -> EngineHandle {
+        self.ingest.clone()
     }
 
-    fn finish(self: Box<Self>) -> EngineReport {
-        let ThreadedScheduler {
+    /// Signals end-of-stream, drains every queue, and returns the combined
+    /// report.
+    pub fn finish(self) -> EngineReport {
+        let Engine {
             ingest, workers, ..
-        } = *self;
+        } = self;
         let metrics = Arc::clone(&ingest.metrics);
         // Workers see end-of-stream once every sender of their queue is
         // gone: these, and those of any handle cloned off this engine.
@@ -344,7 +319,7 @@ impl Scheduler for ThreadedScheduler {
 
 /// One worker thread: what it runs with, and the state that must survive
 /// its panics. `catch_unwind` wraps only [`drain`](Worker::drain), so the
-/// shard state lives outside the unwind boundary and the respawned loop
+/// session table lives outside the unwind boundary and the respawned loop
 /// finds it untouched.
 struct Worker {
     spec: Arc<CompiledSpec>,
@@ -353,10 +328,9 @@ struct Worker {
     injector: FaultInjector,
     max_view_frontier: usize,
     quarantine_cap: u64,
-    /// The pool size: global shard `s` is this worker's shard `s / workers`.
-    workers: usize,
     waiters: Arc<Waiters>,
-    shards: Vec<ShardState>,
+    /// The sessions of every shard this worker owns.
+    sessions: SessionTable,
     /// The envelope being processed, stashed (only while fault injection
     /// is active) so a caught panic can retry or poison it.
     inflight: Option<Envelope>,
@@ -369,8 +343,7 @@ impl Worker {
             if let Some(env) = self.inflight.take() {
                 if env.fault_immune {
                     // Second panic on the same event: poison it.
-                    let shard = &mut self.shards[env.shard / self.workers];
-                    poison(&self.metrics, shard, &env.event);
+                    poison(&self.metrics, &mut self.sessions, &env.event);
                 } else {
                     self.inflight = Some(Envelope {
                         fault_immune: true,
@@ -387,7 +360,7 @@ impl Worker {
         // as `WorkersDead`; the wake reaches those already waiting on it.
         drop(inbox);
         self.waiters.wake();
-        report_shards(&self.metrics, self.shards)
+        self.sessions.report(&self.metrics)
     }
 
     /// Processes envelopes until every sender of `inbox` is gone.
@@ -435,7 +408,7 @@ impl Worker {
     }
 
     /// Applies one envelope: fault draws (stall, panic), latency
-    /// accounting, then the shared shard-processing core.
+    /// accounting, then the shared session-processing core.
     fn handle(&mut self, env: Envelope) {
         let faulty = self.injector.is_active();
         if let Some(depth) = self.metrics.queue_depth.get(env.shard) {
@@ -465,7 +438,7 @@ impl Worker {
         process(
             &self.spec,
             &self.metrics,
-            &mut self.shards[env.shard / self.workers],
+            &mut self.sessions,
             env.event,
             self.max_view_frontier,
             self.quarantine_cap,
@@ -480,12 +453,12 @@ impl Worker {
 
 /// Quarantines a twice-panicking event and evicts its session as
 /// [`ViolationKind::WorkerPanic`].
-fn poison(metrics: &EngineMetrics, shard: &mut ShardState, event: &Event) {
+fn poison(metrics: &EngineMetrics, sessions: &mut SessionTable, event: &Event) {
     metrics.events_quarantined.inc();
     let name = event.session().to_string();
-    if let Some(session) = shard.live.get_mut(&name) {
+    if let Some(session) = sessions.live.get_mut(&name) {
         session.force_violation(ViolationKind::WorkerPanic);
         metrics.sessions_violated.inc();
-        evict(metrics, shard, &name);
+        evict(metrics, sessions, &name);
     }
 }

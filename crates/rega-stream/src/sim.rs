@@ -1,14 +1,16 @@
-//! The deterministic simulation scheduler.
+//! The deterministic simulation engine.
 //!
 //! [`SimScheduler`] runs the whole engine on the calling thread: shard
-//! queues are plain `VecDeque`s, the clock is a [`ManualClock`] that moves
-//! only when the simulation spends time, and every nondeterministic choice
-//! the threaded scheduler leaves to the OS — which shard a worker polls
-//! next, how long an event waits in its queue, how long processing takes,
-//! which deliveries a fault hits — is drawn from one RNG seeded by
-//! `seed ^ fault-plan seed`. The same `(spec, config, seed)` therefore
-//! replays bit-for-bit: identical outcome sets, quarantine counts, and
-//! metrics snapshots on every run, which CI asserts across five runs.
+//! queues are plain `VecDeque`s, the sessions of every shard live in one
+//! session table, the clock is a [`ManualClock`] that moves only when the
+//! simulation spends time, and every nondeterministic choice the threaded
+//! [`Engine`](crate::scheduler::Engine) leaves to the OS — which shard a
+//! worker serves next, how long an event waits in its queue, how long
+//! processing takes, which deliveries a fault hits — is drawn from one RNG
+//! seeded by `seed ^ fault-plan seed`. The same `(spec, config, seed)`
+//! therefore replays bit-for-bit: identical outcome sets, quarantine
+//! counts, and metrics snapshots on every run, which CI asserts across
+//! five runs.
 //!
 //! Per-session event order is still FIFO (each queue pops from the front),
 //! so the simulation explores exactly the interleavings the sharded
@@ -18,23 +20,22 @@
 //! failover: in-flight events are flushed, not lost), then serializes all
 //! live sessions and closed outcomes via the [`snapshot`](crate::snapshot)
 //! codecs. [`SimScheduler::restore`] rebuilds an engine from such a
-//! snapshot — re-routing sessions by hash, so the shard count may change
-//! across the restart — and the `stream_faults` suite asserts that a
-//! crashed-and-restored run reaches the same verdicts as an uninterrupted
-//! one. [`SimScheduler::extract`] and [`SimScheduler::absorb`] move a
-//! subset of sessions between running engines (cluster migration). The
-//! four share one encoder and one decoder, and they are inherent methods,
-//! not [`Scheduler`] ones: the simulation is the only engine that can
-//! serialize mid-stream state.
+//! snapshot — sessions are keyed by name, not by shard, so the shard count
+//! may change across the restart — and the `stream_faults` suite asserts
+//! that a crashed-and-restored run reaches the same verdicts as an
+//! uninterrupted one. [`SimScheduler::extract`] and
+//! [`SimScheduler::absorb`] move a subset of sessions between running
+//! engines (cluster migration). The four share one encoder and one
+//! decoder: the simulation is the only engine that can serialize
+//! mid-stream state.
 
 use crate::engine::{
-    make_report, process, report_shards, shard_index, EngineConfig, EngineReport, SessionOutcome,
-    ShardState, SubmitError,
+    check_submit_arity, make_report, process, shard_index, EngineConfig, EngineReport,
+    SessionOutcome, SessionTable, SubmitError,
 };
 use crate::event::Event;
 use crate::fault::FaultInjector;
 use crate::metrics::EngineMetrics;
-use crate::scheduler::Scheduler;
 use crate::session::Session;
 use crate::snapshot::{
     declared_version, err, outcome_from_json, outcome_to_json, SnapshotError, SNAPSHOT_VERSION,
@@ -65,7 +66,7 @@ struct QueuedEvent {
     request: Option<Arc<str>>,
 }
 
-/// The single-threaded deterministic scheduler. See the module docs.
+/// The single-threaded deterministic engine. See the module docs.
 pub struct SimScheduler {
     spec: Arc<CompiledSpec>,
     metrics: Arc<EngineMetrics>,
@@ -74,7 +75,7 @@ pub struct SimScheduler {
     worker_faults: FaultInjector,
     producer_faults: FaultInjector,
     queues: Vec<VecDeque<QueuedEvent>>,
-    shards: Vec<ShardState>,
+    sessions: SessionTable,
     registers: usize,
     max_frontier: usize,
     quarantine_cap: u64,
@@ -85,8 +86,9 @@ pub struct SimScheduler {
 }
 
 impl SimScheduler {
-    /// Builds the simulation. `seed` is xor-ed into the fault plan's own
-    /// seed so one knob replays everything.
+    /// Starts the simulation: shard-queue interleavings, the clock, and
+    /// every injected fault derive from `seed` (xor-ed into the fault
+    /// plan's own seed), so the same seed and config replay bit-for-bit.
     pub fn start(spec: Arc<CompiledSpec>, config: EngineConfig, seed: u64) -> SimScheduler {
         let shards = config.shards.max(1);
         let mut plan = config.fault.clone();
@@ -100,7 +102,7 @@ impl SimScheduler {
             worker_faults: FaultInjector::new(&plan, 0),
             producer_faults: FaultInjector::new(&plan, u64::MAX),
             queues: (0..shards).map(|_| VecDeque::new()).collect(),
-            shards: (0..shards).map(|_| ShardState::default()).collect(),
+            sessions: SessionTable::default(),
             max_frontier: config.max_view_frontier,
             quarantine_cap: config.quarantine_cap,
             queue_capacity: config.queue_capacity.max(1),
@@ -110,11 +112,11 @@ impl SimScheduler {
 
     /// Rebuilds a simulation from a [`checkpoint`](SimScheduler::checkpoint):
     /// a fresh engine at the snapshot's clock that [`absorb`](SimScheduler::absorb)s
-    /// it, counting every live session as started. Sessions and closed
-    /// outcomes are re-routed by hash, so `config` may shard differently
-    /// than the checkpointing engine did. The RNG is reseeded (randomness
-    /// is not part of the persisted state), so only *verdicts* — not
-    /// latency jitter — are comparable across a restart.
+    /// it, counting every live session as started. Snapshots hold sessions
+    /// by name, so `config` may shard differently than the checkpointing
+    /// engine did. The RNG is reseeded (randomness is not part of the
+    /// persisted state), so only *verdicts* — not latency jitter — are
+    /// comparable across a restart.
     pub fn restore(
         spec: Arc<CompiledSpec>,
         config: EngineConfig,
@@ -136,10 +138,7 @@ impl SimScheduler {
     /// engine stays usable afterwards.
     pub fn checkpoint(&mut self) -> Json {
         self.drain();
-        self.encode(
-            self.shards.iter().flat_map(|s| s.live.iter()),
-            self.shards.iter().flat_map(|s| s.closed.values()),
-        )
+        self.encode(&self.sessions.live, self.sessions.closed.values())
     }
 
     /// Migration donor half: drains, then removes every session — live or
@@ -150,17 +149,17 @@ impl SimScheduler {
     /// outcome counters stay untouched (the recipient finishes the story).
     pub fn extract(&mut self, select: &dyn Fn(&str) -> bool) -> Json {
         self.drain();
-        let mut live: Vec<(String, Session)> = Vec::new();
-        let mut closed: Vec<SessionOutcome> = Vec::new();
-        for shard in &mut self.shards {
-            live.extend(shard.live.extract_if(|name, _| select(name)));
-            closed.extend(
-                shard
-                    .closed
-                    .extract_if(|name, _| select(name))
-                    .map(|(_, o)| o),
-            );
-        }
+        let live: Vec<(String, Session)> = self
+            .sessions
+            .live
+            .extract_if(|name, _| select(name))
+            .collect();
+        let closed: Vec<SessionOutcome> = self
+            .sessions
+            .closed
+            .extract_if(|name, _| select(name))
+            .map(|(_, o)| o)
+            .collect();
         for _ in &live {
             self.metrics.sessions_active.dec();
         }
@@ -169,20 +168,54 @@ impl SimScheduler {
 
     /// Migration recipient half: merges an [`extract`](SimScheduler::extract)ed
     /// (or whole-[`checkpoint`](SimScheduler::checkpoint)) snapshot into this
-    /// running engine, re-routing sessions by hash. Returns how many
-    /// sessions (live plus closed) were absorbed. A session that already
-    /// exists here rejects the merge — a double migration is a protocol
-    /// error, not a last-writer-wins overwrite — and a rejected merge
-    /// leaves the engine exactly as it was.
+    /// running engine. Returns how many sessions (live plus closed) were
+    /// absorbed. A session that already exists here rejects the merge — a
+    /// double migration is a protocol error, not a last-writer-wins
+    /// overwrite — and a rejected merge leaves the engine exactly as it
+    /// was.
     pub fn absorb(&mut self, snapshot: &Json) -> Result<usize, SnapshotError> {
         self.merge(snapshot).map(|(live, closed)| live + closed)
+    }
+
+    /// Submits one event: rejects arity-invalid step events, enqueues it
+    /// (delivering from its shard while that queue is full), then delivers
+    /// an RNG-sized burst so queue occupancy — and with it the explored
+    /// cross-shard orderings — varies by seed. Once the simulated respawn
+    /// budget is exhausted every submit fails with
+    /// [`SubmitError::WorkersDead`].
+    pub fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
+        if self.dead {
+            self.metrics.submit_errors.inc();
+            return Err(SubmitError::WorkersDead);
+        }
+        check_submit_arity(&event, self.registers, &self.metrics)?;
+        let injected = self.producer_faults.injected_copies(&event);
+        self.enqueue(event);
+        for copy in injected {
+            self.enqueue(copy);
+        }
+        let burst = self.rng.gen_range(0..MAX_BURST);
+        for _ in 0..burst {
+            if self.dead || !self.poll_one() {
+                break;
+            }
+        }
+        if self.dead {
+            self.metrics.submit_errors.inc();
+            return Err(SubmitError::WorkersDead);
+        }
+        Ok(())
+    }
+
+    /// The live metrics handle.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
+        &self.metrics
     }
 
     /// Drains every queue and returns the combined report.
     pub fn finish(mut self) -> EngineReport {
         self.drain();
-        let shards = std::mem::take(&mut self.shards);
-        make_report(report_shards(&self.metrics, shards), self.metrics)
+        make_report(self.sessions.report(&self.metrics), self.metrics)
     }
 
     /// The one snapshot encoder: `live` and `closed` sorted by session
@@ -246,7 +279,6 @@ impl SimScheduler {
             .iter()
             .map(outcome_from_json)
             .collect::<Result<_, _>>()?;
-        let n = self.shards.len();
         let mut incoming = BTreeSet::new();
         for name in live
             .iter()
@@ -256,22 +288,17 @@ impl SimScheduler {
             if !incoming.insert(name) {
                 return Err(err("snapshot names a session twice"));
             }
-            let shard = &self.shards[shard_index(name, n)];
-            if shard.live.contains_key(name) || shard.closed.contains_key(name) {
+            if self.sessions.live.contains_key(name) || self.sessions.closed.contains_key(name) {
                 return Err(err("absorb would duplicate a session"));
             }
         }
         let merged = (live.len(), closed.len());
         for (name, session) in live {
             self.metrics.session_in();
-            self.shards[shard_index(&name, n)]
-                .live
-                .insert(name, session);
+            self.sessions.live.insert(name, session);
         }
-        for outcome in closed {
-            let shard = &mut self.shards[shard_index(&outcome.session, n)];
-            shard.closed.insert(outcome.session.clone(), outcome);
-        }
+        let closed = closed.into_iter().map(|o| (o.session.clone(), o));
+        self.sessions.closed.extend(closed);
         Ok(merged)
     }
 
@@ -313,7 +340,7 @@ impl SimScheduler {
         process(
             &self.spec,
             &self.metrics,
-            &mut self.shards[shard_idx],
+            &mut self.sessions,
             q.event,
             self.max_frontier,
             self.quarantine_cap,
@@ -362,49 +389,5 @@ impl SimScheduler {
             fault_immune: false,
             request: rega_obs::active_request(),
         });
-    }
-}
-
-impl Scheduler for SimScheduler {
-    fn submit(&mut self, event: Event) -> Result<(), SubmitError> {
-        if self.dead {
-            self.metrics.submit_errors.inc();
-            return Err(SubmitError::WorkersDead);
-        }
-        if let Event::Step { regs, .. } = &event {
-            if regs.len() != self.registers {
-                self.metrics.submit_errors.inc();
-                return Err(SubmitError::Arity {
-                    got: regs.len(),
-                    want: self.registers,
-                });
-            }
-        }
-        let injected = self.producer_faults.injected_copies(&event);
-        self.enqueue(event);
-        for copy in injected {
-            self.enqueue(copy);
-        }
-        // Interleave: drain an RNG-sized burst so queue occupancy — and
-        // with it the explored cross-shard orderings — varies by seed.
-        let burst = self.rng.gen_range(0..MAX_BURST);
-        for _ in 0..burst {
-            if self.dead || !self.poll_one() {
-                break;
-            }
-        }
-        if self.dead {
-            self.metrics.submit_errors.inc();
-            return Err(SubmitError::WorkersDead);
-        }
-        Ok(())
-    }
-
-    fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.metrics
-    }
-
-    fn finish(self: Box<Self>) -> EngineReport {
-        SimScheduler::finish(*self)
     }
 }

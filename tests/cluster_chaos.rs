@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use rega_cluster::{ClusterFaultPlan, ControlConfig, SimCluster, VSHARDS};
 use rega_core::spec::parse_spec;
 use rega_data::{Database, Schema, Value};
-use rega_stream::{CompiledSpec, Engine, EngineConfig, Event, SessionOutcome};
+use rega_stream::{CompiledSpec, EngineConfig, Event, SessionOutcome, SimScheduler};
 use std::sync::Arc;
 
 /// Nondeterministic control plus a guard, so verdicts depend on real
@@ -105,7 +105,7 @@ fn gen_plan(rng: &mut StdRng, seed: u64, stream_len: usize) -> ClusterFaultPlan 
 }
 
 fn baseline(events: &[Event]) -> Vec<SessionOutcome> {
-    let mut engine = Engine::start_sim(spec(), EngineConfig::default(), 0);
+    let mut engine = SimScheduler::start(spec(), EngineConfig::default(), 0);
     for e in events {
         engine.submit(e.clone()).unwrap();
     }

@@ -13,7 +13,9 @@
 //! the wire and checks every rejection is *typed* (stable `error.code`),
 //! and the third exercises the graceful drain: flipping the shutdown flag
 //! must reject new admissions, finish in-flight engines, and hand back the
-//! final report with every session's verdict.
+//! final report with every session's verdict. The last checks that a
+//! connection reaching an idle server is served at once, not after the
+//! server's shutdown-poll interval.
 
 use rega_serve::proto::{read_frame, write_frame, Framing};
 use rega_serve::{Server, ServerConfig, TenantQuotas};
@@ -23,7 +25,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tenant A's spec: two registers, nondeterministic control, a σ-type
 /// restriction, and a global equality constraint (the same spec the
@@ -582,4 +584,27 @@ fn graceful_drain_finishes_in_flight_sessions() {
             }
         }
     }
+}
+
+#[test]
+fn an_idle_server_accepts_a_connection_at_once() {
+    const ROUNDS: u32 = 20;
+    let (addr, shutdown, server) = start_server(ServerConfig::default());
+    let mut served = Duration::ZERO;
+    for _ in 0..ROUNDS {
+        // Longer than the server's 100 ms shutdown poll, so every round
+        // starts on a server that has gone idle.
+        std::thread::sleep(Duration::from_millis(120));
+        let started = Instant::now();
+        let mut client = Client::connect(addr, Framing::Jsonl);
+        client.ok(&json!({"cmd": "health"}));
+        served += started.elapsed();
+        drop(client);
+    }
+    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    server.join().unwrap();
+    assert!(
+        served < Duration::from_millis(400),
+        "{ROUNDS} connect-and-health rounds on an idle server took {served:?}"
+    );
 }

@@ -2,8 +2,9 @@
 //!
 //! Every test case derives *everything* — the multi-session workload, the
 //! fault plan, the crash point, even the restored engine's shard count —
-//! from one `u64` seed via the deterministic [`SimScheduler`] behind
-//! [`Engine::start_sim`]. The invariants checked per seed:
+//! from one `u64` seed via the deterministic [`SimScheduler`]; a few
+//! cases run the threaded [`Engine`] instead. The invariants checked per
+//! seed:
 //!
 //! 1. **Crash/restart transparency**: a run that checkpoints mid-stream,
 //!    throws the engine away, and restores from the snapshot reaches the
@@ -28,7 +29,7 @@ use rega_core::ExtendedAutomaton;
 use rega_data::{Database, Schema, Value};
 use rega_stream::{
     parse_event, parse_event_checked, CompiledSpec, Engine, EngineConfig, Event, FaultPlan,
-    Scheduler, SessionOutcome, SessionStatus, SimScheduler, SnapshotError, SubmitError,
+    SessionOutcome, SessionStatus, SimScheduler, SnapshotError, SubmitError,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -227,7 +228,7 @@ fn run_case(seed: u64) -> Result<(), String> {
         .collect();
 
     // Uninterrupted simulated run under the fault plan.
-    let mut engine = Engine::start_sim(Arc::clone(&spec), config.clone(), seed);
+    let mut engine = SimScheduler::start(Arc::clone(&spec), config.clone(), seed);
     for ev in &stream {
         engine
             .submit(ev.clone())
@@ -351,7 +352,7 @@ proptest! {
             quarantine_cap: 1_000_000,
             ..EngineConfig::default()
         };
-        let mut clean = Engine::start_sim(Arc::clone(&spec), clean_config.clone(), seed);
+        let mut clean = SimScheduler::start(Arc::clone(&spec), clean_config.clone(), seed);
         for ev in &stream {
             clean.submit(ev.clone()).unwrap();
         }
@@ -366,7 +367,7 @@ proptest! {
             dup_end_prob: 0.8,
             ..FaultPlan::none()
         };
-        let mut faulty = Engine::start_sim(Arc::clone(&spec), faulty_config, seed);
+        let mut faulty = SimScheduler::start(Arc::clone(&spec), faulty_config, seed);
         for ev in &stream {
             faulty.submit(ev.clone()).unwrap();
         }
@@ -400,7 +401,7 @@ fn same_seed_replays_bit_for_bit() {
     let mut metric_snapshots = Vec::new();
     let mut quarantine_counts = Vec::new();
     for _ in 0..5 {
-        let mut engine = Engine::start_sim(Arc::clone(&spec), config.clone(), seed);
+        let mut engine = SimScheduler::start(Arc::clone(&spec), config.clone(), seed);
         for ev in &stream {
             engine.submit(ev.clone()).unwrap();
         }
@@ -660,7 +661,7 @@ fn view_observer_state_survives_crash_and_restore() {
         gen_stream(&mut rng)
     };
 
-    let mut uninterrupted = Engine::start_sim(Arc::clone(&spec), config.clone(), 9);
+    let mut uninterrupted = SimScheduler::start(Arc::clone(&spec), config.clone(), 9);
     for ev in &stream {
         uninterrupted.submit(ev.clone()).unwrap();
     }
